@@ -27,7 +27,7 @@ from .coagulation import (
     reaction_rates,
     weighted_sum,
 )
-from .diffusion import HeatPropagator, comparison_multiplier, heat_majorant, heat_step
+from .diffusion import comparison_multiplier, heat_majorant, heat_step
 from .field import (
     Grid,
     MassField,
@@ -39,7 +39,6 @@ from .field import (
     total_mass,
 )
 from .integrator import (
-    HomogeneousState,
     RunConfig,
     RunRecord,
     StepSizeError,
@@ -80,8 +79,6 @@ __all__ = [
     "DiffusionProfile",
     "GelVerdict",
     "Grid",
-    "HeatPropagator",
-    "HomogeneousState",
     "HypothesisError",
     "Kernel",
     "MassField",

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coagulation import TruncationPolicy
-from .integrator import HomogeneousState, RunConfig, RunRecord, STABILITY_LIMIT, homogeneous_run
+from .field import Grid, MassField, initial_data_functionals
+from .integrator import RunConfig, RunRecord, STABILITY_LIMIT, homogeneous_run
 from .kernels import CheckResult, DiffusionProfile, Kernel, check_assumption_1_1
 
 __all__ = [
@@ -30,9 +31,11 @@ __all__ = [
     "GelVerdict",
     "HypothesisError",
     "linf_moment_exponent",
+    "majorant_ratios",
     "check_heat_majorant",
     "check_gronwall",
     "check_moment_bound",
+    "conservation_drift",
     "check_conservation",
     "collision_budget",
     "gelation_scan",
@@ -109,6 +112,22 @@ def linf_moment_exponent(a: float, b1: float, b2: float, dim: int) -> float:
     return base - 0.5 * b1 * dim - b1 - 1.0
 
 
+def majorant_ratios(record: RunRecord, dp: DiffusionProfile) -> np.ndarray:
+    """Domination ratio ``sum_n n d(n)^(dim/2) f_n / (d(1)^(dim/2) u)``, (strides, cells).
+
+    Cells where the majorant is below MAJORANT_FLOOR of its peak at that
+    stride read 0.
+    """
+    if not dp.non_increasing:
+        raise HypothesisError("heat-majorant domination requires a non-increasing diffusion profile")
+    if record.weighted_mass_moment is None or record.majorant is None:
+        raise ValueError("record was not run with track_majorant=True")
+    xhat = np.asarray(record.weighted_mass_moment)
+    denom = dp.value(1) ** (record.grid.dim / 2.0) * np.asarray(record.majorant)
+    live = denom > MAJORANT_FLOOR * denom.max(axis=1, keepdims=True)
+    return np.divide(xhat, denom, out=np.zeros_like(xhat), where=live)
+
+
 def check_heat_majorant(record: RunRecord, dp: DiffusionProfile, tolerance: float = 1e-6) -> BoundReport:
     """Domination of the weighted mass moment by its heat majorant.
 
@@ -116,32 +135,18 @@ def check_heat_majorant(record: RunRecord, dp: DiffusionProfile, tolerance: floa
     ``sum_n n d(n)^(dim/2) f_n(x,t) <= d(1)^(dim/2) u(x,t)`` where u is the
     heat evolution of the initial mass density at rate d(1).  Requires a
     non-increasing profile; cells where the majorant is numerically zero
-    (below MAJORANT_FLOOR of its peak) are skipped, since the ratio there
-    is noise over noise.
+    are skipped (see :func:`majorant_ratios`), since the ratio there is
+    noise over noise.
     """
-    if not dp.non_increasing:
-        raise HypothesisError("heat-majorant domination requires a non-increasing diffusion profile")
-    if record.weighted_mass_moment is None or record.majorant is None:
-        raise ValueError("record was not run with track_majorant=True")
-    d1p = dp.value(1) ** (record.grid.dim / 2.0)
-    worst = 0.0
-    where: tuple | None = None
-    for t, xhat, u in zip(record.times, record.weighted_mass_moment, record.majorant):
-        denom = d1p * u
-        mask = denom > MAJORANT_FLOOR * denom.max() if denom.size else denom > 0
-        if not mask.any():
-            continue
-        ratio = xhat[mask] / denom[mask]
-        i = int(ratio.argmax())
-        if ratio[i] - 1.0 > worst:
-            worst = float(ratio[i] - 1.0)
-            where = (t, int(np.flatnonzero(mask)[i]))
+    ratios = majorant_ratios(record, dp)
+    k, cell = np.unravel_index(ratios.argmax(), ratios.shape)
+    worst = max(float(ratios[k, cell] - 1.0), 0.0)
     return BoundReport(
         name="heat_majorant_domination",
-        max_violation=max(worst, 0.0),
+        max_violation=worst,
         tolerance=tolerance,
         passed=worst <= tolerance,
-        location=where,
+        location=(record.times[k], int(cell)) if worst > 0 else None,
     )
 
 
@@ -184,7 +189,7 @@ def check_gronwall(
             f"supplied second-moment bound A={A:g} is below the observed sup {a_obs:g}; "
             "the stability envelope hypothesis fails"
         )
-    vol = f_record.cell_volume
+    vol = f_record.grid.cell_volume
     x0 = float((idx @ np.abs(f_record.fields[0] - g_record.fields[0])).sum()) * vol
     worst = 0.0
     where = None
@@ -207,26 +212,32 @@ def check_gronwall(
     )
 
 
+def conservation_drift(record: RunRecord) -> np.ndarray:
+    """Per-stride relative drift |M(t) - M(0)| / |M(0)| of the conserved mass.
+
+    M is I(t) for cutoff runs and I(t) + G(t) for gel-reservoir runs; a
+    zero M(0) reads the absolute drift.
+    """
+    total = record.mass_with_gel if record.policy.kind == "gel_reservoir" else np.asarray(record.mass)
+    ref = total[0] if total[0] else 1.0
+    return np.abs(total - total[0]) / abs(ref)
+
+
 def check_conservation(record: RunRecord, tolerance: float = 1e-10) -> BoundReport:
     """Relative drift of conserved mass over the run.
 
     Cutoff runs must conserve I(t) exactly (the truncated budget balances
     pairwise); gel-reservoir runs must conserve I(t) + G(t).
     """
-    mass = np.asarray(record.mass)
-    total = mass + np.asarray(record.gel) if record.policy.kind == "gel_reservoir" else mass
-    ref = total[0]
-    if ref == 0:
-        drift = float(np.abs(total).max())
-    else:
-        drift = float(np.abs(total - ref).max() / abs(ref))
-    i = int(np.abs(total - ref).argmax())
+    drift = conservation_drift(record)
+    i = int(drift.argmax())
+    worst = float(drift[i])
     name = "mass_conservation" if record.policy.kind == "cutoff" else "mass_plus_gel_conservation"
     return BoundReport(
         name=name,
-        max_violation=drift,
+        max_violation=worst,
         tolerance=tolerance,
-        passed=drift <= tolerance,
+        passed=worst <= tolerance,
         location=(record.times[i],),
     )
 
@@ -254,9 +265,7 @@ def check_moment_bound(
     if dp is not None:
         cert = check_assumption_1_1(records[0].kernel, dp, delta, records[0].n_max)
     functionals = None
-    if records[0].fields and records[0].grid is not None:
-        from .field import MassField, initial_data_functionals
-
+    if records[0].fields and records[0].grid.dim:
         grid = records[0].grid
         F0 = MassField(grid, records[0].fields[0].reshape((records[0].n_max,) + grid.shape), validate=False)
         functionals = initial_data_functionals(F0, a)
@@ -327,14 +336,11 @@ def gelation_scan(
     gels = []
     ratios = []
     for n_max in n_list:
-        if isinstance(initial, (int, float)):
-            state = HomogeneousState.monodisperse(n_max, float(initial))
-        else:
-            c = np.zeros(n_max)
-            src = np.asarray(initial, dtype=float)
-            c[: min(n_max, src.size)] = src[:n_max]
-            state = HomogeneousState(c)
-        lam0 = 2.0 * float((kernel.dense(n_max) @ state.c).max())
+        c = np.zeros(n_max)
+        src = np.atleast_1d(np.asarray(initial, dtype=float))
+        c[: min(n_max, src.size)] = src[:n_max]
+        state = MassField(Grid.point(), c)
+        lam0 = 2.0 * float((kernel.dense(n_max) @ state.data).max())
         dt_n = dt if dt is not None else (0.8 * STABILITY_LIMIT / lam0 if lam0 > 0 else t_final / 100.0)
         cfg = RunConfig(
             t_final=t_final,

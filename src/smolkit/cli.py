@@ -9,7 +9,6 @@ byte-identical outputs for any worker count.
 Commands::
 
     smolkit run <config> [--workers N] [--out DIR]
-    smolkit verify <config> [--workers N] [--out DIR]
     smolkit gelscan <config> [--workers N] [--out DIR]
 
 Exit codes: 0 all monitors pass, 2 a monitor failed, 1 configuration,
@@ -36,12 +35,14 @@ from .analysis import (
     check_heat_majorant,
     check_moment_bound,
     collision_budget,
+    conservation_drift,
     gelation_scan,
+    majorant_ratios,
     second_moment_growth_rate,
 )
 from .coagulation import TruncationPolicy
 from .field import Grid, MassField
-from .integrator import HomogeneousState, RunConfig, RunRecord, homogeneous_run, run
+from .integrator import RunConfig, RunRecord, homogeneous_run, run
 from .kernels import DiffusionProfile, Kernel, RangeProfile, kinetic_kernel_from_range
 from .tracer import TracerEnsemble, density_consistency, simulate
 
@@ -51,7 +52,7 @@ OUT_ENV = "SMOLKIT_OUT"
 SERIES_SCHEMA = "# smolkit-series v1"
 FIELD_SCHEMA = "# smolkit-field v1"
 
-MODES = ("pde", "homogeneous", "tracer", "verify", "gelscan")
+MODES = ("pde", "homogeneous", "tracer", "gelscan")
 KERNEL_KINDS = ("constant", "sum", "product", "two_exponent", "range_derived", "table")
 DIFFUSION_KINDS = ("constant", "power_law", "bracketed_power", "table")
 INITIAL_KINDS = ("monodisperse", "gaussian_blob", "table")
@@ -320,10 +321,9 @@ def _validate(s: Scenario, path) -> None:
         _require(list(s.gelscan_n_list) == sorted(s.gelscan_n_list), "gelscan.n_list", "must increase", path)
     if "gronwall" in s.monitors:
         _require(s.gronwall_delta > 0, "gronwall.delta", "must be > 0", path)
-    spatial_only = {"gronwall", "heat_majorant", "moment_plateau"} & set(s.monitors)
-    if s.mode == "homogeneous" and spatial_only:
-        _require(False, "monitors", f"{sorted(spatial_only)} need a spatial mode (pde/verify/tracer)", path)
     if s.mode == "homogeneous":
+        spatial_only = {"gronwall", "heat_majorant", "moment_plateau"} & set(s.monitors)
+        _require(not spatial_only, "monitors", f"{sorted(spatial_only)} need a spatial mode (pde/tracer)", path)
         _require(not s.track_majorant, "run.track_majorant", "needs a spatial mode", path)
     _require(s.plateau_refinements >= 1, "moment_plateau.refinements", "must be >= 1", path)
 
@@ -389,21 +389,6 @@ def build_initial_field(s: Scenario, grid: Grid) -> MassField:
     return read_field_csv(s.initial_table, grid, s.n_max)
 
 
-def build_initial_homogeneous(s: Scenario) -> HomogeneousState:
-    if s.initial_kind == "table":
-        values = np.loadtxt(s.initial_table, delimiter=",", ndmin=2)
-        c = np.zeros(s.n_max)
-        for row in values:
-            n = int(row[0])
-            if not 1 <= n <= s.n_max:
-                raise ConfigError(f"initial.table: species {n} outside 1..{s.n_max}")
-            c[n - 1] = row[1]
-        return HomogeneousState(c)
-    c = np.zeros(s.n_max)
-    c[s.initial_species - 1] = s.initial_amplitude
-    return HomogeneousState(c)
-
-
 def build_run_config(s: Scenario, **overrides) -> RunConfig:
     policy = TruncationPolicy(s.policy, s.n_max)
     base = dict(
@@ -412,13 +397,11 @@ def build_run_config(s: Scenario, **overrides) -> RunConfig:
         policy=policy,
         splitting=s.splitting,
         output_stride=s.output_stride,
-        seed=s.seed,
         moment_exponents=tuple(s.moments),
         pair_moment_exponents=tuple(s.pair_moments),
         record_fields=s.record_fields,
         track_majorant=s.track_majorant,
         auto_halve=s.auto_halve,
-        workers=s.workers,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -431,7 +414,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_series_csv(path: Path, rec: RunRecord, extra: dict[str, list[float]] | None = None) -> None:
+def write_series_csv(path: Path, rec: RunRecord, extra: dict[str, np.ndarray] | None = None) -> None:
     moment_cols = sorted(rec.moments)
     headers = ["t", "I", "I_plus_gel", "gel"] + [f"X{a:g}" for a in moment_cols] + ["dt"]
     for a in sorted(rec.pair_moments):
@@ -453,11 +436,10 @@ def write_series_csv(path: Path, rec: RunRecord, extra: dict[str, list[float]] |
     path.write_text(text, encoding="utf-8")
 
 
-def write_field_csv(path: Path, flat: np.ndarray, grid: Grid | None, t: float, gel: float) -> None:
-    meta = f"{FIELD_SCHEMA} t={_fmt(t)} gel={_fmt(gel)}"
-    if grid is not None:
-        meta += f" dim={grid.dim} cells={grid.cells_per_side} length={_fmt(grid.length)}"
-    lines = [meta]
+def write_field_csv(path: Path, flat: np.ndarray, grid: Grid, t: float, gel: float) -> None:
+    lines = [
+        f"{FIELD_SCHEMA} t={_fmt(t)} gel={_fmt(gel)} dim={grid.dim} cells={grid.cells_per_side} length={_fmt(grid.length)}"
+    ]
     for n in range(flat.shape[0]):
         lines.append(str(n + 1) + "," + ",".join(_fmt(v) for v in np.atleast_1d(flat[n])))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -502,22 +484,6 @@ def _out_dir(s: Scenario, override: str | None) -> Path:
     return out
 
 
-def _conservation_column(rec: RunRecord) -> list[float]:
-    total = rec.mass_with_gel if rec.policy.kind == "gel_reservoir" else np.asarray(rec.mass)
-    ref = total[0] if total[0] else 1.0
-    return [abs(v - total[0]) / abs(ref) for v in total]
-
-
-def _majorant_column(rec: RunRecord, dp: DiffusionProfile) -> list[float]:
-    d1p = dp.value(1) ** (rec.grid.dim / 2.0)
-    col = []
-    for xh, u in zip(rec.weighted_mass_moment, rec.majorant):
-        denom = d1p * u
-        mask = denom > 1e-9 * denom.max() if denom.size else denom > 0
-        col.append(float((xh[mask] / denom[mask]).max()) if mask.any() else 0.0)
-    return col
-
-
 def execute(s: Scenario, out_override: str | None = None, workers_override: int | None = None) -> int:
     """Run one scenario end to end; returns the process exit code."""
     if workers_override is not None:
@@ -550,10 +516,10 @@ def execute(s: Scenario, out_override: str | None = None, workers_override: int 
     kernel = build_kernel(s)
     if s.mode == "homogeneous":
         cfg = build_run_config(s)
-        rec = homogeneous_run(build_initial_homogeneous(s), kernel, cfg)
+        rec = homogeneous_run(build_initial_field(s, Grid.point()), kernel, cfg)
         dp = None
     else:
-        # pde, tracer and verify share the spatial run.
+        # pde and tracer share the spatial run.
         dp = build_diffusion(s)
         grid = build_grid(s)
         field0 = build_initial_field(s, grid)
@@ -572,9 +538,9 @@ def execute(s: Scenario, out_override: str | None = None, workers_override: int 
         cfg = build_run_config(s, record_fields=need_fields, track_majorant=need_majorant, **overrides)
         rec = run(field0, kernel, dp, cfg)
 
-    extra = {"cons_drift": _conservation_column(rec)}
+    extra = {"cons_drift": conservation_drift(rec)}
     if rec.majorant is not None:
-        extra["majorant_ratio"] = _majorant_column(rec, dp)
+        extra["majorant_ratio"] = majorant_ratios(rec, dp).max(axis=1)
     write_series_csv(out / "series.csv", rec, extra)
     if rec.fields is not None:
         snapdir = out / "snapshots"
@@ -684,7 +650,7 @@ def execute(s: Scenario, out_override: str | None = None, workers_override: int 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="smolkit", description="coagulation-diffusion scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "verify", "gelscan"):
+    for name in ("run", "gelscan"):
         p = sub.add_parser(name)
         p.add_argument("config", help="scenario file")
         p.add_argument("--workers", type=int, default=None, help="parallelism cap (results unchanged)")

@@ -23,7 +23,7 @@ import numpy as np
 from .field import Grid, MassField, MomentSpec, moment
 from .kernels import DiffusionProfile
 
-__all__ = ["HeatPropagator", "heat_step", "heat_majorant", "comparison_multiplier"]
+__all__ = ["heat_step", "heat_step_batched", "heat_majorant", "comparison_multiplier"]
 
 log = logging.getLogger(__name__)
 
@@ -32,75 +32,26 @@ CRANK_NICOLSON = "cn"
 
 
 @lru_cache(maxsize=64)
-def _mode_k2(grid: Grid) -> np.ndarray:
-    """Squared angular wavenumbers |k|^2 on the rfftn output layout."""
+def _laplacian_symbol(grid: Grid, scheme: str) -> np.ndarray:
+    """Symbol of -Laplacian on the rfftn output layout.
+
+    SPECTRAL: the squared angular wavenumbers |k|^2.  CRANK_NICOLSON: the
+    symbol of the second-order discrete Laplacian.
+    """
     m = grid.cells_per_side
-    full = (2.0 * np.pi * np.fft.fftfreq(m, d=grid.h)) ** 2
-    half = (2.0 * np.pi * np.fft.rfftfreq(m, d=grid.h)) ** 2
-    axes = [full] * (grid.dim - 1) + [half]
-    k2 = np.zeros(tuple(a.size for a in axes))
-    for ax, vals in enumerate(axes):
-        shape = [1] * grid.dim
-        shape[ax] = vals.size
-        k2 = k2 + vals.reshape(shape)
-    k2.flags.writeable = False
-    return k2
-
-
-@lru_cache(maxsize=64)
-def _cn_symbol(grid: Grid) -> np.ndarray:
-    """Symbol of the second-order discrete Laplacian on the rfftn layout."""
-    m = grid.cells_per_side
-    full = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(m))) / grid.h**2
-    half = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(m))) / grid.h**2
-    axes = [full] * (grid.dim - 1) + [half]
-    sym = np.zeros(tuple(a.size for a in axes))
-    for ax, vals in enumerate(axes):
-        shape = [1] * grid.dim
-        shape[ax] = vals.size
-        sym = sym + vals.reshape(shape)
-    sym.flags.writeable = False
-    return sym
-
-
-def multipliers(grid: Grid, D: float, t: float, scheme: str = SPECTRAL) -> np.ndarray:
-    """Per-mode decay factors for one propagator application."""
     if scheme == SPECTRAL:
-        mult = np.exp(-D * t * _mode_k2(grid))
+        full = (2.0 * np.pi * np.fft.fftfreq(m, d=grid.h)) ** 2
+        half = (2.0 * np.pi * np.fft.rfftfreq(m, d=grid.h)) ** 2
     elif scheme == CRANK_NICOLSON:
-        x = 0.5 * D * t * _cn_symbol(grid)
-        mult = (1.0 - x) / (1.0 + x)
+        full = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(m))) / grid.h**2
+        half = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(m))) / grid.h**2
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    mult.flags.writeable = False
-    return mult
-
-
-class HeatPropagator:
-    """Cached mode multipliers for one (grid, D, t) pair.
-
-    The zero mode is untouched (mean preservation) and, for the spectral
-    scheme, every multiplier lies in (0, 1].
-    """
-
-    def __init__(self, grid: Grid, D: float, t: float, scheme: str = SPECTRAL):
-        if D < 0:
-            raise ValueError("diffusivity must be >= 0")
-        if t < 0:
-            raise ValueError("duration must be >= 0")
-        self.grid = grid
-        self.D = float(D)
-        self.t = float(t)
-        self.scheme = scheme
-        self.mult = multipliers(grid, D, t, scheme)
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """Advance one field (trailing axes = grid.shape)."""
-        g = np.asarray(g, dtype=float)
-        if self.D * self.t == 0.0:
-            return g.copy()
-        out = _apply_multipliers(g, self.mult, self.grid)
-        return _clip_preserving_mean(g, out, batched=g.ndim > self.grid.dim)
+    sym = np.zeros(())
+    for vals in [full] * (grid.dim - 1) + [half]:
+        sym = np.add.outer(sym, vals)
+    sym.flags.writeable = False
+    return sym
 
 
 def _apply_multipliers(g: np.ndarray, mult: np.ndarray, grid: Grid) -> np.ndarray:
@@ -110,18 +61,16 @@ def _apply_multipliers(g: np.ndarray, mult: np.ndarray, grid: Grid) -> np.ndarra
     return np.fft.irfftn(coeffs, s=grid.shape, axes=spatial_axes)
 
 
-def _clip_preserving_mean(before: np.ndarray, out: np.ndarray, batched: bool) -> np.ndarray:
-    """Clip ringing undershoot to zero, rescaling to keep each field's sum.
+def _clip_preserving_mean(before: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Clip ringing undershoot to zero, rescaling to keep each row's sum.
 
-    Only fields that entered nonnegative are clipped: undershoot there is a
+    Only rows that entered nonnegative are clipped: undershoot there is a
     discretization artifact, whereas signed data is propagated untouched.
     """
-    ins = before if batched else before[None]
-    fields = out if batched else out[None]
-    for i in range(fields.shape[0]):
-        f = fields[i]
+    for i in range(out.shape[0]):
+        f = out[i]
         neg = f < 0
-        if not neg.any() or ins[i].min() < 0:
+        if not neg.any() or before[i].min() < 0:
             continue
         target = f.sum()
         clipped = float(f[neg].sum())
@@ -133,36 +82,38 @@ def _clip_preserving_mean(before: np.ndarray, out: np.ndarray, batched: bool) ->
     return out
 
 
-def heat_step(g: np.ndarray, D: float, t: float, grid: Grid, scheme: str = SPECTRAL) -> np.ndarray:
-    """Exact periodic solution of u_t = D*Laplacian(u) at time t from g.
-
-    Preserves the spatial mean exactly (zero mode untouched); nonnegativity
-    is preserved up to spectral ringing, which is clipped with the deficit
-    redistributed (see module docstring).  t = 0 or D = 0 is the identity.
-    """
-    return HeatPropagator(grid, D, t, scheme).apply(g)
-
-
 def heat_step_batched(
     data: np.ndarray, Ds: np.ndarray, t: float, grid: Grid, scheme: str = SPECTRAL
 ) -> np.ndarray:
     """Advance a stack of fields, one diffusivity per leading row.
 
-    One batched transform serves all species; rows with equal diffusivity
-    and equal data produce bitwise-equal results, which the heat-majorant
+    Each row is the exact periodic solution of u_t = D*Laplacian(u) at time
+    t (SPECTRAL: every mode decays by exp(-D |k|^2 t), a factor in (0, 1]),
+    or its Crank-Nicolson approximation.  The zero mode is untouched, so
+    each row's mean is preserved exactly; nonnegativity is preserved up to
+    spectral ringing, which is clipped with the deficit redistributed (see
+    module docstring).  t = 0 or all D = 0 is the identity.
+
+    One batched transform serves all rows; rows with equal diffusivity and
+    equal data produce bitwise-equal results, which the heat-majorant
     monitor relies on.
     """
     Ds = np.asarray(Ds, dtype=float)
+    if np.any(Ds < 0):
+        raise ValueError("diffusivity must be >= 0")
+    if t < 0:
+        raise ValueError("duration must be >= 0")
     data = np.asarray(data, dtype=float)
     if t == 0.0 or not Ds.any():
         return data.copy()
-    if scheme == SPECTRAL:
-        mult = np.exp(-t * Ds.reshape((-1,) + (1,) * grid.dim) * _mode_k2(grid))
-    else:
-        x = 0.5 * t * Ds.reshape((-1,) + (1,) * grid.dim) * _cn_symbol(grid)
-        mult = (1.0 - x) / (1.0 + x)
-    out = _apply_multipliers(data, mult, grid)
-    return _clip_preserving_mean(data, out, batched=True)
+    x = t * Ds.reshape((-1,) + (1,) * grid.dim) * _laplacian_symbol(grid, scheme)
+    mult = np.exp(-x) if scheme == SPECTRAL else (1.0 - 0.5 * x) / (1.0 + 0.5 * x)
+    return _clip_preserving_mean(data, _apply_multipliers(data, mult, grid))
+
+
+def heat_step(g: np.ndarray, D: float, t: float, grid: Grid, scheme: str = SPECTRAL) -> np.ndarray:
+    """:func:`heat_step_batched` for a single field (trailing axes = grid.shape)."""
+    return heat_step_batched(np.asarray(g, dtype=float)[None], [D], t, grid, scheme)[0]
 
 
 def heat_majorant(F0: MassField, dp: DiffusionProfile, t: float) -> np.ndarray:
@@ -190,7 +141,6 @@ def comparison_multiplier(D1: float, D2: float, g: np.ndarray, t: float, grid: G
     g = np.asarray(g, dtype=float)
     if np.any(g < 0):
         raise ValueError("requires g >= 0")
+    s1, s2 = heat_step_batched(np.stack([g, g]), [D1, D2], t, grid)
     d = grid.dim
-    lhs = D1 ** (d / 2.0) * heat_step(g, D1, t, grid, scheme=SPECTRAL)
-    rhs = D2 ** (d / 2.0) * heat_step(g, D2, t, grid, scheme=SPECTRAL)
-    return float(np.maximum(rhs - lhs, 0.0).max())
+    return float(np.maximum(D2 ** (d / 2.0) * s2 - D1 ** (d / 2.0) * s1, 0.0).max())

@@ -1,10 +1,12 @@
 """Spatial state on a periodic grid, plus moment and initial-data functionals.
 
 The spatial domain is a d-dimensional torus (d in {1,2,3}) discretized into
-``cells_per_side`` cells per axis.  A :class:`MassField` holds the number
-densities ``f_n(x)`` for masses ``n = 1..n_max`` in a mass-major layout:
-``data[n-1]`` is a contiguous spatial slab, so per-species spectral
-transforms operate on contiguous memory.
+``cells_per_side`` cells per axis; the space-free model lives on the
+zero-dimensional :meth:`Grid.point`, one cell of unit volume.  A
+:class:`MassField` holds the number densities ``f_n(x)`` for masses
+``n = 1..n_max`` in a mass-major layout: ``data[n-1]`` is a contiguous
+spatial slab, so per-species spectral transforms operate on contiguous
+memory.
 
 The torus stands in for free space; initial data should be supported well
 inside the wrap scale (constructors warn beyond length/4) so that periodic
@@ -48,13 +50,20 @@ class Grid:
     cells_per_side: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if self.dim not in (0, 1, 2, 3):
+            raise ValueError(f"dim must be 0, 1, 2 or 3, got {self.dim}")
         if self.length <= 0:
             raise ValueError("length must be > 0")
         m = self.cells_per_side
-        if m < 2 or (m & (m - 1)) != 0:
+        if self.dim == 0 and m != 1:
+            raise ValueError(f"the zero-dimensional grid has one cell, got cells_per_side={m}")
+        if self.dim and (m < 2 or (m & (m - 1)) != 0):
             raise ValueError(f"cells_per_side must be a power of two >= 2, got {m}")
+
+    @classmethod
+    def point(cls) -> "Grid":
+        """The zero-dimensional grid: shape (), one cell of volume 1."""
+        return cls(0, 1.0, 1)
 
     @property
     def h(self) -> float:
@@ -211,7 +220,7 @@ def moment(F: MassField, spec: MomentSpec, dp: DiffusionProfile | None = None) -
 def pair_moment(
     F: MassField,
     a: float,
-    dp: DiffusionProfile,
+    dp: DiffusionProfile | None,
     kernel: Kernel | None = None,
     diffusion_weighted: bool = False,
 ) -> np.ndarray:
@@ -231,6 +240,8 @@ def pair_moment(
             raise ValueError("kernel-weighted pair moment needs the kernel")
         B = (n[:, None] ** a * n[None, :] + n[None, :] ** a * n[:, None]) * kernel.dense(N)
     else:
+        if dp is None:
+            raise ValueError("unweighted pair moment needs a diffusion profile")
         dsum = dp.values[:N, None] + dp.values[None, :N]
         B = n[:, None] * n[None, :] * (n[:, None] ** a + n[None, :] ** a) * dsum
     flat = F.flat()

@@ -16,6 +16,10 @@ per-cell budget ``sum_n n*Q_n + flux_to_gel = 0`` up to roundoff, so the
 stage combination preserves I(t) (cutoff) or I(t)+G(t) (gel reservoir) to
 roundoff rather than to integration order.
 
+The space-free system dc_n/dt = Q_n(c) is the same run on the
+zero-dimensional ``Grid.point()``: one cell, no spatial axes, and diffusion
+reduces to the identity, so no diffusion profile is needed there.
+
 A run is sequential in time with fixed-order reductions; results are
 bit-reproducible for a fixed config regardless of worker count.
 """
@@ -29,12 +33,11 @@ import numpy as np
 
 from .coagulation import RateEvaluator, TruncationPolicy
 from .diffusion import heat_step_batched
-from .field import Grid, MassField
+from .field import Grid, MassField, pair_moment
 from .kernels import DiffusionProfile, Kernel
 
 __all__ = [
     "RunConfig",
-    "HomogeneousState",
     "RunRecord",
     "StepSizeError",
     "step",
@@ -68,21 +71,19 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Integration parameters shared by the PDE and homogeneous paths."""
+    """Integration parameters of one run."""
 
     t_final: float
     dt: float
     policy: TruncationPolicy
     splitting: str = STRANG
     output_stride: float | None = None
-    seed: int = 0
     moment_exponents: tuple[float, ...] = (0.0, 1.0, 2.0)
     pair_moment_exponents: tuple[float, ...] = ()
     record_fields: bool = False
     track_majorant: bool = False
     auto_halve: bool = True
     max_halvings: int = 16
-    workers: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -100,27 +101,6 @@ class RunConfig:
 
 
 @dataclass
-class HomogeneousState:
-    """Spatially homogeneous concentrations c[n], n = 1..n_max, plus gel."""
-
-    c: np.ndarray
-    gel: float = 0.0
-
-    def __post_init__(self):
-        self.c = np.ascontiguousarray(self.c, dtype=float)
-        if self.c.ndim != 1:
-            raise ValueError("concentrations must be a vector")
-        if np.any(self.c < 0) or not np.all(np.isfinite(self.c)):
-            raise ValueError("concentrations must be finite and >= 0")
-
-    @classmethod
-    def monodisperse(cls, n_max: int, c1: float = 1.0) -> "HomogeneousState":
-        c = np.zeros(n_max)
-        c[0] = c1
-        return cls(c)
-
-
-@dataclass
 class RunRecord:
     """Stride-sampled diagnostics of one run.
 
@@ -131,7 +111,7 @@ class RunRecord:
     """
 
     n_max: int
-    grid: Grid | None
+    grid: Grid
     kernel: Kernel
     dp: DiffusionProfile | None
     policy: TruncationPolicy
@@ -148,10 +128,6 @@ class RunRecord:
     events: list[str] = dc_field(default_factory=list)
 
     @property
-    def cell_volume(self) -> float:
-        return self.grid.cell_volume if self.grid is not None else 1.0
-
-    @property
     def mass_with_gel(self) -> np.ndarray:
         return np.asarray(self.mass) + np.asarray(self.gel)
 
@@ -162,24 +138,29 @@ class RunRecord:
 
 
 class _Engine:
-    """Shared stepping machinery for the PDE and homogeneous paths."""
+    """Splitting substeps and stride recording for one run on one grid.
 
-    def __init__(self, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig, grid: Grid | None):
+    The state is ``flat``, the (n_max, n_cells) view of the field.  On the
+    zero-dimensional point grid (the space-free system) there is one cell,
+    diffusion is the identity, and ``dp`` may be None; the unweighted pair
+    moment, which needs d(n), is then not recorded.
+    """
+
+    def __init__(self, F: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig):
         self.kernel = kernel
         self.dp = dp
         self.cfg = cfg
-        self.grid = grid
+        self.grid = grid = F.grid
         self.n_max = cfg.policy.n_max
         self.evaluator = RateEvaluator(kernel, cfg.policy)
-        self.cell_volume = grid.cell_volume if grid is not None else 1.0
-        if grid is not None:
-            if dp is None:
-                raise ValueError("the spatial solver needs a diffusion profile")
-            if dp.n_max < self.n_max:
-                raise ValueError("diffusion profile range smaller than n_max")
-            self.dvals = dp.values[: self.n_max]
-        else:
-            self.dvals = None
+        self.cell_volume = grid.cell_volume
+        if F.n_max != self.n_max:
+            raise ValueError("field n_max must match the truncation policy")
+        if dp is None and grid.dim:
+            raise ValueError("the spatial solver needs a diffusion profile")
+        if dp is not None and dp.n_max < self.n_max:
+            raise ValueError("diffusion profile range smaller than n_max")
+        self.dvals = dp.values[: self.n_max] if dp is not None else None
 
     # -- substeps ------------------------------------------------------
 
@@ -201,19 +182,17 @@ class _Engine:
         return new, gel + (dt / 6.0) * float(gel_rate)
 
     def diffuse(self, flat: np.ndarray, u: np.ndarray | None, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
-        if self.grid is None or tau == 0.0:
+        if tau == 0.0 or not self.grid.dim:
             return flat, u
-        shape = (self.n_max,) + self.grid.shape
         if u is None:
-            out = heat_step_batched(flat.reshape(shape), self.dvals, tau, self.grid)
-            return out.reshape(self.n_max, -1), None
+            out = heat_step_batched(flat.reshape((-1,) + self.grid.shape), self.dvals, tau, self.grid)
+            return out.reshape(flat.shape), None
         # The majorant rides along as an extra row at rate d(1): it passes
         # through the same batched transform as species 1, which keeps the
         # pure-diffusion equality case exact to the last bit.
-        stack = np.concatenate([flat.reshape(shape), u.reshape((1,) + self.grid.shape)], axis=0)
-        ds = np.concatenate([self.dvals, self.dvals[:1]])
-        out = heat_step_batched(stack, ds, tau, self.grid)
-        return out[:-1].reshape(self.n_max, -1), out[-1].reshape(-1)
+        stack = np.vstack([flat, u]).reshape((-1,) + self.grid.shape)
+        out = heat_step_batched(stack, np.append(self.dvals, self.dvals[0]), tau, self.grid)
+        return out[:-1].reshape(flat.shape), out[-1].reshape(-1)
 
     def step_once(
         self, flat: np.ndarray, gel: float, u: np.ndarray | None, dt: float
@@ -239,64 +218,56 @@ class _Engine:
         rec.dt_series.append(dt)
         for a in self.cfg.moment_exponents:
             rec.moments.setdefault(a, []).append(float((n**a) @ flat.sum(axis=1)) * self.cell_volume)
-        if self.cfg.pair_moment_exponents and self.grid is not None:
+        if self.cfg.pair_moment_exponents:
             F = MassField(self.grid, flat.reshape((self.n_max,) + self.grid.shape), validate=False)
-            from .field import pair_moment  # local import to avoid cycle at module load
-
             for a in self.cfg.pair_moment_exponents:
-                y = pair_moment(F, a, self.dp, diffusion_weighted=False)
+                if self.dp is not None:
+                    y = pair_moment(F, a, self.dp, diffusion_weighted=False)
+                    rec.pair_moments.setdefault(a, []).append(float(y.sum()) * self.cell_volume)
                 yw = pair_moment(F, a, self.dp, self.kernel, diffusion_weighted=True)
-                rec.pair_moments.setdefault(a, []).append(float(y.sum()) * self.cell_volume)
                 rec.pair_moments_weighted.setdefault(a, []).append(float(yw.sum()) * self.cell_volume)
-        elif self.cfg.pair_moment_exponents:
-            # Homogeneous path: the unweighted pair moment needs d(.), which
-            # the space-free runner does not carry; only the kernel-weighted
-            # series is recorded then.
-            c = flat[:, 0]
-            alpha = self.kernel.dense(self.n_max)
-            dsum = (
-                self.dp.values[: self.n_max, None] + self.dp.values[None, : self.n_max]
-                if self.dp is not None
-                else None
-            )
-            for a in self.cfg.pair_moment_exponents:
-                na = n**a
-                if dsum is not None:
-                    B = n[:, None] * n[None, :] * (na[:, None] + na[None, :]) * dsum
-                    rec.pair_moments.setdefault(a, []).append(float(c @ B @ c))
-                Bw = (na[:, None] * n[None, :] + na[None, :] * n[:, None]) * alpha
-                rec.pair_moments_weighted.setdefault(a, []).append(float(c @ Bw @ c))
-        if self.cfg.record_fields:
-            if rec.fields is None:
-                rec.fields = []
+        if rec.fields is not None:
             rec.fields.append(flat.copy())
         if u is not None:
-            if rec.weighted_mass_moment is None:
-                rec.weighted_mass_moment = []
-                rec.majorant = []
             w = n * self.dvals ** (self.grid.dim / 2.0)
             rec.weighted_mass_moment.append(w @ flat)
             rec.majorant.append(u.copy())
 
 
-def _run_loop(engine: _Engine, flat: np.ndarray, gel: float, cfg: RunConfig) -> RunRecord:
+def step(F: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig) -> MassField:
+    """Advance one splitting step of length cfg.dt; pure (returns a new field).
+
+    ``dp`` may be None only on the point grid.
+    """
+    engine = _Engine(F, kernel, dp, cfg)
+    flat, gel, _ = engine.step_once(F.flat().copy(), F.gel_reservoir, None, cfg.dt)
+    return MassField(F.grid, flat.reshape(F.data.shape), gel, validate=False)
+
+
+def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig) -> RunRecord:
+    """Iterate the splitting to t_final, sampling diagnostics at each stride.
+
+    ``dp`` may be None only on the point grid.
+    """
+    engine = _Engine(F0, kernel, dp, cfg)
+    flat, gel = F0.flat().copy(), F0.gel_reservoir
     rec = RunRecord(
-        n_max=engine.n_max, grid=engine.grid, kernel=engine.kernel, dp=engine.dp, policy=cfg.policy
+        n_max=engine.n_max, grid=F0.grid, kernel=kernel, dp=dp, policy=cfg.policy,
+        fields=[] if cfg.record_fields else None,
     )
     u = None
     if cfg.track_majorant:
-        if engine.grid is None:
-            raise ValueError("majorant tracking needs the spatial solver")
-        if engine.dp is None or not engine.dp.non_increasing:
+        if dp is None or not dp.non_increasing:
             raise ValueError("majorant tracking requires a non-increasing diffusion profile")
-        n = np.arange(1, engine.n_max + 1, dtype=float)
-        u = n @ flat
+        u = np.arange(1, engine.n_max + 1, dtype=float) @ flat
+        rec.weighted_mass_moment, rec.majorant = [], []
     dt = cfg.dt
     halvings = 0
     t = 0.0
     engine.record(rec, t, flat, gel, u, dt)
     emitted = 1
-    while t < cfg.t_final - _TIME_EPS * max(cfg.t_final, 1.0):
+    t_end = cfg.t_final - _TIME_EPS * max(cfg.t_final, 1.0)
+    while t < t_end:
         dt_step = min(dt, cfg.t_final - t)
         try:
             new_flat, new_gel, new_u = engine.step_once(flat, gel, u, dt_step)
@@ -316,33 +287,12 @@ def _run_loop(engine: _Engine, flat: np.ndarray, gel: float, cfg: RunConfig) -> 
             raise FloatingPointError(rec.events[-1])
         flat, gel, u = new_flat, new_gel, new_u
         t += dt_step
-        at_end = t >= cfg.t_final - _TIME_EPS * max(cfg.t_final, 1.0)
-        if t + _TIME_EPS * max(dt, 1e-300) >= emitted * cfg.stride or at_end:
+        if t + _TIME_EPS * max(dt, 1e-300) >= emitted * cfg.stride or t >= t_end:
             engine.record(rec, t, flat, gel, u, dt)
             emitted = int(np.floor(t / cfg.stride + _TIME_EPS)) + 1
     return rec
 
 
-def step(F: MassField, kernel: Kernel, dp: DiffusionProfile, cfg: RunConfig) -> MassField:
-    """Advance one splitting step of length cfg.dt; pure (returns a new field)."""
-    engine = _Engine(kernel, dp, cfg, F.grid)
-    if F.n_max != engine.n_max:
-        raise ValueError("field n_max must match the truncation policy")
-    flat, gel, _ = engine.step_once(F.flat().copy(), F.gel_reservoir, None, cfg.dt)
-    return MassField(F.grid, flat.reshape(F.data.shape), gel, validate=False)
-
-
-def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile, cfg: RunConfig) -> RunRecord:
-    """Iterate the splitting to t_final, sampling diagnostics at each stride."""
-    engine = _Engine(kernel, dp, cfg, F0.grid)
-    if F0.n_max != engine.n_max:
-        raise ValueError("field n_max must match the truncation policy")
-    return _run_loop(engine, F0.flat().copy(), F0.gel_reservoir, cfg)
-
-
-def homogeneous_run(c0: HomogeneousState, kernel: Kernel, cfg: RunConfig) -> RunRecord:
-    """Integrate the space-free system dc_n/dt = Q_n(c) with RK4."""
-    if c0.c.size != cfg.policy.n_max:
-        raise ValueError("state size must match the truncation policy")
-    engine = _Engine(kernel, None, cfg, None)
-    return _run_loop(engine, c0.c.reshape(-1, 1).copy(), c0.gel, cfg)
+def homogeneous_run(c0: MassField, kernel: Kernel, cfg: RunConfig) -> RunRecord:
+    """Integrate the space-free system dc_n/dt = Q_n(c); ``c0`` lives on ``Grid.point()``."""
+    return run(c0, kernel, None, cfg)

@@ -57,7 +57,6 @@ class Kernel:
     params: dict
     n_max: int
     table: np.ndarray | None = field(repr=False, default=None)
-    symmetric: bool = True
 
     # -- constructors -------------------------------------------------
 

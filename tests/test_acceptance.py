@@ -79,7 +79,7 @@ def test_criterion_1_constant_kernel_exact_solution():
     cfg = sk.RunConfig(t_final=1.0, dt=1e-3, policy=sk.TruncationPolicy.cutoff(n_max),
                        output_stride=1.0, record_fields=True)
     t0 = time.perf_counter()
-    rec = sk.homogeneous_run(sk.HomogeneousState.monodisperse(n_max), kernel, cfg)
+    rec = sk.homogeneous_run(sk.MassField.monodisperse(sk.Grid.point(), n_max), kernel, cfg)
     elapsed = time.perf_counter() - t0
     c = rec.fields[-1][:, 0]
     err = float((np.abs(c[:20] - exact[:20]) / exact[:20]).max())

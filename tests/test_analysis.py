@@ -16,13 +16,15 @@ from smolkit.analysis import (
     check_gronwall,
     check_heat_majorant,
     check_moment_bound,
+    conservation_drift,
     gelation_scan,
     linf_moment_exponent,
+    majorant_ratios,
     second_moment_growth_rate,
 )
 from smolkit.coagulation import TruncationPolicy
 from smolkit.field import Grid, MassField
-from smolkit.integrator import HomogeneousState, RunConfig, homogeneous_run, run
+from smolkit.integrator import RunConfig, homogeneous_run, run
 from smolkit.kernels import DiffusionProfile, Kernel
 
 
@@ -105,6 +107,17 @@ class TestHeatMajorant:
         with pytest.raises(ValueError, match="track_majorant"):
             check_heat_majorant(rec, dp)
 
+    def test_report_is_the_worst_of_the_ratio_series(self):
+        n_max = 16
+        grid = Grid(1, 1.0, 32)
+        k = Kernel.sum_kernel(1.0, n_max)
+        dp = DiffusionProfile.power_law(1.0, 0.5, n_max)
+        rec = _blob_run(k, dp, n_max, grid, track_majorant=True, t_final=0.5)
+        ratios = majorant_ratios(rec, dp)
+        assert ratios.shape == (len(rec.times), grid.n_cells) and np.all(ratios >= 0)
+        rep = check_heat_majorant(rec, dp)
+        assert rep.max_violation == max(float(ratios.max()) - 1.0, 0.0)
+
     def test_zero_field_passes_vacuously(self):
         n_max = 4
         grid = Grid(1, 1.0, 16)
@@ -163,16 +176,27 @@ class TestConservationReport:
         n_max = 8
         k = Kernel.sum_kernel(1.0, n_max)
         cfg = RunConfig(t_final=0.5, dt=0.005, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1)
-        rec = homogeneous_run(HomogeneousState.monodisperse(n_max), k, cfg)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
         assert check_conservation(rec).passed
 
     def test_reservoir_run_passes_including_gel(self):
         n_max = 32
         k = Kernel.product(1.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=2e-3, policy=TruncationPolicy.gel_reservoir(n_max), output_stride=0.25)
-        rec = homogeneous_run(HomogeneousState.monodisperse(n_max), k, cfg)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
         rep = check_conservation(rec)
         assert rep.passed and rec.gel[-1] > 0
+
+    def test_report_is_the_max_of_the_drift_series(self):
+        n_max = 32
+        k = Kernel.product(1.0, n_max)
+        cfg = RunConfig(t_final=1.0, dt=2e-3, policy=TruncationPolicy.gel_reservoir(n_max), output_stride=0.25)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        drift = conservation_drift(rec)
+        assert drift.shape == (len(rec.times),) and drift[0] == 0.0
+        rep = check_conservation(rec)
+        assert rep.max_violation == drift.max()
+        assert rep.location == (rec.times[int(drift.argmax())],)
 
     def test_negative_violation_rejected_by_report(self):
         with pytest.raises(ValueError):
@@ -254,7 +278,7 @@ class TestSecondMomentGrowth:
         n_max = 16
         k = Kernel.sum_kernel(1.0, n_max)
         cfg = RunConfig(t_final=0.5, dt=0.005, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1)
-        rec = homogeneous_run(HomogeneousState.monodisperse(n_max), k, cfg)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
         slope = second_moment_growth_rate(rec)
         assert slope > 0.0
 
@@ -266,7 +290,7 @@ class TestCollisionBudget:
         n_max = 16
         k = Kernel.sum_kernel(1.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=0.005, policy=TruncationPolicy.cutoff(n_max), output_stride=0.25)
-        rec = homogeneous_run(HomogeneousState.monodisperse(n_max), k, cfg)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
         rep = collision_budget(rec)
         assert rep.passed
         assert "collisions" in rep.detail
@@ -275,6 +299,6 @@ class TestCollisionBudget:
         n_max = 4
         k = Kernel.constant(0.0, n_max)
         cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1)
-        rec = homogeneous_run(HomogeneousState.monodisperse(n_max), k, cfg)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
         rep = collision_budget(rec)
         assert rep.passed and rep.max_violation == 0.0

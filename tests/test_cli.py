@@ -98,6 +98,13 @@ class TestParseConfig:
         p = write(tmp_path, "# banner\n\n" + MINIMAL + "\n# trailing\n")
         assert parse_config(p).name == "mini"
 
+    def test_verify_mode_rejected(self, tmp_path):
+        p = write(tmp_path, PDE.replace("mode = pde", "mode = verify"))
+        with pytest.raises(ConfigError, match="mode"):
+            parse_config(p)
+        with pytest.raises(SystemExit):
+            main(["verify", str(p)])
+
     def test_monitor_names_validated(self, tmp_path):
         p = write(tmp_path, MINIMAL + "monitors = conservation, wishful\n")
         with pytest.raises(ConfigError, match="wishful"):
@@ -169,9 +176,9 @@ gelscan.t_final = 0.5
         assert table[1] == "n_max,mass_ratio,gel"
         assert len(table) == 4
 
-    def test_verify_mode_runs_monitors(self, tmp_path):
-        text = PDE.replace("mode = pde", "mode = verify")
-        s = parse_config(write(tmp_path, text))
+    def test_pde_mode_runs_heat_majorant_monitor(self, tmp_path):
+        s = parse_config(write(tmp_path, PDE))
+        assert s.mode == "pde" and "heat_majorant" in s.monitors
         assert execute(s, out_override=str(tmp_path / "out")) == 0
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "heat_majorant_domination" in report
@@ -253,6 +260,25 @@ class TestOutputDir:
 
 
 class TestFieldCsv:
+    def test_point_grid_roundtrip_reads_homogeneous_rows(self, tmp_path):
+        """On the one-cell point grid a snapshot row is ``n,value``, the same
+        two-column format a homogeneous initial table uses."""
+        grid = Grid.point()
+        flat = np.array([[0.5], [0.25], [0.0]])
+        path = tmp_path / "field.csv"
+        write_field_csv(path, flat, grid, t=0.0, gel=0.0)
+        assert path.read_text().splitlines()[1:] == ["1,0.5", "2,0.25", "3,0.0"]
+        np.testing.assert_array_equal(read_field_csv(path, grid, 3).flat(), flat)
+
+    def test_homogeneous_table_initial_data(self, tmp_path):
+        table = tmp_path / "c0.csv"
+        table.write_text("1,1.0\n3,0.25\n", encoding="utf-8")
+        text = MINIMAL + f"initial.kind = table\ninitial.table = {table}\nrun.record_fields = true\n"
+        s = parse_config(write(tmp_path, text))
+        assert execute(s, out_override=str(tmp_path / "out")) == 0
+        F0 = read_field_csv(tmp_path / "out" / "snapshots" / "snapshot_0000.csv", Grid.point(), 16)
+        assert F0.data[0] == 1.0 and F0.data[2] == 0.25 and F0.data.sum() == 1.25
+
     def test_write_read_roundtrip(self, tmp_path):
         grid = Grid(1, 1.0, 8)
         rng = np.random.default_rng(0)

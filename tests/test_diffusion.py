@@ -5,12 +5,12 @@ import pytest
 
 from smolkit.diffusion import (
     CRANK_NICOLSON,
-    HeatPropagator,
+    SPECTRAL,
+    _laplacian_symbol,
     comparison_multiplier,
     heat_majorant,
     heat_step,
     heat_step_batched,
-    multipliers,
 )
 from smolkit.field import Grid, MassField
 from smolkit.kernels import DiffusionProfile
@@ -84,22 +84,40 @@ class TestHeatStep:
 class TestMultipliers:
     @pytest.mark.parametrize("dim,m", [(1, 64), (2, 16), (3, 8)])
     def test_spectral_in_unit_interval_with_unit_zero_mode(self, dim, m):
-        """Mathematically the factors lie in (0,1]; in floating point the
-        deep tail underflows to +0, so positivity is asserted where the
-        exponent is representable."""
+        """Mathematically the factors exp(-D t |k|^2) lie in (0,1]; in
+        floating point the deep tail underflows to +0, so positivity is
+        asserted where the exponent is representable."""
         grid = Grid(dim, 1.0, m)
-        mult = multipliers(grid, 0.9, 1e-4)
+        k2 = _laplacian_symbol(grid, SPECTRAL)
+        mult = np.exp(-(1e-4 * 0.9) * k2)
         assert mult.flat[0] == 1.0
         assert np.all(mult > 0) and np.all(mult <= 1.0)
-        deep = multipliers(grid, 0.9, 10.0)
+        deep = np.exp(-(10.0 * 0.9) * k2)
         assert np.all(deep >= 0) and np.all(deep <= 1.0)
+
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 16), (3, 8)])
+    def test_discrete_symbol_below_spectral_with_zero_mode(self, dim, m):
+        """2 - 2 cos(k h) <= (k h)^2, so the discrete Laplacian's symbol lies
+        in [0, |k|^2] and vanishes on the zero mode."""
+        grid = Grid(dim, 1.0, m)
+        k2 = _laplacian_symbol(grid, SPECTRAL)
+        cn = _laplacian_symbol(grid, CRANK_NICOLSON)
+        assert cn.shape == k2.shape and cn.flat[0] == 0.0
+        assert np.all(cn >= 0) and np.all(cn <= k2 * (1 + 1e-12))
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme"):
+            heat_step(np.ones(8), 1.0, 0.1, Grid(1, 1.0, 8), scheme="euler")
 
     def test_propagator_validates_args(self):
         grid = Grid(1, 1.0, 8)
+        g = np.ones(grid.shape)
         with pytest.raises(ValueError):
-            HeatPropagator(grid, -1.0, 0.1)
+            heat_step(g, -1.0, 0.1, grid)
         with pytest.raises(ValueError):
-            HeatPropagator(grid, 1.0, -0.1)
+            heat_step(g, 1.0, -0.1, grid)
+        with pytest.raises(ValueError):
+            heat_step_batched(np.stack([g, g]), np.array([1.0, -1.0]), 0.1, grid)
 
 
 class TestBatched:

@@ -35,6 +35,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1, 1.0, 12)
 
+    def test_point_grid_is_one_unit_cell(self):
+        g = Grid.point()
+        assert g.dim == 0 and g.shape == () and g.n_cells == 1 and g.cell_volume == 1.0
+        F = MassField.monodisperse(g, 3, amplitude=0.5)
+        assert F.data.shape == (3,) and F.flat().shape == (3, 1)
+        assert total_mass(F) == (0.5, 0.5)
+        with pytest.raises(ValueError, match="one cell"):
+            Grid(0, 1.0, 2)
+
     def test_min_image_wraps(self):
         g = Grid(1, 1.0, 8)
         assert g.min_image(0.9) == pytest.approx(-0.1)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from smolkit.coagulation import TruncationPolicy
 from smolkit.field import Grid, MassField
 from smolkit.integrator import (
-    HomogeneousState,
     RunConfig,
     StepSizeError,
     homogeneous_run,
@@ -70,7 +69,7 @@ class TestHomogeneousRun:
             t_final=1.0, dt=1e-3, policy=TruncationPolicy.cutoff(n_max),
             output_stride=1.0, record_fields=True,
         )
-        rec = homogeneous_run(HomogeneousState.monodisperse(n_max), k, cfg)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
         c = rec.fields[-1][:, 0]
         exact = constant_kernel_exact(np.arange(1, n_max + 1), 1.0)
         np.testing.assert_allclose(c[:20], exact[:20], rtol=1e-9)
@@ -79,26 +78,71 @@ class TestHomogeneousRun:
     def test_zero_kernel_is_identity(self):
         n_max = 8
         k = Kernel.constant(0.0, n_max)
-        state = HomogeneousState(np.linspace(1, 2, n_max))
+        state = MassField(Grid.point(), np.linspace(1, 2, n_max))
         cfg = RunConfig(t_final=0.5, dt=0.05, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
         rec = homogeneous_run(state, k, cfg)
-        np.testing.assert_array_equal(rec.fields[-1][:, 0], state.c)
+        np.testing.assert_array_equal(rec.fields[-1][:, 0], state.data)
 
     def test_gel_budget_multiplicative_kernel(self):
         """alpha = n*m with the reservoir: I(t) + G(t) stays put to 1e-10."""
         n_max = 256
         k = Kernel.product(1.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=5e-4, policy=TruncationPolicy.gel_reservoir(n_max), output_stride=0.1)
-        rec = homogeneous_run(HomogeneousState.monodisperse(n_max), k, cfg)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
         total = rec.mass_with_gel
         assert np.abs(total - total[0]).max() / total[0] <= 1e-10
         assert rec.gel[-1] > 0.1
+
+    def test_kernel_weighted_pair_moment_on_point_grid(self):
+        """Yk1 = sum_{n,m} (n*m + m*n) alpha(n,m) c_n c_m at every stride;
+        without a diffusion profile the unweighted Y series is not recorded."""
+        n_max = 12
+        k = Kernel.sum_kernel(1.0, n_max)
+        cfg = RunConfig(t_final=0.4, dt=0.01, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1,
+                        pair_moment_exponents=(1.0,), record_fields=True)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        assert rec.pair_moments == {}
+        assert len(rec.pair_moments_weighted[1.0]) == len(rec.times) == 5
+        for f, yk in zip(rec.fields, rec.pair_moments_weighted[1.0]):
+            c = f[:, 0]
+            expect = sum(
+                (n * m + m * n) * k.eval(n, m) * c[n - 1] * c[m - 1]
+                for n in range(1, n_max + 1)
+                for m in range(1, n_max + 1)
+            )
+            assert yk == pytest.approx(expect, rel=1e-12)
+
+    def test_point_grid_ignores_diffusion(self):
+        """On the point grid diffusion is the identity: a profile changes
+        nothing but adds the unweighted pair-moment series."""
+        n_max = 8
+        k = Kernel.sum_kernel(1.0, n_max)
+        dp = DiffusionProfile.power_law(1.0, 0.5, n_max)
+        cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
+                        pair_moment_exponents=(1.0,), record_fields=True)
+        F = MassField.monodisperse(Grid.point(), n_max)
+        bare = homogeneous_run(F, k, cfg)
+        with_dp = run(F, k, dp, cfg)
+        np.testing.assert_array_equal(with_dp.fields[-1], bare.fields[-1])
+        assert with_dp.pair_moments_weighted == bare.pair_moments_weighted
+        c = bare.fields[-1][:, 0]
+        n = np.arange(1, n_max + 1, dtype=float)
+        d = dp.values[:n_max]
+        B = np.outer(n, n) * (n[:, None] + n[None, :]) * (d[:, None] + d[None, :])
+        assert with_dp.pair_moments[1.0][-1] == pytest.approx(c @ B @ c, rel=1e-12)
+
+    def test_spatial_grid_needs_diffusion_profile(self):
+        n_max = 4
+        k = Kernel.constant(1.0, n_max)
+        cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(n_max))
+        with pytest.raises(ValueError, match="diffusion profile"):
+            run(MassField.monodisperse(Grid(1, 1.0, 8), n_max), k, None, cfg)
 
     def test_state_size_must_match_policy(self):
         k = Kernel.constant(1.0, 8)
         cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(8))
         with pytest.raises(ValueError):
-            homogeneous_run(HomogeneousState(np.ones(4)), k, cfg)
+            homogeneous_run(MassField(Grid.point(), np.ones(4)), k, cfg)
 
 
 @pytest.fixture
@@ -134,7 +178,7 @@ class TestStep:
         F = MassField.monodisperse(grid, n_max, amplitude=0.5)
         cfg = RunConfig(t_final=0.02, dt=0.02, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
         stepped = step(F, k, dp, cfg)
-        rec = homogeneous_run(HomogeneousState(F.flat()[:, 0].copy()), k, cfg)
+        rec = homogeneous_run(MassField(Grid.point(), F.flat()[:, 0].copy()), k, cfg)
         np.testing.assert_allclose(stepped.flat()[:, 0], rec.fields[-1][:, 0], rtol=1e-10)
 
     def test_mass_audit_single_step(self, small_setup):
