@@ -203,6 +203,48 @@ class Kernel:
         idx = np.arange(1, n_max + 1)
         return np.asarray(self._closure(idx[:, None], idx[None, :]), dtype=float)
 
+    def factors(self, n_max: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+        """Closed-form separable form of the kernel over masses 1..n_max.
+
+        Returns ``(A, B)`` of shape (R, n_max) with
+        ``alpha(n, m) = sum_r A[r, n-1] * B[r, m-1]``: rank 1 for constant
+        and product, 2 for sum and two_exponent, 2*(dim-1) for
+        range_derived.  All factors are nonnegative, so the sum has no
+        cancellation.  Tables and custom closures have no known factors
+        and return None.
+        """
+        n_max = n_max or self.n_max
+        if n_max > self.n_max:
+            raise KernelRangeError(f"requested factors for {n_max} masses exceed kernel n_max {self.n_max}")
+        p = self.params
+        n = np.arange(1, n_max + 1, dtype=float)
+        one = np.ones(n_max)
+        if self.kind == "constant":
+            w = math.sqrt(p["c"]) * one
+            return w[None], w[None]
+        if self.kind == "sum":
+            w = p["c0"] * n
+            return np.stack([w, one]), np.stack([one, w])
+        if self.kind == "product":
+            w = n ** p["a"]
+            return w[None], w[None]
+        if self.kind == "two_exponent":
+            na, nb = n ** p["a"], n ** p["b"]
+            return np.stack([na, nb]), np.stack([nb, na])
+        if self.kind == "range_derived":
+            # (d_n + d_m)(r_n + r_m)^q with q = dim-2, expanded binomially:
+            # each term C(q,k) d_n r_n^k r_m^(q-k) comes with its transpose.
+            q = p["dim"] - 2
+            d = p["diffusion"].value(n.astype(np.int64))
+            r = p["range"].value(n)
+            A, B = [], []
+            for k in range(q + 1):
+                left, right = p["c"] * math.comb(q, k) * d * r**k, r ** (q - k)
+                A += [left, right]
+                B += [right, left]
+            return np.stack(A), np.stack(B)
+        return None
+
     def rate_row(self, m: int) -> np.ndarray:
         """Rates alpha(1..n_max, m) for a possibly out-of-range tracer mass m.
 

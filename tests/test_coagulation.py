@@ -19,7 +19,7 @@ from smolkit.coagulation import (
     weighted_sum,
 )
 from smolkit.field import Grid, MassField
-from smolkit.kernels import Kernel
+from smolkit.kernels import DiffusionProfile, Kernel, RangeProfile, kinetic_kernel_from_range
 
 
 def brute_rates(table, flat, policy):
@@ -229,3 +229,95 @@ class TestRateEvaluator:
         k = Kernel.constant(1.0, 8)
         with pytest.raises(ValueError):
             reaction_rates(F, k, TruncationPolicy.cutoff(8))
+
+
+SEPARABLE = ("constant", "sum", "product", "two_exponent", "range_derived")
+
+
+def separable_kernel(kind, n_max, a=0.7, b=0.3, dim=3):
+    """A member of each family with closed-form factors."""
+    if kind == "constant":
+        return Kernel.constant(0.5 + a, n_max)
+    if kind == "sum":
+        return Kernel.sum_kernel(0.5 + a, n_max)
+    if kind == "product":
+        return Kernel.product(a, n_max)
+    if kind == "two_exponent":
+        return Kernel.two_exponent(a, b, n_max)
+    dp = DiffusionProfile.power_law(1.0 + b, a, n_max)
+    return kinetic_kernel_from_range(dp, RangeProfile(b, 0.5 + a), dim, 0.8)
+
+
+class TestFactorisedEvaluator:
+    """The FFT/prefix-sum path of RateEvaluator against the dense tables.
+
+    The dense oracle is the same evaluator on ``Kernel.from_table(k.dense())``.
+    Tolerances are fixed from float64 eps (2.2e-16): 1e-13 is ~450 eps,
+    well above the eps * log2(L) growth of FFT roundoff for the lengths
+    L <= 1024 used here:
+
+    * lambda (sums of nonnegative terms) within 1e-13 max|lambda|;
+    * Q within 1e-13 max(max|Q|, sum_r |A_r f|_2 |B_r f|_2).  FFT roundoff is
+      absolute and scales with the second term, the Cauchy-Schwarz bound on
+      the convolutions.  It exceeds max|Q| only under cutoff with most
+      mass in the upper half of the range, where the FFT also convolves
+      pairs that never react;
+    * the gel flux within 1e-13 max_x sum_n n lambda_n f_n, and the per-cell
+      budget |sum_n n Q_n + flux| within 1e-13 max_x sum_{n,m} (n+m)
+      alpha(n,m) f_n f_m over all pairs, which equals the flux scale under
+      the gel reservoir.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(SEPARABLE),
+        policy_kind=st.sampled_from(["cutoff", "gel_reservoir"]),
+        n_max=st.integers(1, 300),
+        cells=st.sampled_from([1, 3, 64]),
+        a=st.floats(0.0, 1.5),
+        b=st.floats(0.0, 1.5),
+        dim=st.integers(3, 5),
+        decay=st.floats(-30.0, 30.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_dense_oracle(self, kind, policy_kind, n_max, cells, a, b, dim, decay, seed):
+        k = separable_kernel(kind, n_max, a, b, dim)
+        policy = TruncationPolicy(policy_kind, n_max)
+        fast = RateEvaluator(k, policy)
+        dense = RateEvaluator(Kernel.from_table(k.dense()), policy)
+        n = np.arange(1, n_max + 1, dtype=float)
+        # decay < 0 puts the mass in small species, decay > 0 near n_max.
+        rng = np.random.default_rng(seed)
+        flat = rng.random((n_max, cells)) * np.exp(decay * (n[:, None] / n_max - 1.0))
+
+        Q, flux = fast.rates(flat)
+        Qd, fluxd = dense.rates(flat)
+        lam = fast.loss_coefficients(flat)
+        lamd = dense.loss_coefficients(flat)
+        A, B = k.factors(n_max)
+        fft_scale = (np.linalg.norm(A[:, :, None] * flat, axis=1) * np.linalg.norm(B[:, :, None] * flat, axis=1)).sum(0)
+        table = k.dense()
+        flux_scale = (n @ (lamd * flat)).max()
+        pair_mass = np.einsum("nc,nm,mc->c", flat, (n[:, None] + n[None, :]) * table, flat).max()
+
+        assert np.abs(lam - lamd).max() <= 1e-13 * np.abs(lamd).max()
+        assert np.abs(Q - Qd).max() <= 1e-13 * max(np.abs(Qd).max(), fft_scale.max())
+        assert np.abs(flux - fluxd).max() <= 1e-13 * flux_scale
+        assert np.abs(n @ Q + flux).max() <= 1e-13 * pair_mass
+
+    @pytest.mark.parametrize("kind", SEPARABLE)
+    @pytest.mark.parametrize("policy_kind", ["cutoff", "gel_reservoir"])
+    def test_separable_kernels_take_the_factorised_path(self, kind, policy_kind, monkeypatch):
+        """A silent fall-back to the dense tables would call Kernel.dense."""
+        k = separable_kernel(kind, 16)
+        table = Kernel.from_table(k.dense())
+        policy = TruncationPolicy(policy_kind, 16)
+
+        def refuse(self, n_max=None):
+            raise AssertionError("dense kernel table requested")
+
+        monkeypatch.setattr(Kernel, "dense", refuse)
+        flat = random_field(Grid(1, 1.0, 4), 16, seed=3).flat()
+        RateEvaluator(k, policy).rates(flat)
+        with pytest.raises(AssertionError, match="dense kernel table"):
+            RateEvaluator(table, policy)

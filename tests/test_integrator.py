@@ -93,6 +93,24 @@ class TestHomogeneousRun:
         assert np.abs(total - total[0]).max() / total[0] <= 1e-10
         assert rec.gel[-1] > 0.1
 
+    @pytest.mark.parametrize(
+        "kernel, policy, dt",
+        [
+            # The shipped gelation run at N = 512, with gelation_scan's automatic
+            # dt for unit monodisperse data: 0.8 * 0.5 / (2 * alpha(512, 1)).
+            (Kernel.product(1.0, 512), TruncationPolicy.gel_reservoir(512), 0.4 / 1024),
+            (Kernel.constant(1.0, 64), TruncationPolicy.cutoff(64), 1e-3),
+        ],
+        ids=["product-512", "constant-64"],
+    )
+    def test_fft_gain_negativity_stays_at_roundoff(self, kernel, policy, dt):
+        """FFT roundoff is absolute, so empty tail species can go negative,
+        but never below -eps * max f."""
+        cfg = RunConfig(t_final=1.0, dt=dt, policy=policy, output_stride=0.05, record_fields=True)
+        rec = homogeneous_run(MassField.monodisperse(Grid.point(), policy.n_max), kernel, cfg)
+        fields = np.array(rec.fields)
+        assert fields.min() >= -np.finfo(float).eps * fields.max()
+
     def test_kernel_weighted_pair_moment_on_point_grid(self):
         """Yk1 = sum_{n,m} (n*m + m*n) alpha(n,m) c_n c_m at every stride;
         without a diffusion profile the unweighted Y series is not recorded."""

@@ -88,6 +88,55 @@ class TestKineticKernelFromRange:
             kinetic_kernel_from_range(dp, RangeProfile(exponent=0.5), 2, 1.0)
 
 
+def _range_kernel(dim, n_max, r2=1.0, b2=0.5, exponent=1.0 / 3.0, scale=2.0, c=0.7):
+    return kinetic_kernel_from_range(
+        DiffusionProfile.power_law(r2, b2, n_max), RangeProfile(exponent, scale), dim, c
+    )
+
+
+class TestFactors:
+    """alpha(n,m) = sum_r A[r,n-1] B[r,m-1] against the dense table."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "k, rank",
+        [
+            (Kernel.constant(0.7, 300), 1),
+            (Kernel.constant(1.0, 300), 1),
+            (Kernel.sum_kernel(1.3, 300), 2),
+            (Kernel.product(1.5, 300), 1),
+            (Kernel.product(0.0, 300), 1),
+            (Kernel.product(0.37, 300), 1),
+            (Kernel.two_exponent(0.2, 0.9, 300), 2),
+            (Kernel.two_exponent(1.0, 0.0, 300), 2),
+            (_range_kernel(3, 300), 4),
+            (_range_kernel(3, 300, r2=2.0, b2=1.0, exponent=1.0, scale=0.5, c=1.0), 4),
+            (_range_kernel(4, 300), 6),
+        ],
+        ids=["constant", "constant-unit", "sum", "product-1.5", "product-0", "product-0.37",
+             "two_exponent", "two_exponent-1-0", "range-dim3", "range-dim3-ballistic", "range-dim4"],
+    )
+    def test_factor_identity(self, k, rank):
+        A, B = k.factors(k.n_max)
+        assert A.shape == B.shape == (rank, k.n_max)
+        assert np.all(A >= 0) and np.all(B >= 0)
+        table = k.dense()
+        np.testing.assert_allclose(np.einsum("rn,rm->nm", A, B), table, rtol=4 * self.EPS, atol=0.0)
+
+    def test_sub_range_matches_leading_block(self):
+        k = Kernel.sum_kernel(1.3, 32)
+        A, B = k.factors(10)
+        np.testing.assert_allclose(np.einsum("rn,rm->nm", A, B), k.dense(10), rtol=4 * self.EPS, atol=0.0)
+        with pytest.raises(KernelRangeError):
+            k.factors(33)
+
+    def test_tables_and_closures_have_no_factors(self):
+        k = Kernel.sum_kernel(1.0, 8)
+        assert Kernel.from_table(k.dense()).factors() is None
+        assert Kernel.from_function(lambda n, m: float(n + m), 8).factors() is None
+
+
 def _sweep_k0(kernel, dp, delta, n_max):
     """Independent oracle: smallest k0 with all pairs k0 < n+m <= n_max passing."""
     worst = 0
