@@ -467,6 +467,10 @@ def read_field_csv(path, grid: Grid, n_max: int) -> MassField:
             if vals.size != grid.n_cells:
                 raise ConfigError(f"{path}: row for species {n} has {vals.size} cells, expected {grid.n_cells}")
             data[n - 1] = vals
+    # Snapshots of runs whose gain is taken by FFT carry roundoff of either
+    # sign, at most eps * max f, in species whose true density is ~0; read
+    # such values as zero and reject anything more negative.
+    data[(data < 0) & (data >= -np.finfo(float).eps * np.abs(data).max())] = 0.0
     return MassField(grid, data.reshape((n_max,) + grid.shape), gel_reservoir=gel)
 
 

@@ -19,13 +19,14 @@ Kernels with a closed-form separable structure,
 alpha(n,m) = sum_r a_r(n) b_r(m) (see :meth:`Kernel.factors`), are evaluated
 in O(R N log N) per cell after Matveev, Smirnov & Tyrtyshnikov (J. Comput.
 Phys. 282, 2015): the gain is R convolutions along the mass axis done by one
-zero-padded FFT, and the loss partner sums are R inner products (gel
-reservoir) or R prefix sums (cutoff).  FFT roundoff is absolute, of the
-order of eps times the largest convolution term, so a species whose true
-gain is zero can receive a tiny gain of either sign.  It is not clipped,
-because clipping would break the exact mass budget.  Tables and custom
-closures have no such structure and use the direct O(N^2) double sums,
-which also serve as the test oracle.
+zero-padded FFT over the pairs whose lighter partner is at most n_max // 2,
+the loss partner sums are R inner products (gel reservoir) or R prefix sums
+(cutoff), and the gel flux is R suffix sums.  FFT roundoff is absolute, of
+the order of eps times the norm of the pairs transformed, so a species whose
+true gain is zero can receive a tiny gain of either sign.  It is not clipped,
+because clipping would shift the mass budget.  Tables and custom closures
+have no such structure and use the direct O(N^2) double sums, which also
+serve as the test oracle.
 """
 
 from __future__ import annotations
@@ -91,10 +92,9 @@ class RateEvaluator:
     """Evaluates reaction rates on (n_max, cells) data.
 
     When the kernel has closed-form factors (:meth:`Kernel.factors`), only
-    the factor arrays are kept: the gain is one batched FFT convolution and
-    the loss coefficients are factor inner products or prefix sums, and
-    under the gel reservoir the flux follows from the per-cell budget
-    identity flux = sum_n n lambda_n f_n - sum_n n gain_n.  Otherwise dense
+    the factor arrays are kept: the gain is one batched FFT convolution, the
+    loss coefficients are factor inner products or prefix sums, and under
+    the gel reservoir the flux is a sum of suffix sums.  Otherwise dense
     pair tables are precomputed and summed directly.
 
     Instances are immutable after construction; evaluation is pure and
@@ -111,11 +111,22 @@ class RateEvaluator:
         if self._factors is not None:
             A, B = self._factors
             self._loss_A = 2.0 * A
-            # Only masses 1..n_max-1 take part in a merger that lands in
-            # range; zero padding to >= 2*(n_max-1) - 1 makes the circular
-            # convolution of those rows linear, and its index k is mass k+2.
-            self._gain_weights, self._gain_terms = _convolution_plan(A[:, :-1], B[:, :-1])
-            self._fft_len = 1 << max(2 * n_max - 4, 0).bit_length()
+            # A merger landing in range has its lighter partner at mass
+            # <= n_max // 2, so the gain needs only pairs (light, any):
+            # light x light once per order, light x heavy doubled, which the
+            # kernel's symmetry allows.  Heavy x heavy pairs never land in
+            # range and are left out of the transform and its roundoff.
+            h = n_max // 2
+            heavy = np.arange(1, n_max) > h
+            # One transform serves both: rows 0..R-1 light, R..2R-1 any.
+            self._gain_weights = np.concatenate(
+                [np.where(heavy, 0.0, A[:, :-1]), np.where(heavy, 2.0, 1.0) * B[:, :-1]]
+            )
+            # Zero padding to L > h + n_max - 3, the largest index, keeps the
+            # circular convolution linear; its index k is mass k+2.  L is the
+            # smallest 2^k or 3 * 2^k that suffices, a fast FFT length.
+            n = max(h + n_max - 2, 1)
+            self._fft_len = min(1 << (n - 1).bit_length(), 3 << ((n - 1) // 3).bit_length())
             self._mass = np.arange(1.0, n_max + 1)
             return
         table = kernel.dense(n_max)
@@ -141,10 +152,9 @@ class RateEvaluator:
         """(n_max, cells) gain term; species 1 has no gain."""
         out = np.zeros_like(flat)
         if self._factors is not None:
-            L = self._fft_len
+            L, R = self._fft_len, self._loss_A.shape[0]
             X = np.fft.rfft(self._gain_weights[:, :, None] * flat[:-1], n=L, axis=1)
-            S = sum(c * X[i] * X[j] for i, j, c in self._gain_terms)
-            out[1:] = np.fft.irfft(S, n=L, axis=0)[: self.n_max - 1]
+            out[1:] = np.fft.irfft((X[:R] * X[R:]).sum(axis=0), n=L, axis=0)[: self.n_max - 1]
             return out
         for i, w in enumerate(self._gain_rows):
             hi = i + w.size - 1
@@ -167,6 +177,19 @@ class RateEvaluator:
             lam[:-1] += a[:-1, None] * p[-2::-1]
         return lam
 
+    def _gel_flux(self, flat: np.ndarray) -> np.ndarray:
+        """sum over ordered pairs with n+m > n_max of (n+m) alpha f_n f_m.
+
+        By the kernel's symmetry this is sum_n n f_n 2 sum_r A_r(n) S_r(n),
+        where S_r(n) = sum_{m > n_max - n} B_r(m) f_m is a suffix sum.  The
+        FFT gain leaves roundoff of either sign in nearly empty species; the
+        negative part is read as zero here, so every term is nonnegative and
+        the reservoir never decreases.
+        """
+        f = np.maximum(flat, 0.0)
+        S = (self._factors[1][:, ::-1, None] * f[::-1]).cumsum(axis=1)
+        return self._mass @ ((self._loss_A[:, :, None] * S).sum(axis=0) * f)
+
     def rates(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Q, flux_to_gel) for data laid out as (n_max, cells)."""
         Q = self.gain_all(flat)
@@ -174,32 +197,10 @@ class RateEvaluator:
         if self.policy.kind == CUTOFF:
             flux = np.zeros(flat.shape[1])
         elif self._factors is not None:
-            flux = -(self._mass @ Q)
+            flux = self._gel_flux(flat)
         else:
             flux = np.einsum("nc,nc->c", flat, self._gel_matrix @ flat)
         return Q, flux
-
-
-def _convolution_plan(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
-    """Distinct factor rows and the products of their transforms the gain needs.
-
-    Convolution commutes, so a term and its transpose (a, b), (b, a) are
-    one doubled product, and a term with a == b needs one transform.
-    """
-    rows: list[np.ndarray] = []
-
-    def row(w):
-        for k, v in enumerate(rows):
-            if np.array_equal(v, w):
-                return k
-        rows.append(w)
-        return len(rows) - 1
-
-    counts: dict[tuple[int, int], int] = {}
-    for a, b in zip(A, B):
-        pair = tuple(sorted((row(a), row(b))))
-        counts[pair] = counts.get(pair, 0) + 1
-    return np.stack(rows), [(i, j, float(c)) for (i, j), c in counts.items()]
 
 
 def gain(F: MassField, kernel: Kernel, n: int) -> np.ndarray:

@@ -289,6 +289,28 @@ class TestFieldCsv:
         np.testing.assert_array_equal(F.flat(), flat)
         assert F.gel_reservoir == 0.125
 
+    def test_restart_from_snapshot_with_roundoff_negatives(self, tmp_path):
+        """The constant-kernel run takes its gain by FFT, which leaves
+        densities of about -1e-19 in empty tail species; a snapshot holding
+        them seeds a new run."""
+        text = MINIMAL.replace("run.n_max = 16", "run.n_max = 64").replace("run.t_final = 0.2", "run.t_final = 1.0")
+        text = text.replace("run.dt = 0.01", "run.dt = 0.001") + "run.record_fields = true\nrun.output_stride = 0.1\n"
+        assert execute(parse_config(write(tmp_path, text)), out_override=str(tmp_path / "a")) == 0
+        snaps = sorted((tmp_path / "a" / "snapshots").glob("*.csv"))
+        values = [float(v) for p in snaps for row in p.read_text().splitlines()[1:] for v in row.split(",")[1:]]
+        assert min(values) < 0.0
+        restart = text + f"initial.kind = table\ninitial.table = {snaps[-1]}\n"
+        assert execute(parse_config(write(tmp_path, restart)), out_override=str(tmp_path / "b")) == 0
+        assert read_field_csv(snaps[-1], Grid.point(), 64).data.min() == 0.0
+
+    def test_only_roundoff_negatives_read_as_zero(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("1,1.0\n2,-1e-15\n")
+        with pytest.raises(ValueError, match="negative density for mass 2"):
+            read_field_csv(path, Grid.point(), 2)
+        path.write_text("1,1.0\n2,-1e-17\n")
+        assert read_field_csv(path, Grid.point(), 2).data.min() == 0.0
+
     def test_wrong_cell_count_rejected(self, tmp_path):
         grid = Grid(1, 1.0, 8)
         path = tmp_path / "field.csv"

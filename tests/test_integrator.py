@@ -99,17 +99,21 @@ class TestHomogeneousRun:
             # The shipped gelation run at N = 512, with gelation_scan's automatic
             # dt for unit monodisperse data: 0.8 * 0.5 / (2 * alpha(512, 1)).
             (Kernel.product(1.0, 512), TruncationPolicy.gel_reservoir(512), 0.4 / 1024),
+            # The conserving run of the gelation dichotomy, alpha = (n*m)^0.4,
+            # with dt by the same rule: 0.8 * 0.5 / (2 * alpha(512, 1)).
+            (Kernel.product(0.4, 512), TruncationPolicy.gel_reservoir(512), 0.2 / 512**0.4),
             (Kernel.constant(1.0, 64), TruncationPolicy.cutoff(64), 1e-3),
         ],
-        ids=["product-512", "constant-64"],
+        ids=["product-512", "product-0.4-512", "constant-64"],
     )
     def test_fft_gain_negativity_stays_at_roundoff(self, kernel, policy, dt):
         """FFT roundoff is absolute, so empty tail species can go negative,
-        but never below -eps * max f."""
+        but never below -eps * max f; the gel reservoir never decreases."""
         cfg = RunConfig(t_final=1.0, dt=dt, policy=policy, output_stride=0.05, record_fields=True)
         rec = homogeneous_run(MassField.monodisperse(Grid.point(), policy.n_max), kernel, cfg)
         fields = np.array(rec.fields)
         assert fields.min() >= -np.finfo(float).eps * fields.max()
+        assert rec.gel[0] == 0.0 and np.all(np.diff(rec.gel) >= 0.0)
 
     def test_kernel_weighted_pair_moment_on_point_grid(self):
         """Yk1 = sum_{n,m} (n*m + m*n) alpha(n,m) c_n c_m at every stride;
