@@ -60,6 +60,7 @@ from .kernels import (
 from .tracer import (
     CEMETERY,
     ConsistencyReport,
+    ThinningCounts,
     TracerEnsemble,
     TracerHistogram,
     TracerState,
@@ -88,6 +89,7 @@ __all__ = [
     "RunConfig",
     "RunRecord",
     "StepSizeError",
+    "ThinningCounts",
     "TracerEnsemble",
     "TracerHistogram",
     "TracerState",

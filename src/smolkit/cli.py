@@ -638,6 +638,11 @@ def execute(s: Scenario, out_override: str | None = None, workers_override: int 
             f"tracer collisions per trajectory: mean {mean_coll:.3f}, max {counts.size - 1}"
             + (" (immortal: counts are descriptive only)" if s.tracer_immortal else "")
         )
+        th = result.thinning
+        lines.append(
+            f"tracer thinning: {th.proposals} proposals, {th.accepted} accepted"
+            f" (acceptance rate {th.acceptance_rate:.4f}), {th.extensions} chunk-local table extensions"
+        )
 
     lines += [str(r) for r in reports]
     if 2.0 in rec.moments and all(v > 0 for v in rec.moments[2.0]):

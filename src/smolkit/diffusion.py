@@ -66,20 +66,27 @@ def _clip_preserving_mean(before: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     Only rows that entered nonnegative are clipped: undershoot there is a
     discretization artifact, whereas signed data is propagated untouched.
+    All rows are handled at once; row sums run along the contiguous last
+    axis of the flattened stack, so each row gets the same bits as a
+    per-row loop would give it.
     """
-    for i in range(out.shape[0]):
-        f = out[i]
-        neg = f < 0
-        if not neg.any() or before[i].min() < 0:
-            continue
-        target = f.sum()
-        clipped = float(f[neg].sum())
-        f[neg] = 0.0
-        total = f.sum()
-        if total > 0 and target > 0:
-            f *= target / total
-        log.debug("clipped %g of ringing undershoot (redistributed)", -clipped)
-    return out
+    rows = out.reshape(out.shape[0], -1)
+    neg = rows < 0
+    # ~(min < 0) rather than min >= 0, so rows holding NaN are treated as before.
+    clip = np.flatnonzero(neg.any(axis=1) & ~(before.reshape(rows.shape).min(axis=1) < 0))
+    if clip.size == 0:
+        return out
+    f = rows[clip]
+    neg = neg[clip]
+    target = f.sum(axis=1)
+    clipped = float(f[neg].sum())
+    f[neg] = 0.0
+    total = f.sum(axis=1)
+    scale = np.divide(target, total, out=np.ones_like(total), where=(total > 0) & (target > 0))
+    f *= scale[:, None]
+    rows[clip] = f
+    log.debug("clipped %g of ringing undershoot in %d rows (redistributed)", -clipped, clip.size)
+    return rows.reshape(out.shape)
 
 
 def heat_step_batched(

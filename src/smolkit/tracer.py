@@ -25,6 +25,13 @@ enters the density comparison.
 Ensembles are simulated in fixed-size chunks, each owning a counter-based
 RNG substream keyed by (seed, chunk index); chunk results merge in fixed
 order, so outputs are bit-identical for any worker count.
+
+The attempt-rate tables are built once per simulation, before any chunk
+runs: the kernel columns once, and one rate table per frozen slice.  Every
+chunk reads them and none writes them (their arrays are read-only).  A
+chunk whose tracers outgrow a table's mass range builds a private, larger
+table for the rest of that slice, so growth never touches shared state and
+cannot depend on how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "TracerState",
     "TracerEnsemble",
     "TracerHistogram",
+    "ThinningCounts",
     "ConsistencyReport",
     "sample_initial",
     "evolve_frozen",
@@ -108,6 +116,7 @@ class TracerEnsemble:
     immortal: bool = False
     histograms: list[TracerHistogram] = dc_field(default_factory=list)
     collision_counts: np.ndarray | None = None
+    thinning: ThinningCounts | None = None
 
     def __post_init__(self):
         if self.count < 1:
@@ -124,42 +133,75 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
 
 
-class _FrozenRates:
-    """Attempt-rate tables against one frozen field slice.
+def _rate_columns(kernel: Kernel, n_max: int, cap: int) -> np.ndarray:
+    """Read-only (n_max, cap) kernel columns alpha(1..n_max, m), m = 1..cap.
 
-    ``lam[m-1, c]`` is the aggregate attempt rate of a mass-m tracer in
-    cell c; ``lam_bar[m-1]`` its spatial bound used for thinning.  The
-    table extends on demand as tracers outgrow the sectional range.
+    Columns past the kernel's table come from :meth:`Kernel.rate_row`.
+    """
+    table = kernel.table
+    if table is not None and cap <= kernel.n_max:
+        A = table[:n_max, :cap]
+    else:
+        easy = min(cap, kernel.n_max) if table is not None else 0
+        cols = [table[:n_max, :easy]] if easy else []
+        cols += [kernel.rate_row(m)[:n_max, None] for m in range(easy + 1, cap + 1)]
+        A = np.concatenate(cols, axis=1)
+    A = np.ascontiguousarray(A)
+    A.flags.writeable = False
+    return A
+
+
+@dataclass(frozen=True)
+class ThinningCounts:
+    """Thinning work of an ensemble run, summed over chunks in chunk order.
+
+    ``proposals`` are candidate jump times drawn from the rate bound,
+    ``accepted`` the proposals that became collisions, and ``extensions``
+    the chunk-local tables built for tracers past a shared table's range.
     """
 
-    def __init__(self, kernel: Kernel, flat: np.ndarray, n_max: int, cap: int | None = None):
+    proposals: int = 0
+    accepted: int = 0
+    extensions: int = 0
+
+    def __add__(self, other: "ThinningCounts") -> "ThinningCounts":
+        return ThinningCounts(
+            self.proposals + other.proposals,
+            self.accepted + other.accepted,
+            self.extensions + other.extensions,
+        )
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.proposals if self.proposals else 0.0
+
+
+class _FrozenRates:
+    """Attempt-rate tables against one frozen field slice, read-only.
+
+    ``lam[m-1, c]`` is the aggregate attempt rate of a mass-m tracer in
+    cell c; ``lam_bar[m-1]`` its spatial bound used for thinning.  Masses
+    1..``cap`` are covered, ``cap`` being the column count of ``A``.
+    :func:`simulate` builds one table per slice and shares it across all
+    chunks; a chunk whose tracers outgrow it asks :meth:`covering` for a
+    private, larger table instead of growing the shared one.
+    """
+
+    def __init__(self, kernel: Kernel, A: np.ndarray, flat: np.ndarray):
         self.kernel = kernel
+        self.A = A
         self.flat = flat
-        self.n_max = n_max
-        self.cap = 0
-        self._ensure(cap or 2 * n_max)
-
-    def _ensure(self, cap: int) -> None:
-        if cap <= self.cap:
-            return
-        k = self.kernel
-        if k.table is not None and cap <= k.n_max:
-            A = k.table[: self.n_max, :cap]
-        else:
-            easy = min(cap, k.n_max) if k.table is not None else 0
-            cols = [k.table[: self.n_max, :easy]] if easy else []
-            cols += [k.rate_row(m)[: self.n_max, None] for m in range(easy + 1, cap + 1)]
-            A = np.concatenate(cols, axis=1)
-        self.A = np.ascontiguousarray(A)
-        self.lam = 2.0 * (self.A.T @ self.flat)
+        self.n_max, self.cap = A.shape
+        self.lam = 2.0 * (A.T @ flat)
         self.lam_bar = self.lam.max(axis=1)
-        self.cap = cap
+        self.lam.flags.writeable = False
+        self.lam_bar.flags.writeable = False
 
-    def bound(self, masses: np.ndarray) -> np.ndarray:
-        top = int(masses.max(initial=1))
-        if top > self.cap:
-            self._ensure(2 * top)
-        return self.lam_bar[masses - 1]
+    def covering(self, top: int) -> "_FrozenRates":
+        """This table if it covers mass ``top``, else a new one to mass 2*top."""
+        if top <= self.cap:
+            return self
+        return _FrozenRates(self.kernel, _rate_columns(self.kernel, self.n_max, 2 * top), self.flat)
 
     def local(self, masses: np.ndarray, cells: np.ndarray) -> np.ndarray:
         return self.lam[masses - 1, cells]
@@ -184,19 +226,11 @@ def sample_initial(F0: MassField, rng: np.random.Generator) -> TracerState:
 
     The mass law weights species by their number integrals; the position,
     conditional on the mass, follows that species' density (uniform within
-    the chosen cell).
+    the chosen cell).  This is a one-trajectory call of the chunk sampler.
     """
-    integrals = F0.species_integrals()
-    total = integrals.sum()
-    if total <= 0:
-        raise ValueError("cannot sample a tracer from an empty field")
-    mass = int(np.searchsorted(np.cumsum(integrals) / total, rng.uniform())) + 1
-    row = F0.flat()[mass - 1]
-    cell = int(np.searchsorted(np.cumsum(row) / row.sum(), rng.uniform()))
-    grid = F0.grid
-    idx = np.unravel_index(cell, grid.shape)
-    pos = tuple((i + rng.uniform()) * grid.h for i in idx)
-    return TracerState(position=pos, mass=mass)
+    mass_cdf, row_cum = _initial_law(F0)
+    pos, mass = _sample_chunk_initial(mass_cdf, row_cum, F0.grid, 1, rng)
+    return TracerState(position=tuple(pos[0]), mass=int(mass[0]))
 
 
 def evolve_frozen(
@@ -211,34 +245,22 @@ def evolve_frozen(
     """Advance one tracer over [0, dt] with the field held frozen.
 
     Exact for any dt: the thinning clock iterates within the interval, so
-    no smallness condition on dt is needed for correctness.
+    no smallness condition on dt is needed for correctness.  This is a
+    one-trajectory call of the chunk stepper; its table starts at the
+    sectional range and grows past it as a chunk's does.
     """
     if z is CEMETERY or isinstance(z, _Cemetery):
         return CEMETERY
-    grid = F_frozen.grid
-    rates = _FrozenRates(kernel, F_frozen.flat(), F_frozen.n_max)
-    pos = np.asarray(z.position, dtype=float)
-    mass = int(z.mass)
-    remaining = float(dt)
-    while remaining > 0.0:
-        lam_bar = float(rates.bound(np.array([mass]))[0])
-        tau = rng.exponential() / lam_bar if lam_bar > 0 else np.inf
-        advance = min(tau, remaining)
-        pos = (pos + rng.normal(size=grid.dim) * np.sqrt(2.0 * dp.value(mass) * advance)) % grid.length
-        if tau >= remaining:
-            break
-        remaining -= advance
-        cell = int(_cell_index(pos[None, :], grid)[0])
-        if rng.uniform() * lam_bar >= float(rates.local(np.array([mass]), np.array([cell]))[0]):
-            continue
-        w = rates.partner_weights(np.array([mass]), np.array([cell]))[:, 0]
-        partner = int(np.searchsorted(np.cumsum(w), rng.uniform() * w.sum(), side="right")) + 1
-        partner = min(partner, F_frozen.n_max)
-        if immortal or rng.uniform() < mass / (mass + partner):
-            mass += partner
-        else:
-            return CEMETERY
-    return TracerState(position=tuple(pos), mass=mass)
+    n_max = F_frozen.n_max
+    rates = _FrozenRates(kernel, _rate_columns(kernel, n_max, n_max), F_frozen.flat())
+    pos = np.array([z.position], dtype=float)
+    mass = np.array([z.mass], dtype=np.int64)
+    alive = np.ones(1, dtype=bool)
+    collisions = np.zeros(1, dtype=np.int64)
+    _advance_chunk_slice(pos, mass, alive, collisions, rates, F_frozen.grid, dp, float(dt), rng, immortal)
+    if not alive[0]:
+        return CEMETERY
+    return TracerState(position=tuple(pos[0]), mass=int(mass[0]))
 
 
 def _advance_chunk_slice(
@@ -252,34 +274,48 @@ def _advance_chunk_slice(
     slice_dt: float,
     rng: np.random.Generator,
     immortal: bool,
-) -> None:
-    """Advance all chunk trajectories across one frozen slice, in place."""
+) -> ThinningCounts:
+    """Advance all chunk trajectories across one frozen slice, in place.
+
+    ``rates`` is only read; tracers past its range switch this call to a
+    private larger table (:meth:`_FrozenRates.covering`).  Returns the
+    slice's thinning counts.
+    """
+    proposals = accepted_total = extensions = 0
     remaining = np.where(alive, slice_dt, 0.0)
     while True:
         active = np.flatnonzero(remaining > 0.0)
         if active.size == 0:
-            return
+            return ThinningCounts(proposals, accepted_total, extensions)
         m_act = mass[active]
-        lam_bar = rates.bound(m_act)
-        tau = np.full(active.size, np.inf)
-        pos_rate = lam_bar > 0
+        wider = rates.covering(int(m_act.max()))
+        if wider is not rates:
+            rates = wider
+            extensions += 1
+        lam_bar = rates.lam_bar[m_act - 1]
         draws = rng.exponential(size=active.size)
-        tau[pos_rate] = draws[pos_rate] / lam_bar[pos_rate]
+        tau = np.divide(draws, lam_bar, out=np.full(active.size, np.inf), where=lam_bar > 0)
         rem = remaining[active]
         advance = np.minimum(tau, rem)
-        sigma = np.sqrt(2.0 * dp.value(m_act) * advance)
-        pos[active] = (pos[active] + rng.normal(size=(active.size, grid.dim)) * sigma[:, None]) % grid.length
+        sigma = np.sqrt(2.0 * dp.values[np.minimum(m_act, dp.n_max) - 1] * advance)
+        step = rng.normal(size=(active.size, grid.dim))
+        step *= sigma[:, None]
+        step += pos[active]
+        np.remainder(step, grid.length, out=step)
+        pos[active] = step
         remaining[active] = rem - advance
         proposed = tau < rem
         if not proposed.any():
             continue
         p_idx = active[proposed]
+        proposals += p_idx.size
         cells = _cell_index(pos[p_idx], grid)
         u = rng.uniform(size=p_idx.size)
         accepted = u * lam_bar[proposed] < rates.local(mass[p_idx], cells)
         if not accepted.any():
             continue
         a_idx = p_idx[accepted]
+        accepted_total += a_idx.size
         a_cells = cells[accepted]
         w = rates.partner_weights(mass[a_idx], a_cells)
         cum = np.cumsum(w, axis=0)
@@ -316,18 +352,23 @@ def _histogram_from_state(
     )
 
 
-def _sample_chunk_initial(
-    F0: MassField, n_traj: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _initial_law(F0: MassField) -> tuple[np.ndarray, np.ndarray]:
+    """Mass CDF and per-species cell prefix sums of the initial field.
+
+    Computed once per ensemble; every chunk gathers rows of the prefix sums.
+    """
     integrals = F0.species_integrals()
     total = integrals.sum()
     if total <= 0:
         raise ValueError("cannot sample tracers from an empty field")
-    grid = F0.grid
-    mass = np.searchsorted(np.cumsum(integrals) / total, rng.uniform(size=n_traj)).astype(np.int64) + 1
-    flat = F0.flat()
-    rows = flat[mass - 1]
-    cum = np.cumsum(rows, axis=1)
+    return np.cumsum(integrals) / total, np.cumsum(F0.flat(), axis=1)
+
+
+def _sample_chunk_initial(
+    mass_cdf: np.ndarray, row_cum: np.ndarray, grid, n_traj: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    mass = np.searchsorted(mass_cdf, rng.uniform(size=n_traj)).astype(np.int64) + 1
+    cum = row_cum[mass - 1]
     r = rng.uniform(size=n_traj) * cum[:, -1]
     cells = (cum < r[:, None]).sum(axis=1)
     idx = np.stack(np.unravel_index(cells, grid.shape), axis=-1).astype(float)
@@ -367,27 +408,30 @@ def simulate(
         marks[i] = t
     grid = F_timeline[0].grid
     n_max = F_timeline[0].n_max
-    flats = [F.flat() for F in F_timeline]
+    mass_cdf, row_cum = _initial_law(F_timeline[0])
+    # Shared, read-only tables: kernel columns once, one rate table per slice.
+    A = _rate_columns(kernel, n_max, 2 * n_max)
+    slice_rates = [_FrozenRates(kernel, A, F.flat()) for F in F_timeline]
 
-    def run_chunk(chunk_index: int) -> tuple[list[TracerHistogram], np.ndarray]:
+    def run_chunk(chunk_index: int) -> tuple[list[TracerHistogram], np.ndarray, ThinningCounts]:
         seed, ci = ensemble.chunk_keys()[chunk_index]
         rng = _chunk_rng(seed, ci)
         lo = chunk_index * ensemble.chunk_size
         n_traj = min(ensemble.chunk_size, ensemble.count - lo)
-        pos, mass = _sample_chunk_initial(F_timeline[0], n_traj, rng)
+        pos, mass = _sample_chunk_initial(mass_cdf, row_cum, grid, n_traj, rng)
         alive = np.ones(n_traj, dtype=bool)
         collisions = np.zeros(n_traj, dtype=np.int64)
+        thinning = ThinningCounts()
         hists = []
         if 0 in marks:
             hists.append(_histogram_from_state(pos, mass, alive, n_max, grid, marks[0], n_traj))
-        for i in range(n_slices):
-            rates = _FrozenRates(kernel, flats[i], n_max)
-            _advance_chunk_slice(
+        for i, rates in enumerate(slice_rates):
+            thinning += _advance_chunk_slice(
                 pos, mass, alive, collisions, rates, grid, dp, slice_dt, rng, ensemble.immortal
             )
             if i + 1 in marks:
                 hists.append(_histogram_from_state(pos, mass, alive, n_max, grid, marks[i + 1], n_traj))
-        return hists, np.bincount(collisions)
+        return hists, np.bincount(collisions), thinning
 
     n_chunks = len(ensemble.chunk_keys())
     if workers > 1:
@@ -414,6 +458,7 @@ def simulate(
         immortal=ensemble.immortal,
         histograms=merged,
         collision_counts=coll,
+        thinning=sum((r[2] for r in results), ThinningCounts()),
     )
     return out
 

@@ -222,8 +222,17 @@ tracer.slices = 8
         s = parse_config(write(tmp_path, self.TRACER))
         execute(s, out_override=str(tmp_path / "w1"), workers_override=1)
         execute(s, out_override=str(tmp_path / "wN"), workers_override=workers)
-        for name in ("series.csv", "histogram.csv", "summary.csv"):
+        for name in ("series.csv", "histogram.csv", "summary.csv", "report.txt"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "wN" / name).read_bytes()
+
+    def test_report_counts_thinning(self, tmp_path):
+        s = parse_config(write(tmp_path, self.TRACER))
+        execute(s, out_override=str(tmp_path / "out"))
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        thinning = [line for line in lines if line.startswith("tracer thinning: ")]
+        assert len(thinning) == 1
+        assert "proposals" in thinning[0] and "acceptance rate" in thinning[0]
+        assert "chunk-local table extensions" in thinning[0]
 
 
 class TestShippedConfigs:

@@ -6,6 +6,8 @@ import pytest
 from smolkit.diffusion import (
     CRANK_NICOLSON,
     SPECTRAL,
+    _apply_multipliers,
+    _clip_preserving_mean,
     _laplacian_symbol,
     comparison_multiplier,
     heat_majorant,
@@ -136,6 +138,66 @@ class TestBatched:
         data = np.stack([row, row])
         out = heat_step_batched(data, np.array([0.3, 0.3]), 0.01, grid)
         np.testing.assert_array_equal(out[0], out[1])
+
+
+def clip_reference(before, out):
+    """Per-row clip loop: the reference the whole-stack clip must match bit for bit."""
+    out = out.copy()
+    for i in range(out.shape[0]):
+        f = out[i]
+        neg = f < 0
+        if not neg.any() or before[i].min() < 0:
+            continue
+        target = f.sum()
+        f[neg] = 0.0
+        total = f.sum()
+        if total > 0 and target > 0:
+            f *= target / total
+    return out
+
+
+class TestClipPreservingMean:
+    @pytest.mark.parametrize("shape", [(40, 64), (12, 16, 16), (6, 8, 8, 8), (3, 1000)])
+    def test_random_stacks_match_per_row_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        before = rng.random(shape)
+        out = rng.random(shape) - 0.05 * rng.random(shape[:1] + (1,) * (len(shape) - 1))
+        want = clip_reference(before, out)
+        got = _clip_preserving_mean(before, out.copy())
+        assert np.array_equal(got, want)
+        assert np.any(out < 0) and not np.any(got < 0)
+
+    def test_special_rows_match_per_row_loop(self):
+        rng = np.random.default_rng(7)
+        n = 32
+        before = rng.random((7, n))
+        out = rng.random((7, n)) - 0.1
+        before[1, 3] = -1e-3  # entered signed: left as is
+        out[2] = -rng.random(n)  # all negative: zeroed, no rescale
+        out[3] = 0.0
+        out[3, :5] = -1e-9  # zero total after the clip
+        out[4] = rng.random(n)  # nothing to clip
+        out[5, 0], out[5, 1] = -0.5, 0.5  # zero target, positive rest
+        out[5, 2:] = 0.0
+        out[6] = -out[6]
+        before[6] = np.nan  # NaN data enters the clip like the loop lets it
+        want = clip_reference(before, out)
+        got = _clip_preserving_mean(before, out.copy())
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got[1], out[1]) and np.array_equal(got[4], out[4])
+        assert not np.any(got[2]) and not np.any(got[3])
+
+    def test_heat_step_of_point_masses_matches_per_row_loop(self):
+        grid = Grid(2, 1.0, 16)
+        data = np.zeros((5,) + grid.shape)
+        for i in range(5):
+            data[i, i, 2 * i] = 1.0 + i
+        Ds = np.linspace(1e-4, 1e-2, 5)
+        x = 0.1 * Ds.reshape(-1, 1, 1) * _laplacian_symbol(grid, SPECTRAL)
+        raw = _apply_multipliers(data, np.exp(-x), grid)
+        assert np.any(raw < 0)
+        want = clip_reference(data, raw)
+        assert np.array_equal(heat_step_batched(data, Ds, 0.1, grid), want)
 
 
 class TestCrankNicolsonFallback:

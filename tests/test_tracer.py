@@ -6,16 +6,21 @@ is built here, independently of the package, from the transition rules
 that generator provides the expected occupation law for 3-sigma tests.
 """
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 
+from smolkit import tracer
 from smolkit.diffusion import heat_step
 from smolkit.field import Grid, MassField, MomentSpec, moment
 from smolkit.kernels import DiffusionProfile, Kernel
 from smolkit.tracer import (
     CEMETERY,
+    ThinningCounts,
     TracerEnsemble,
     TracerState,
     density_consistency,
@@ -244,6 +249,93 @@ class TestSimulate:
         with pytest.raises(ValueError, match="boundary"):
             simulate([uniform_field] * 4, k, dp, TracerEnsemble(count=10, seed=0), 0.05,
                      histogram_times=[0.07])
+
+
+def ensemble_digest(out):
+    """sha256 over every histogram and the collision counts, in order."""
+    h = hashlib.sha256()
+    for hist in out.histograms:
+        h.update(hist.counts.tobytes())
+        h.update(hist.overflow.tobytes())
+        h.update(np.int64(hist.cemetery).tobytes())
+    h.update(out.collision_counts.tobytes())
+    return h.hexdigest()
+
+
+class TestSharedRateTables:
+    """Slice tables are built once and shared; growth past them is chunk-local."""
+
+    # Digest of the growth scenario below, computed with the earlier code
+    # that rebuilt and grew a table per (chunk, slice).
+    GROWTH_SHA256 = "1a53492c24ca601c083f05d6b5a8f91ba7616e8dbdfaf5bfb2483a420a8a3d03"
+
+    @staticmethod
+    def growth_scenario(workers):
+        """n_max = 4 with immortal tracers: masses pass 2*n_max within a slice."""
+        grid = Grid(1, 1.0, 4)
+        F = MassField.zeros(grid, 4)
+        F.data[:] = 1.0
+        F.data[:, 0] = 2.0
+        k = Kernel.constant(1.0, 4)
+        dp = DiffusionProfile.power_law(0.05, 0.5, 4)
+        ens = TracerEnsemble(count=3000, seed=21, chunk_size=500, immortal=True)
+        return simulate([F] * 4, k, dp, ens, 0.25, histogram_times=[0.25, 0.5, 1.0], workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_growth_histograms_match_per_chunk_rebuilds(self, workers):
+        # A short switch interval interleaves the chunk threads finely, so
+        # a write to a shared table would show up as a changed digest.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = self.growth_scenario(workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.histograms[-1].overflow.sum() > 0
+        assert out.thinning.extensions > 0
+        assert ensemble_digest(out) == self.GROWTH_SHA256
+
+    def test_shared_tables_built_once_and_unchanged(self, monkeypatch):
+        built = []
+
+        class Recording(tracer._FrozenRates):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.snapshot = (self.A.copy(), self.lam.copy(), self.lam_bar.copy())
+                built.append(self)
+
+        monkeypatch.setattr(tracer, "_FrozenRates", Recording)
+        out = self.growth_scenario(workers=2)
+        shared = [t for t in built if t.cap == 8]
+        local = [t for t in built if t.cap > 8]
+        assert len(shared) == 4  # one per slice, not one per (chunk, slice)
+        assert len(local) == out.thinning.extensions
+        for t in built:
+            for arr, snap in zip((t.A, t.lam, t.lam_bar), t.snapshot):
+                assert not arr.flags.writeable
+                assert np.array_equal(arr, snap)
+
+    def test_thinning_counts_do_not_depend_on_workers(self):
+        grid = Grid(1, 1.0, 16)
+        n_max = 6
+        F = MassField.gaussian_blob(grid, n_max, amplitude=2.0, width=0.1)
+        k = Kernel.sum_kernel(0.5, n_max)
+        dp = DiffusionProfile.constant(0.02, n_max)
+        outs = [
+            simulate([F] * 5, k, dp, TracerEnsemble(count=5000, seed=13, chunk_size=1000), 0.1, workers=w)
+            for w in (1, 2)
+        ]
+        assert outs[0].thinning == outs[1].thinning
+        th = outs[0].thinning
+        assert 0.0 < th.acceptance_rate < 1.0
+        counts = outs[0].collision_counts
+        assert th.accepted == int(np.arange(counts.size) @ counts)
+
+    def test_thinning_counts_add(self):
+        a = ThinningCounts(10, 4, 1) + ThinningCounts(5, 1, 0)
+        assert a == ThinningCounts(15, 5, 1)
+        assert a.acceptance_rate == 5 / 15
+        assert ThinningCounts().acceptance_rate == 0.0
 
 
 class TestDensityConsistency:
