@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coagulation import TruncationPolicy
+from .coagulation import RateEvaluator, TruncationPolicy
 from .field import Grid, MassField, initial_data_functionals
 from .integrator import RunConfig, RunRecord, STABILITY_LIMIT, homogeneous_run
 from .kernels import CheckResult, DiffusionProfile, Kernel, check_assumption_1_1
@@ -39,7 +39,6 @@ __all__ = [
     "check_conservation",
     "collision_budget",
     "gelation_scan",
-    "second_moment_growth_rate",
 ]
 
 log = logging.getLogger(__name__)
@@ -340,12 +339,13 @@ def gelation_scan(
         src = np.atleast_1d(np.asarray(initial, dtype=float))
         c[: min(n_max, src.size)] = src[:n_max]
         state = MassField(Grid.point(), c)
-        lam0 = 2.0 * float((kernel.dense(n_max) @ state.data).max())
+        policy = TruncationPolicy.gel_reservoir(n_max)
+        lam0 = float(RateEvaluator(kernel, policy).loss_coefficients(state.flat()).max())
         dt_n = dt if dt is not None else (0.8 * STABILITY_LIMIT / lam0 if lam0 > 0 else t_final / 100.0)
         cfg = RunConfig(
             t_final=t_final,
             dt=min(dt_n, t_final) if t_final > 0 else dt_n,
-            policy=TruncationPolicy.gel_reservoir(n_max),
+            policy=policy,
             output_stride=t_final / 4.0 if t_final > 0 else None,
             moment_exponents=(0.0, 1.0),
         )
@@ -403,21 +403,3 @@ def collision_budget(record: RunRecord) -> BoundReport:
         detail=f"collisions {collisions:.6g} vs initial mass {budget:.6g}",
     )
 
-
-def second_moment_growth_rate(record: RunRecord) -> float:
-    """Least-squares slope of log integral(X_2) over time (diagnostic only).
-
-    An exponential envelope exp(C * t * sup X_1) controls the second moment
-    under the linear-growth assumptions, but its constant is not pinned
-    down; the fitted slope is logged for comparison across runs rather
-    than gated.
-    """
-    if 2.0 not in record.moments:
-        raise ValueError("record lacks the a=2 moment series")
-    y = np.asarray(record.moments[2.0])
-    t = np.asarray(record.times)
-    if np.any(y <= 0):
-        return 0.0
-    slope = float(np.polyfit(t, np.log(y), 1)[0])
-    log.info("second-moment growth slope: %.4g", slope)
-    return slope

@@ -38,7 +38,6 @@ from .analysis import (
     conservation_drift,
     gelation_scan,
     majorant_ratios,
-    second_moment_growth_rate,
 )
 from .coagulation import TruncationPolicy
 from .field import Grid, MassField
@@ -645,9 +644,6 @@ def execute(s: Scenario, out_override: str | None = None, workers_override: int 
         )
 
     lines += [str(r) for r in reports]
-    if 2.0 in rec.moments and all(v > 0 for v in rec.moments[2.0]):
-        slope = second_moment_growth_rate(rec)
-        lines.append(f"second-moment growth slope (diagnostic, not gated): {slope:.4g}")
     for event in rec.events:
         lines.append(f"note: {event}")
     report = "\n".join(lines) + "\n"

@@ -190,10 +190,14 @@ class RateEvaluator:
         S = (self._factors[1][:, ::-1, None] * f[::-1]).cumsum(axis=1)
         return self._mass @ ((self._loss_A[:, :, None] * S).sum(axis=0) * f)
 
-    def rates(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, flux_to_gel) for data laid out as (n_max, cells)."""
+    def rates(self, flat: np.ndarray, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, flux_to_gel) for data laid out as (n_max, cells).
+
+        ``lam``, if given, must be ``loss_coefficients(flat)``; a caller that
+        already holds it saves the second evaluation.
+        """
         Q = self.gain_all(flat)
-        Q -= self.loss_coefficients(flat) * flat
+        Q -= (self.loss_coefficients(flat) if lam is None else lam) * flat
         if self.policy.kind == CUTOFF:
             flux = np.zeros(flat.shape[1])
         elif self._factors is not None:

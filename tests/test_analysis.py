@@ -20,7 +20,6 @@ from smolkit.analysis import (
     gelation_scan,
     linf_moment_exponent,
     majorant_ratios,
-    second_moment_growth_rate,
 )
 from smolkit.coagulation import TruncationPolicy
 from smolkit.field import Grid, MassField
@@ -267,20 +266,25 @@ class TestGelationScan:
         v = gelation_scan(k, [16, 32, 64], 1.0)
         assert v.verdict == "conserving"
 
+    def test_factorised_scan_matches_dense_oracle(self, monkeypatch):
+        """The scan's step size and run take lambda from the evaluator, so a
+        factorised kernel never builds its dense table."""
+        k = Kernel.product(1.0, 64)
+        oracle = gelation_scan(Kernel.from_table(k.dense()), [16, 32, 64], 1.0)
+
+        def no_dense(self, n_max=None):
+            raise AssertionError("dense table built")
+
+        monkeypatch.setattr(Kernel, "dense", no_dense)
+        v = gelation_scan(k, [16, 32, 64], 1.0)
+        np.testing.assert_allclose(v.gel_values, oracle.gel_values, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(v.mass_ratios, oracle.mass_ratios, rtol=1e-12, atol=0.0)
+        assert v.verdict == oracle.verdict
+
     def test_n_list_must_increase(self):
         k = Kernel.constant(0.0, 64)
         with pytest.raises(ValueError):
             gelation_scan(k, [64, 32], 1.0)
-
-
-class TestSecondMomentGrowth:
-    def test_slope_logged_for_growing_moment(self):
-        n_max = 16
-        k = Kernel.sum_kernel(1.0, n_max)
-        cfg = RunConfig(t_final=0.5, dt=0.005, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
-        slope = second_moment_growth_rate(rec)
-        assert slope > 0.0
 
 
 class TestCollisionBudget:

@@ -221,6 +221,22 @@ class TestStep:
         assert err.value.species >= 1
         assert "cell" in str(err.value)
 
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_guard_reads_the_field_the_reaction_sees(self, splitting):
+        """A unit spike f_1 = 40 has dt*lambda = 0.8 before diffusion, but the
+        first diffusion substep spreads it below the bound before the
+        reaction runs, so the step is accepted."""
+        n_max = 4
+        grid = Grid(1, 1.0, 32)
+        F = MassField.zeros(grid, n_max)
+        F.data[0, 16] = 40.0
+        cfg = RunConfig(t_final=0.01, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
+                        splitting=splitting, auto_halve=False)
+        out = step(F, Kernel.constant(1.0, n_max), DiffusionProfile.constant(1.0, n_max), cfg)
+        from smolkit.field import total_mass
+
+        assert total_mass(out)[1] == pytest.approx(total_mass(F)[1], rel=1e-12)
+
 
 class TestRun:
     def test_zero_horizon_records_initial_state_only(self, small_setup):
@@ -342,8 +358,8 @@ class TestRun:
         grid, k, dp, F = small_setup
         real = RateEvaluator.rates
 
-        def poisoned(self, flat):
-            Q, flux = real(self, flat)
+        def poisoned(self, flat, *args):
+            Q, flux = real(self, flat, *args)
             Q[0, 0] = np.nan
             return Q, flux
 
@@ -351,6 +367,55 @@ class TestRun:
         cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max), auto_halve=False)
         with pytest.raises(FloatingPointError, match="non-finite"):
             run(F, k, dp, cfg)
+
+
+class TestLossCoefficientCalls:
+    """A step evaluates lambda four times: once for the guard, called by the
+    integrator itself, which RK4 stage 1 reuses, and once inside each of
+    stages 2-4.  A rejected step evaluates only the guard's."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        from smolkit.coagulation import RateEvaluator
+
+        calls = {"loss": 0, "direct": 0, "rates": 0}
+        depth = [0]
+        real_loss, real_rates = RateEvaluator.loss_coefficients, RateEvaluator.rates
+
+        def loss(self, flat):
+            calls["loss"] += 1
+            calls["direct"] += depth[0] == 0
+            return real_loss(self, flat)
+
+        def rates(self, flat, *args):
+            calls["rates"] += 1
+            depth[0] += 1
+            try:
+                return real_rates(self, flat, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(RateEvaluator, "loss_coefficients", loss)
+        monkeypatch.setattr(RateEvaluator, "rates", rates)
+        return calls
+
+    def test_four_per_step(self, small_setup, monkeypatch):
+        grid, k, dp, F = small_setup
+        calls = self.count_calls(monkeypatch)
+        rec = run(F, k, dp, RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max)))
+        assert not rec.events
+        assert calls == {"loss": 40, "direct": 10, "rates": 40}
+
+    def test_one_guard_call_per_attempted_step(self, small_setup, monkeypatch):
+        grid, k, dp, F = small_setup
+        calls = self.count_calls(monkeypatch)
+        cfg = RunConfig(t_final=0.1, dt=10.0, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.1)
+        rec = run(F, k, dp, cfg)
+        halvings = len(rec.events)
+        accepted = calls["rates"] // 4
+        assert halvings > 0 and accepted > 0
+        assert calls["direct"] == accepted + halvings
+        assert calls["loss"] == 4 * accepted + halvings
 
 
 class TestRunConfig:

@@ -106,19 +106,23 @@ class TestEvolveFrozen:
         assert out is CEMETERY
 
     def test_no_kernel_is_brownian_motion(self):
-        """alpha = 0: displacements over one call are exactly N(0, 2 d t)
-        per coordinate (wrap negligible for small d*t); KS at 1e5 samples."""
+        """alpha = 0: displacements over one frozen slice are exactly
+        N(0, 2 d t) per coordinate (wrap negligible for small d*t); KS at
+        1e5 trajectories advanced as one chunk."""
         grid = Grid(1, 1.0, 32)
         F = MassField.monodisperse(grid, 2)
         k = Kernel.constant(0.0, 2)
         d, t = 0.004, 0.5
         dp = DiffusionProfile.constant(d, 2)
         rng = np.random.default_rng(3)
-        start = TracerState((0.5,), 1)
-        disp = np.empty(100000)
-        for i in range(disp.size):
-            z = evolve_frozen(start, F, k, dp, t, rng)
-            disp[i] = grid.min_image(z.position[0] - 0.5)
+        size = 100000
+        pos = np.full((size, 1), 0.5)
+        mass = np.ones(size, dtype=np.int64)
+        alive = np.ones(size, dtype=bool)
+        rates = tracer._FrozenRates(k, tracer._rate_columns(k, 2, 2), F.flat())
+        tracer._advance_chunk_slice(pos, mass, alive, np.zeros(size, dtype=np.int64), rates, grid, dp, t, rng, False)
+        assert alive.all() and np.all(mass == 1)
+        disp = grid.min_image(pos[:, 0] - 0.5)
         stat = scipy.stats.kstest(disp, scipy.stats.norm(scale=np.sqrt(2 * d * t)).cdf)
         assert stat.pvalue > 1e-3
 
