@@ -22,8 +22,6 @@ from .analysis import (
 from .coagulation import (
     RateField,
     TruncationPolicy,
-    gain,
-    loss,
     reaction_rates,
     weighted_sum,
 )
@@ -54,19 +52,14 @@ from .kernels import (
     check_assumption_1_1,
     check_assumption_1_2,
     check_assumption_1_3,
-    eval_kernel,
     kinetic_kernel_from_range,
 )
 from .tracer import (
-    CEMETERY,
     ConsistencyReport,
     ThinningCounts,
     TracerEnsemble,
     TracerHistogram,
-    TracerState,
     density_consistency,
-    evolve_frozen,
-    sample_initial,
     simulate,
 )
 
@@ -74,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CEMETERY",
     "CheckResult",
     "ConsistencyReport",
     "DiffusionProfile",
@@ -92,7 +84,6 @@ __all__ = [
     "ThinningCounts",
     "TracerEnsemble",
     "TracerHistogram",
-    "TracerState",
     "TruncationPolicy",
     "check_assumption_1_1",
     "check_assumption_1_2",
@@ -104,9 +95,6 @@ __all__ = [
     "collision_budget",
     "comparison_multiplier",
     "density_consistency",
-    "eval_kernel",
-    "evolve_frozen",
-    "gain",
     "gelation_scan",
     "heat_majorant",
     "heat_step",
@@ -114,13 +102,11 @@ __all__ = [
     "initial_data_functionals",
     "kinetic_kernel_from_range",
     "linf_moment_exponent",
-    "loss",
     "moment",
     "pair_moment",
     "potential_kernel",
     "reaction_rates",
     "run",
-    "sample_initial",
     "simulate",
     "step",
     "total_mass",

@@ -47,6 +47,14 @@ log = logging.getLogger(__name__)
 # numerically empty: the domination ratio there is 0/0 at working precision.
 MAJORANT_FLOOR = 1e-9
 
+# Gelation verdict thresholds: a gel reservoir below GEL_FLOOR times the
+# initial mass counts as empty; a refinement that scales G(T) by at most
+# CONSERVING_FACTOR is a conserving trend; successive G(T) within
+# GELLING_TOLERANCE relative is a converged, gelling trend.
+GEL_FLOOR = 1e-12
+CONSERVING_FACTOR = 0.5
+GELLING_TOLERANCE = 0.10
+
 
 class HypothesisError(ValueError):
     """A monitor's hypothesis is not satisfied by the supplied data."""
@@ -82,14 +90,13 @@ class GelVerdict:
     mass_ratios: list[float]
     gel_values: list[float]
     verdict: str
-    detail: str = ""
 
     def __str__(self) -> str:
         rows = ", ".join(
             f"N={n}: I(T)/I(0)={r:.6f}, G(T)={g:.6g}"
             for n, r, g in zip(self.n_values, self.mass_ratios, self.gel_values)
         )
-        return f"{self.verdict.upper()} [{rows}] {self.detail}"
+        return f"{self.verdict.upper()} [{rows}]"
 
 
 def linf_moment_exponent(a: float, b1: float, b2: float, dim: int) -> float:
@@ -310,10 +317,6 @@ def gelation_scan(
     t_final: float,
     initial: float | np.ndarray = 1.0,
     dt: float | None = None,
-    linear_growth_c0: float | None = None,
-    gel_floor: float = 1e-12,
-    conserving_factor: float = 0.5,
-    gelling_tolerance: float = 0.10,
 ) -> GelVerdict:
     """Diagnose the conservation/gelation dichotomy by sectional refinement.
 
@@ -321,9 +324,9 @@ def gelation_scan(
     range in ``n_list`` and classifies the trend of G(T):
 
     * ``conserving`` if each refinement at least halves G(T) (or G is below
-      ``gel_floor`` times the initial mass outright);
+      ``GEL_FLOOR`` times the initial mass outright);
     * ``gelling`` if G(T) converges to a positive limit (successive change
-      below ``gelling_tolerance`` relative);
+      below ``GELLING_TOLERANCE`` relative);
     * ``inconclusive`` otherwise.
 
     A single truncation can always fake conservation, hence the refinement
@@ -354,12 +357,12 @@ def gelation_scan(
         ratios.append(rec.mass[-1] / rec.mass[0] if rec.mass[0] else 1.0)
         log.info("gelation scan N=%d: I(T)/I(0)=%.6f, G(T)=%.6g", n_max, ratios[-1], gels[-1])
     i0 = rec.mass[0] if rec.mass[0] else 1.0
-    floor = gel_floor * abs(i0)
+    floor = GEL_FLOOR * abs(i0)
     conserving = all(
-        g2 <= conserving_factor * g1 or g2 <= floor for g1, g2 in zip(gels, gels[1:])
+        g2 <= CONSERVING_FACTOR * g1 or g2 <= floor for g1, g2 in zip(gels, gels[1:])
     )
     gelling = gels[-1] > 1e3 * floor and all(
-        abs(g2 - g1) <= gelling_tolerance * abs(g2) for g1, g2 in zip(gels, gels[1:])
+        abs(g2 - g1) <= GELLING_TOLERANCE * abs(g2) for g1, g2 in zip(gels, gels[1:])
     )
     if conserving:
         verdict = "conserving"
@@ -367,17 +370,7 @@ def gelation_scan(
         verdict = "gelling"
     else:
         verdict = "inconclusive"
-    detail = ""
-    if linear_growth_c0 is not None:
-        from .kernels import _check_linear_growth
-
-        witness = _check_linear_growth(kernel, linear_growth_c0, n_list[-1])
-        detail = (
-            f"alpha <= {linear_growth_c0:g}*(n+m) holds on range"
-            if witness is None
-            else f"alpha exceeds {linear_growth_c0:g}*(n+m) first at {witness}"
-        )
-    return GelVerdict(list(n_list), ratios, gels, verdict, detail)
+    return GelVerdict(list(n_list), ratios, gels, verdict)
 
 
 def collision_budget(record: RunRecord) -> BoundReport:

@@ -318,6 +318,10 @@ def _validate(s: Scenario, path) -> None:
     if s.mode == "gelscan":
         _require(len(s.gelscan_n_list) >= 2, "gelscan.n_list", "needs at least two ranges", path)
         _require(list(s.gelscan_n_list) == sorted(s.gelscan_n_list), "gelscan.n_list", "must increase", path)
+        _require(min(s.gelscan_n_list) >= 1, "gelscan.n_list", "every range must be >= 1", path)
+        _require(s.gelscan_dt is None or s.gelscan_dt > 0, "gelscan.dt", "must be > 0", path)
+        _require(s.gelscan_t_final is None or s.gelscan_t_final >= 0, "gelscan.t_final", "must be >= 0", path)
+        _require(s.gelscan_initial >= 0, "gelscan.initial", "must be >= 0", path)
     if "gronwall" in s.monitors:
         _require(s.gronwall_delta > 0, "gronwall.delta", "must be > 0", path)
     if s.mode == "homogeneous":
@@ -664,7 +668,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = parse_config(args.config)
         if args.command == "gelscan":
+            # The command overrides the file's mode, so check the gelscan keys.
             scenario = dataclasses.replace(scenario, mode="gelscan")
+            _validate(scenario, args.config)
         return execute(scenario, out_override=args.out, workers_override=args.workers)
     except (ConfigError, HypothesisError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

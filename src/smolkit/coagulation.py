@@ -1,5 +1,8 @@
 """Reaction terms for binary coagulation: gain, loss, and mass bookkeeping.
 
+:class:`RateEvaluator` is the one rate path: it evaluates every species in
+every cell at once, and :func:`reaction_rates` is its one-field form.
+
 Conventions (ordered-pair bookkeeping, no 1/2 factors):
 
     gain_n = sum_{m=1}^{n-1} alpha(m, n-m) f_m f_{n-m}
@@ -42,8 +45,6 @@ __all__ = [
     "TruncationPolicy",
     "RateField",
     "RateEvaluator",
-    "gain",
-    "loss",
     "reaction_rates",
     "weighted_sum",
 ]
@@ -205,36 +206,6 @@ class RateEvaluator:
         else:
             flux = np.einsum("nc,nc->c", flat, self._gel_matrix @ flat)
         return Q, flux
-
-
-def gain(F: MassField, kernel: Kernel, n: int) -> np.ndarray:
-    """Per-cell creation rate of mass-n clusters from ordered splits m + (n-m)."""
-    if not 1 <= n <= F.n_max:
-        raise IndexError(f"species {n} outside 1..{F.n_max}")
-    if n == 1:
-        return np.zeros(F.grid.shape)
-    flat = F.flat()
-    m = np.arange(1, n)
-    w = kernel.dense(F.n_max)[m - 1, n - m - 1]
-    out = np.einsum("m,mc,mc->c", w, flat[m - 1], flat[n - m - 1])
-    return out.reshape(F.grid.shape)
-
-
-def loss(F: MassField, kernel: Kernel, n: int, policy: TruncationPolicy) -> np.ndarray:
-    """Per-cell destruction rate of mass-n clusters.
-
-    The partner sum runs to n_max - n under cutoff (pairs that would
-    overflow the range never react) and to n_max under the gel reservoir.
-    """
-    if not 1 <= n <= F.n_max:
-        raise IndexError(f"species {n} outside 1..{F.n_max}")
-    m_top = policy.n_max - n if policy.kind == CUTOFF else policy.n_max
-    if m_top < 1:
-        return np.zeros(F.grid.shape)
-    flat = F.flat()
-    w = kernel.dense(F.n_max)[n - 1, :m_top]
-    out = 2.0 * flat[n - 1] * (w @ flat[:m_top])
-    return out.reshape(F.grid.shape)
 
 
 def reaction_rates(F: MassField, kernel: Kernel, policy: TruncationPolicy) -> RateField:

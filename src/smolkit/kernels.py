@@ -23,7 +23,6 @@ __all__ = [
     "DiffusionProfile",
     "RangeProfile",
     "CheckResult",
-    "eval_kernel",
     "kinetic_kernel_from_range",
     "check_assumption_1_1",
     "check_assumption_1_2",
@@ -259,11 +258,6 @@ class Kernel:
             return self.table[:, self.n_max - 1]
         idx = np.arange(1, self.n_max + 1)
         return np.asarray(self._closure(idx, m), dtype=float)
-
-
-def eval_kernel(kernel: Kernel, n: int, m: int) -> float:
-    """Coagulation rate alpha(n, m); symmetric in its arguments."""
-    return kernel.eval(n, m)
 
 
 def _require_symmetric(table: np.ndarray, rtol: float = 1e-12) -> None:

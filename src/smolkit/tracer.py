@@ -22,6 +22,8 @@ proposal time.  Field values at the tracer position are nearest-cell
 lookups, matching the histogram binning so that no interpolation mismatch
 enters the density comparison.
 
+:func:`simulate` is the one stepping path; one trajectory is an ensemble
+of count one, and dead tracers are a per-histogram ``cemetery`` count.
 Ensembles are simulated in fixed-size chunks, each owning a counter-based
 RNG substream keyed by (seed, chunk index); chunk results merge in fixed
 order, so outputs are bit-identical for any worker count.
@@ -45,14 +47,10 @@ from .field import MassField
 from .kernels import DiffusionProfile, Kernel
 
 __all__ = [
-    "CEMETERY",
-    "TracerState",
     "TracerEnsemble",
     "TracerHistogram",
     "ThinningCounts",
     "ConsistencyReport",
-    "sample_initial",
-    "evolve_frozen",
     "simulate",
     "density_consistency",
 ]
@@ -64,30 +62,6 @@ CHUNK_SIZE = 8192
 # z-scores are only reported for bins whose expected count is at least this
 # (the binomial normal approximation is meaningless on near-empty bins).
 Z_MIN_EXPECTED = 10.0
-
-
-class _Cemetery:
-    """Absorbing state for tracers that fail a mass transition."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "CEMETERY"
-
-
-CEMETERY = _Cemetery()
-
-
-@dataclass(frozen=True)
-class TracerState:
-    """Live tracer: position on the torus and integer mass."""
-
-    position: tuple[float, ...]
-    mass: int
-
-    def __post_init__(self):
-        if self.mass < 1:
-            raise ValueError("tracer mass must be >= 1")
 
 
 @dataclass
@@ -219,48 +193,6 @@ def _cell_index(pos: np.ndarray, grid) -> np.ndarray:
     for ax in range(1, grid.dim):
         flat = flat * m + idx[:, ax]
     return flat
-
-
-def sample_initial(F0: MassField, rng: np.random.Generator) -> TracerState:
-    """Draw one tracer from the initial field.
-
-    The mass law weights species by their number integrals; the position,
-    conditional on the mass, follows that species' density (uniform within
-    the chosen cell).  This is a one-trajectory call of the chunk sampler.
-    """
-    mass_cdf, row_cum = _initial_law(F0)
-    pos, mass = _sample_chunk_initial(mass_cdf, row_cum, F0.grid, 1, rng)
-    return TracerState(position=tuple(pos[0]), mass=int(mass[0]))
-
-
-def evolve_frozen(
-    z: TracerState | _Cemetery,
-    F_frozen: MassField,
-    kernel: Kernel,
-    dp: DiffusionProfile,
-    dt: float,
-    rng: np.random.Generator,
-    immortal: bool = False,
-) -> TracerState | _Cemetery:
-    """Advance one tracer over [0, dt] with the field held frozen.
-
-    Exact for any dt: the thinning clock iterates within the interval, so
-    no smallness condition on dt is needed for correctness.  This is a
-    one-trajectory call of the chunk stepper; its table starts at the
-    sectional range and grows past it as a chunk's does.
-    """
-    if z is CEMETERY or isinstance(z, _Cemetery):
-        return CEMETERY
-    n_max = F_frozen.n_max
-    rates = _FrozenRates(kernel, _rate_columns(kernel, n_max, n_max), F_frozen.flat())
-    pos = np.array([z.position], dtype=float)
-    mass = np.array([z.mass], dtype=np.int64)
-    alive = np.ones(1, dtype=bool)
-    collisions = np.zeros(1, dtype=np.int64)
-    _advance_chunk_slice(pos, mass, alive, collisions, rates, F_frozen.grid, dp, float(dt), rng, immortal)
-    if not alive[0]:
-        return CEMETERY
-    return TracerState(position=tuple(pos[0]), mass=int(mass[0]))
 
 
 def _advance_chunk_slice(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import smolkit as sk
+from oracles import fine_rk4_constant_kernel
 from smolkit.cli import execute, parse_config
 
 
@@ -41,27 +42,6 @@ def sum_kernel_run():
     return sk.run(F0, kernel, dp, cfg), kernel, dp, grid, F0
 
 
-def fine_reference_constant_kernel(n_max, t_final, dt):
-    """Untruncated-in-spirit reference for the constant kernel, written from
-    the definitions: gain is the self-convolution, loss is 2 c_n * prefix."""
-    c = np.zeros(n_max)
-    c[0] = 1.0
-
-    def rhs(c):
-        gain = np.concatenate(([0.0], np.convolve(c, c)[: n_max - 1]))
-        prefix = np.concatenate(([0.0], np.cumsum(c)))
-        partners = prefix[np.maximum(n_max - 1 - np.arange(n_max), 0)]
-        return gain - 2.0 * c * partners
-
-    for _ in range(int(round(t_final / dt))):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return c
-
-
 # -- criteria ------------------------------------------------------------
 
 
@@ -71,7 +51,7 @@ def test_criterion_1_constant_kernel_exact_solution():
     n_max = 64
     n = np.arange(1, n_max + 1)
     exact = 1.0 / 2.0 ** (n + 1)  # t = 1
-    oracle = fine_reference_constant_kernel(n_max, 1.0, 1e-5)
+    oracle = fine_rk4_constant_kernel(n_max, 1.0, 1e-4)
     cross = np.abs(oracle[:20] - exact[:20]) / exact[:20]
     assert cross.max() < 1e-8, "closed form disagrees with the fine-step oracle"
 

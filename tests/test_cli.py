@@ -176,6 +176,24 @@ gelscan.t_final = 0.5
         assert table[1] == "n_max,mass_ratio,gel"
         assert len(table) == 4
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("gelscan.n_list = 32,16", "gelscan.n_list"),
+            ("gelscan.n_list = 0,8", "gelscan.n_list"),
+            ("gelscan.dt = -0.1", "gelscan.dt"),
+            ("gelscan.t_final = -1", "gelscan.t_final"),
+            ("gelscan.initial = -1", "gelscan.initial"),
+        ],
+    )
+    def test_gelscan_command_validates_gelscan_keys(self, tmp_path, capsys, line, key):
+        """``smolkit gelscan`` on a config whose own mode is homogeneous
+        still checks the gelscan keys, and the error names file and key."""
+        p = write(tmp_path, MINIMAL + line + "\n")
+        assert main(["gelscan", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {p}: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_pde_mode_runs_heat_majorant_monitor(self, tmp_path):
         s = parse_config(write(tmp_path, PDE))
         assert s.mode == "pde" and "heat_majorant" in s.monitors

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fine_rk4_constant_kernel
 from smolkit.coagulation import TruncationPolicy
 from smolkit.field import Grid, MassField
 from smolkit.integrator import (
@@ -29,36 +30,13 @@ def constant_kernel_exact(n, t):
     return t ** (n - 1) / (1 + t) ** (n + 1)
 
 
-def fine_rk4_reference(n_max, t_final, dt):
-    """Independent fixed-step integration of the truncated constant-kernel
-    system, written directly from the gain/loss definitions (the gain of a
-    unit kernel is the self-convolution; cutoff losses stop at n_max - n)."""
-    c = np.zeros(n_max)
-    c[0] = 1.0
-
-    def rhs(c):
-        gain = np.concatenate(([0.0], np.convolve(c, c)[: n_max - 1]))
-        prefix = np.concatenate(([0.0], np.cumsum(c)))
-        partners = prefix[np.maximum(n_max - 1 - np.arange(n_max), 0)]
-        return gain - 2.0 * c * partners
-
-    steps = int(round(t_final / dt))
-    for _ in range(steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return c
-
-
 class TestHomogeneousRun:
     def test_closed_form_cross_checked_against_fine_steps(self):
         """The closed form solves the untruncated system; a fine-step
         integration of the truncated one must agree wherever truncation
         cannot reach (low species, short horizon, generous range)."""
         n_max, t = 48, 0.3
-        ref = fine_rk4_reference(n_max, t, 1e-4)
+        ref = fine_rk4_constant_kernel(n_max, t, 1e-4)
         exact = constant_kernel_exact(np.arange(1, n_max + 1), t)
         np.testing.assert_allclose(ref[:12], exact[:12], rtol=1e-9)
 

@@ -15,7 +15,6 @@ from smolkit.kernels import (
     check_assumption_1_1,
     check_assumption_1_2,
     check_assumption_1_3,
-    eval_kernel,
     kinetic_kernel_from_range,
 )
 
@@ -23,27 +22,27 @@ from smolkit.kernels import (
 class TestEvalKernel:
     def test_sum_kernel_value(self):
         k = Kernel.sum_kernel(1.0, 16)
-        assert eval_kernel(k, 2, 3) == 5.0
+        assert k.eval(2, 3) == 5.0
 
     def test_constant_kernel_value(self):
         k = Kernel.constant(1.0, 16)
-        assert eval_kernel(k, 7, 9) == 1.0
+        assert k.eval(7, 9) == 1.0
 
     def test_two_exponent_value(self):
         """alpha(4,4) = 2 * 4^1.5 = 16 for a = b = 0.75."""
         k = Kernel.two_exponent(0.75, 0.75, 16)
-        assert eval_kernel(k, 4, 4) == pytest.approx(16.0, rel=1e-14)
+        assert k.eval(4, 4) == pytest.approx(16.0, rel=1e-14)
 
     def test_product_kernel_is_multiplicative_at_a1(self):
         k = Kernel.product(1.0, 8)
-        assert eval_kernel(k, 3, 5) == 15.0
+        assert k.eval(3, 5) == 15.0
 
     def test_out_of_range_raises(self):
         k = Kernel.constant(1.0, 8)
         with pytest.raises(KernelRangeError):
-            eval_kernel(k, 0, 3)
+            k.eval(0, 3)
         with pytest.raises(KernelRangeError):
-            eval_kernel(k, 1, 9)
+            k.eval(1, 9)
 
     @pytest.mark.parametrize(
         "k",
@@ -66,14 +65,14 @@ class TestKineticKernelFromRange:
         dp = DiffusionProfile.constant(1.0, 8)
         rp = RangeProfile(exponent=1.0)
         k = kinetic_kernel_from_range(dp, rp, 3, 1.0)
-        assert eval_kernel(k, 1, 1) == pytest.approx(4.0)
+        assert k.eval(1, 1) == pytest.approx(4.0)
 
     def test_ballistic_profile_value(self):
         """d(n) = 1/n, r(n) = n^(1/3), dim 3: alpha(1,8) = (1+1/8)(1+2) = 3.375."""
         dp = DiffusionProfile.power_law(1.0, 1.0, 8)
         rp = RangeProfile(exponent=1.0 / 3.0)
         k = kinetic_kernel_from_range(dp, rp, 3, 1.0)
-        assert eval_kernel(k, 1, 8) == pytest.approx(3.375, rel=1e-13)
+        assert k.eval(1, 8) == pytest.approx(3.375, rel=1e-13)
 
     def test_symmetry_sweep(self):
         dp = DiffusionProfile.power_law(1.0, 0.5, 32)
@@ -241,10 +240,10 @@ class TestAssumption13:
         dp = DiffusionProfile.constant(1.0, 16)
         res = check_assumption_1_3(k, dp, 1.0)
         assert not res.passed
-        assert eval_kernel(k, 4, 4) == pytest.approx(16.0)  # > c0*(4+4) = 8
+        assert k.eval(4, 4) == pytest.approx(16.0)  # > c0*(4+4) = 8
         kind, n, m = res.witness
         assert kind == "growth"
-        assert eval_kernel(k, n, m) > 1.0 * (n + m)
+        assert k.eval(n, m) > 1.0 * (n + m)
 
 
 class TestDiffusionProfile:
@@ -290,7 +289,7 @@ class TestCustomTables:
                 rows.append(f"{n},{m},{n * m + 0.5}")
         path.write_text("\n".join(rows) + "\n")
         k = Kernel.from_csv(path, 3)
-        assert eval_kernel(k, 1, 3) == eval_kernel(k, 3, 1) == 3.5
+        assert k.eval(1, 3) == k.eval(3, 1) == 3.5
 
     def test_csv_missing_pair_rejected(self, tmp_path):
         path = tmp_path / "k.csv"
@@ -309,7 +308,7 @@ class TestLargeRanges:
         dense block can still be materialized on demand."""
         k = Kernel.sum_kernel(1.0, 2048)
         assert k.table is None
-        assert eval_kernel(k, 2000, 48) == 2048.0
+        assert k.eval(2000, 48) == 2048.0
         block = k.dense(8)
         assert block.shape == (8, 8)
         assert block[0, 0] == 2.0

@@ -19,13 +19,9 @@ from smolkit.diffusion import heat_step
 from smolkit.field import Grid, MassField, MomentSpec, moment
 from smolkit.kernels import DiffusionProfile, Kernel
 from smolkit.tracer import (
-    CEMETERY,
     ThinningCounts,
     TracerEnsemble,
-    TracerState,
     density_consistency,
-    evolve_frozen,
-    sample_initial,
     simulate,
 )
 
@@ -64,11 +60,26 @@ def uniform_field():
     return F
 
 
+def initial_histogram(F, count, seed):
+    """Histogram of ``count`` tracers drawn from F, before any step."""
+    k = Kernel.constant(1.0, F.n_max)
+    dp = DiffusionProfile.constant(0.1, F.n_max)
+    out = simulate([F], k, dp, TracerEnsemble(count=count, seed=seed), 1.0, histogram_times=[0.0])
+    return out.histograms[0]
+
+
+def one_frozen_slice(F, k, dp, t, count, seed, immortal=False):
+    """Histogram of ``count`` tracers after one frozen slice of length t."""
+    ens = TracerEnsemble(count=count, seed=seed, immortal=immortal)
+    return simulate([F], k, dp, ens, t).histograms[0]
+
+
 class TestSampleInitial:
+    """The initial law, read off a histogram at time 0."""
+
     def test_monodisperse_always_mass_one(self, uniform_field):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert sample_initial(uniform_field, rng).mass == 1
+        h = initial_histogram(uniform_field, 50, seed=0)
+        assert h.counts[0].sum() == 50
 
     def test_mass_law_follows_number_integrals(self):
         """Number integrals 1 and 3 give P(mass 2) = 3/4."""
@@ -76,34 +87,29 @@ class TestSampleInitial:
         F = MassField.zeros(grid, 2)
         F.data[0] = 1.0
         F.data[1] = 3.0
-        rng = np.random.default_rng(1)
         n = 40000
-        hits = sum(sample_initial(F, rng).mass == 2 for _ in range(n))
+        hits = initial_histogram(F, n, seed=1).counts[1].sum()
         p = hits / n
         assert abs(p - 0.75) <= 3 * np.sqrt(0.75 * 0.25 / n)
 
     def test_concentrated_species_fixes_position(self):
+        """Histogram cells are containing cells, so every tracer lies in
+        [5h, 6h)."""
         grid = Grid(1, 1.0, 16)
         F = MassField.zeros(grid, 1)
         F.data[0, 5] = 2.0
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            z = sample_initial(F, rng)
-            assert 5 * grid.h <= z.position[0] < 6 * grid.h
+        h = initial_histogram(F, 30, seed=2)
+        assert h.counts[0, 5] == 30
 
     def test_empty_field_rejected(self):
         grid = Grid(1, 1.0, 8)
         F = MassField.zeros(grid, 2)
         with pytest.raises(ValueError, match="empty"):
-            sample_initial(F, np.random.default_rng(0))
+            initial_histogram(F, 1, seed=0)
 
 
 class TestEvolveFrozen:
-    def test_cemetery_is_absorbing(self, uniform_field):
-        dp = DiffusionProfile.constant(0.1, 4)
-        k = Kernel.constant(1.0, 4)
-        out = evolve_frozen(CEMETERY, uniform_field, k, dp, 0.5, np.random.default_rng(0))
-        assert out is CEMETERY
+    """One frozen slice of the chunk stepper."""
 
     def test_no_kernel_is_brownian_motion(self):
         """alpha = 0: displacements over one frozen slice are exactly
@@ -136,12 +142,9 @@ class TestEvolveFrozen:
         F.data[0] = c
         k = Kernel.from_function(lambda n, m: gamma if n == m == 1 else 0.0, 2)
         dp = DiffusionProfile.constant(0.1, 2)
-        rng = np.random.default_rng(4)
         n = 20000
-        counts = {1: 0, 2: 0, "cem": 0}
-        for _ in range(n):
-            z = evolve_frozen(TracerState((0.5,), 1), F, k, dp, t, rng)
-            counts["cem" if z is CEMETERY else z.mass] += 1
+        h = one_frozen_slice(F, k, dp, t, n, seed=4)
+        counts = {1: h.counts[0].sum(), 2: h.counts[1].sum(), "cem": h.cemetery}
         p1 = np.exp(-2 * gamma * c * t)
         expected = {1: p1, 2: 0.5 * (1 - p1), "cem": 0.5 * (1 - p1)}
         for key, p in expected.items():
@@ -151,10 +154,8 @@ class TestEvolveFrozen:
     def test_immortal_never_dies(self, uniform_field):
         k = Kernel.constant(5.0, 4)
         dp = DiffusionProfile.constant(0.1, 4)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            z = evolve_frozen(TracerState((0.3,), 1), uniform_field, k, dp, 1.0, rng, immortal=True)
-            assert z is not CEMETERY
+        h = one_frozen_slice(uniform_field, k, dp, 1.0, 200, seed=5, immortal=True)
+        assert h.cemetery == 0
 
 
 class TestSimulate:
