@@ -344,7 +344,13 @@ def gelation_scan(
         state = MassField(Grid.point(), c)
         policy = TruncationPolicy.gel_reservoir(n_max)
         lam0 = float(RateEvaluator(kernel, policy).loss_coefficients(state.flat()).max())
-        dt_n = dt if dt is not None else (0.8 * STABILITY_LIMIT / lam0 if lam0 > 0 else t_final / 100.0)
+        if dt is not None:
+            dt_n = dt
+        elif lam0 > 0:
+            dt_n = 0.8 * STABILITY_LIMIT / lam0
+        else:
+            # No reaction at all; any positive step will do, also at t_final = 0.
+            dt_n = t_final / 100.0 if t_final > 0 else 1.0
         cfg = RunConfig(
             t_final=t_final,
             dt=min(dt_n, t_final) if t_final > 0 else dt_n,

@@ -662,7 +662,10 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("run", "gelscan"):
         p = sub.add_parser(name)
         p.add_argument("config", help="scenario file")
-        p.add_argument("--workers", type=int, default=None, help="parallelism cap (results unchanged)")
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="tracer worker processes, at most one per chunk (outputs bit-identical for any N)",
+        )
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     try:

@@ -25,25 +25,27 @@ enters the density comparison.
 :func:`simulate` is the one stepping path; one trajectory is an ensemble
 of count one, and dead tracers are a per-histogram ``cemetery`` count.
 Ensembles are simulated in fixed-size chunks, each owning a counter-based
-RNG substream keyed by (seed, chunk index); chunk results merge in fixed
-order, so outputs are bit-identical for any worker count.
+RNG substream keyed by (seed, chunk index).  With ``workers > 1`` the chunks
+run in forked worker processes (numpy-heavy chunk loops hold the GIL, so
+threads would not run them in parallel); chunk results merge in chunk order,
+so outputs are bit-identical for any worker count.
 
 The attempt-rate tables are built once per simulation, before any chunk
 runs: the kernel columns once, and one rate table per frozen slice.  Every
 chunk reads them and none writes them (their arrays are read-only).  A
 chunk whose tracers outgrow a table's mass range builds a private, larger
 table for the rest of that slice, so growth never touches shared state and
-cannot depend on how chunks are scheduled.
+cannot depend on how chunks are scheduled or which process runs them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import MassField
+from .field import Grid, MassField
 from .kernels import DiffusionProfile, Kernel
 
 __all__ = [
@@ -308,6 +310,66 @@ def _sample_chunk_initial(
     return pos, mass
 
 
+@dataclass(frozen=True)
+class _ChunkTask:
+    """Everything a chunk reads: shared tables, schedule, initial law.
+
+    Built once per :func:`simulate` call and never written; worker processes
+    receive it through the fork.
+    """
+
+    slice_rates: list[_FrozenRates]
+    marks: dict[int, float]
+    grid: Grid
+    dp: DiffusionProfile
+    slice_dt: float
+    seed: int
+    count: int
+    chunk_size: int
+    immortal: bool
+    mass_cdf: np.ndarray
+    row_cum: np.ndarray
+    n_max: int
+
+
+_ChunkResult = tuple[list[TracerHistogram], np.ndarray, ThinningCounts]
+
+
+def _run_chunk(task: _ChunkTask, chunk_index: int) -> _ChunkResult:
+    """Simulate chunk ``chunk_index`` on its own RNG substream."""
+    rng = _chunk_rng(task.seed, chunk_index)
+    lo = chunk_index * task.chunk_size
+    n_traj = min(task.chunk_size, task.count - lo)
+    grid, marks, n_max = task.grid, task.marks, task.n_max
+    pos, mass = _sample_chunk_initial(task.mass_cdf, task.row_cum, grid, n_traj, rng)
+    alive = np.ones(n_traj, dtype=bool)
+    collisions = np.zeros(n_traj, dtype=np.int64)
+    thinning = ThinningCounts()
+    hists = []
+    if 0 in marks:
+        hists.append(_histogram_from_state(pos, mass, alive, n_max, grid, marks[0], n_traj))
+    for i, rates in enumerate(task.slice_rates):
+        thinning += _advance_chunk_slice(
+            pos, mass, alive, collisions, rates, grid, task.dp, task.slice_dt, rng, task.immortal
+        )
+        if i + 1 in marks:
+            hists.append(_histogram_from_state(pos, mass, alive, n_max, grid, marks[i + 1], n_traj))
+    return hists, np.bincount(collisions), thinning
+
+
+# The task of a pool worker process, set once by the pool's initializer.
+_TASK: _ChunkTask | None = None
+
+
+def _install_task(task: _ChunkTask) -> None:
+    global _TASK
+    _TASK = task
+
+
+def _run_installed_chunk(chunk_index: int) -> _ChunkResult:
+    return _run_chunk(_TASK, chunk_index)
+
+
 def simulate(
     F_timeline: list[MassField],
     kernel: Kernel,
@@ -321,8 +383,13 @@ def simulate(
 
     ``F_timeline[i]`` governs the slice [i*slice_dt, (i+1)*slice_dt);
     trajectories start from ``F_timeline[0]``.  Histograms are recorded at
-    the requested times, which must land on slice boundaries.  Results are
-    bit-identical for fixed (seed, count) regardless of ``workers``.
+    the requested times, which must land on slice boundaries.
+
+    With ``workers > 1`` and more than one chunk, the chunks run in
+    ``min(workers, n_chunks)`` forked worker processes, which inherit the
+    shared tables through the fork; where ``fork`` is unavailable they run
+    in this process.  Results are bit-identical for fixed (seed, count)
+    regardless of ``workers``.
     """
     if slice_dt <= 0:
         raise ValueError("slice_dt must be > 0")
@@ -343,34 +410,31 @@ def simulate(
     mass_cdf, row_cum = _initial_law(F_timeline[0])
     # Shared, read-only tables: kernel columns once, one rate table per slice.
     A = _rate_columns(kernel, n_max, 2 * n_max)
-    slice_rates = [_FrozenRates(kernel, A, F.flat()) for F in F_timeline]
-
-    def run_chunk(chunk_index: int) -> tuple[list[TracerHistogram], np.ndarray, ThinningCounts]:
-        seed, ci = ensemble.chunk_keys()[chunk_index]
-        rng = _chunk_rng(seed, ci)
-        lo = chunk_index * ensemble.chunk_size
-        n_traj = min(ensemble.chunk_size, ensemble.count - lo)
-        pos, mass = _sample_chunk_initial(mass_cdf, row_cum, grid, n_traj, rng)
-        alive = np.ones(n_traj, dtype=bool)
-        collisions = np.zeros(n_traj, dtype=np.int64)
-        thinning = ThinningCounts()
-        hists = []
-        if 0 in marks:
-            hists.append(_histogram_from_state(pos, mass, alive, n_max, grid, marks[0], n_traj))
-        for i, rates in enumerate(slice_rates):
-            thinning += _advance_chunk_slice(
-                pos, mass, alive, collisions, rates, grid, dp, slice_dt, rng, ensemble.immortal
-            )
-            if i + 1 in marks:
-                hists.append(_histogram_from_state(pos, mass, alive, n_max, grid, marks[i + 1], n_traj))
-        return hists, np.bincount(collisions), thinning
-
+    task = _ChunkTask(
+        slice_rates=[_FrozenRates(kernel, A, F.flat()) for F in F_timeline],
+        marks=marks,
+        grid=grid,
+        dp=dp,
+        slice_dt=slice_dt,
+        seed=ensemble.seed,
+        count=ensemble.count,
+        chunk_size=ensemble.chunk_size,
+        immortal=ensemble.immortal,
+        mass_cdf=mass_cdf,
+        row_cum=row_cum,
+        n_max=n_max,
+    )
     n_chunks = len(ensemble.chunk_keys())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
+    if workers > 1 and n_chunks > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Named explicitly: the default start method differs across Python
+        # versions, and only fork hands the task over without pickling it.
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(workers, n_chunks), initializer=_install_task, initargs=(task,)) as pool:
+            results = pool.map(_run_installed_chunk, range(n_chunks), chunksize=1)
+            pool.close()
+            pool.join()
     else:
-        results = [run_chunk(i) for i in range(n_chunks)]
+        results = [_run_chunk(task, i) for i in range(n_chunks)]
 
     merged: list[TracerHistogram] = []
     mark_items = sorted(marks.items())

@@ -176,6 +176,14 @@ gelscan.t_final = 0.5
         assert table[1] == "n_max,mass_ratio,gel"
         assert len(table) == 4
 
+    def test_gelscan_zero_data_at_time_zero(self, tmp_path, capsys):
+        """No reaction and no time: the fallback step must still be positive."""
+        p = write(tmp_path, MINIMAL + "gelscan.initial = 0\ngelscan.t_final = 0\n")
+        assert main(["gelscan", str(p), "--out", str(tmp_path / "out")]) == 0
+        assert "error" not in capsys.readouterr().err
+        table = (tmp_path / "out" / "gelscan.csv").read_text().splitlines()
+        assert table[2:] == ["64,1.0,0.0", "128,1.0,0.0", "256,1.0,0.0"]
+
     @pytest.mark.parametrize(
         "line, key",
         [
@@ -235,13 +243,43 @@ tracer.slices = 8
             })
         assert outs[0] == outs[1]
 
+    # A Gaussian blob under the sum kernel with d(n) = 0.05 n^(-1/2): the
+    # field varies in space, so the thinning rejects proposals.  20000
+    # tracers make three chunks.
+    REJECTING = """
+name = det-blob
+mode = tracer
+seed = 5
+kernel.kind = sum
+kernel.c0 = 1.0
+diffusion.kind = power_law
+diffusion.r2 = 0.05
+diffusion.b2 = 0.5
+grid.dim = 1
+grid.length = 1.0
+grid.cells = 32
+initial.kind = gaussian_blob
+initial.amplitude = 1.0
+initial.width = 0.1
+run.n_max = 24
+run.t_final = 0.1
+run.dt = 0.005
+tracer.count = 20000
+tracer.slices = 4
+"""
+
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_count_does_not_change_bytes(self, tmp_path, workers):
-        s = parse_config(write(tmp_path, self.TRACER))
-        execute(s, out_override=str(tmp_path / "w1"), workers_override=1)
-        execute(s, out_override=str(tmp_path / "wN"), workers_override=workers)
-        for name in ("series.csv", "histogram.csv", "summary.csv", "report.txt"):
-            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "wN" / name).read_bytes()
+        for tag, text in (("uniform", self.TRACER), ("rejecting", self.REJECTING)):
+            s = parse_config(write(tmp_path, text))
+            w1, wn = tmp_path / tag / "w1", tmp_path / tag / "wN"
+            execute(s, out_override=str(w1), workers_override=1)
+            execute(s, out_override=str(wn), workers_override=workers)
+            for name in ("series.csv", "histogram.csv", "summary.csv", "report.txt"):
+                assert (w1 / name).read_bytes() == (wn / name).read_bytes(), (tag, name)
+        report = (tmp_path / "rejecting" / "w1" / "report.txt").read_text()
+        rate = float(report.split("(acceptance rate ")[1].split(")")[0])
+        assert rate < 1.0
 
     def test_report_counts_thinning(self, tmp_path):
         s = parse_config(write(tmp_path, self.TRACER))

@@ -7,6 +7,8 @@ that generator provides the expected occupation law for 3-sigma tests.
 """
 
 import hashlib
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -288,8 +290,10 @@ class TestSharedRateTables:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_growth_histograms_match_per_chunk_rebuilds(self, workers):
-        # A short switch interval interleaves the chunk threads finely, so
-        # a write to a shared table would show up as a changed digest.
+        # Chunks run in worker processes, where a write to a shared table
+        # would stay private to one worker and no switch interval applies;
+        # the short interval still interleaves any threads of this process
+        # finely, so the digest pins the output against every scheduling.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -300,7 +304,9 @@ class TestSharedRateTables:
         assert out.thinning.extensions > 0
         assert ensemble_digest(out) == self.GROWTH_SHA256
 
-    def test_shared_tables_built_once_and_unchanged(self, monkeypatch):
+    @staticmethod
+    def record_tables(monkeypatch):
+        """Record every rate table built in this process, with a snapshot."""
         built = []
 
         class Recording(tracer._FrozenRates):
@@ -310,15 +316,84 @@ class TestSharedRateTables:
                 built.append(self)
 
         monkeypatch.setattr(tracer, "_FrozenRates", Recording)
-        out = self.growth_scenario(workers=2)
+        return built
+
+    @staticmethod
+    def assert_unchanged(tables):
+        for t in tables:
+            for arr, snap in zip((t.A, t.lam, t.lam_bar), t.snapshot):
+                assert not arr.flags.writeable
+                assert np.array_equal(arr, snap)
+
+    def test_shared_tables_built_once_and_unchanged(self, monkeypatch):
+        # In-process, so the recording also sees the chunk-local tables
+        # (worker processes build theirs where this process cannot see them).
+        built = self.record_tables(monkeypatch)
+        out = self.growth_scenario(workers=1)
         shared = [t for t in built if t.cap == 8]
         local = [t for t in built if t.cap > 8]
         assert len(shared) == 4  # one per slice, not one per (chunk, slice)
         assert len(local) == out.thinning.extensions
-        for t in built:
-            for arr, snap in zip((t.A, t.lam, t.lam_bar), t.snapshot):
-                assert not arr.flags.writeable
-                assert np.array_equal(arr, snap)
+        self.assert_unchanged(built)
+
+    def test_worker_processes_leave_shared_tables_unchanged(self, monkeypatch):
+        built = self.record_tables(monkeypatch)
+        out = self.growth_scenario(workers=2)
+        assert len([t for t in built if t.cap == 8]) == 4
+        self.assert_unchanged(built)
+        assert ensemble_digest(out) == self.GROWTH_SHA256
+
+    def test_process_count_is_capped_by_chunks(self, monkeypatch):
+        """``workers`` far above the chunk count starts one process per
+        chunk; a fake pool records the count and maps in this process."""
+        seen = []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                seen.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return [fn(i) for i in iterable]
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", FakePool)
+        monkeypatch.setattr(tracer, "_TASK", None)
+        monkeypatch.setattr(os, "fork", self.no_fork)
+        out = self.three_chunks(workers=10_000)
+        assert seen == [3]
+        assert ensemble_digest(out) == ensemble_digest(self.three_chunks(workers=1))
+
+    def test_without_fork_chunks_run_in_process(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "fork", self.no_fork)
+        out = self.three_chunks(workers=8)
+        assert ensemble_digest(out) == ensemble_digest(self.three_chunks(workers=1))
+
+    @staticmethod
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    @staticmethod
+    def three_chunks(workers):
+        grid = Grid(1, 1.0, 4)
+        F = MassField.zeros(grid, 4)
+        F.data[:] = 1.0
+        k = Kernel.constant(1.0, 4)
+        dp = DiffusionProfile.constant(0.05, 4)
+        ens = TracerEnsemble(count=250, seed=3, chunk_size=100)
+        return simulate([F] * 2, k, dp, ens, 0.1, workers=workers)
 
     def test_thinning_counts_do_not_depend_on_workers(self):
         grid = Grid(1, 1.0, 16)
