@@ -14,6 +14,14 @@ Commands::
 Exit codes: 0 all monitors pass, 2 a monitor failed, 1 configuration,
 hypothesis, or runtime error.  The default output directory is
 ``$SMOLKIT_OUT/<name>`` (or ``./smolkit-out/<name>``).
+
+``execute`` hands a scenario to one handler per mode, ``_gelscan`` or
+``_solve`` (pde, homogeneous and tracer; tracer mode adds ``_tracer``), and
+writes the report lines they return.  ``build_run`` is the one place a
+solver run is constructed: the main run and every moment-plateau refinement
+(the scenario at ``n_max * 2**k``, same dt and stride) come from it, and the
+gronwall monitor reruns the main run's build on perturbed data.  Homogeneous
+mode is the same run on ``Grid.point()``.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .analysis import (
 )
 from .coagulation import TruncationPolicy
 from .field import Grid, MassField
-from .integrator import RunConfig, RunRecord, homogeneous_run, run
+from .integrator import RunConfig, RunRecord, homogeneous_run, run  # noqa: F401 (perfbench wraps cli.homogeneous_run)
 from .kernels import DiffusionProfile, Kernel, RangeProfile, kinetic_kernel_from_range
 from .tracer import TracerEnsemble, density_consistency, simulate
 
@@ -292,6 +300,8 @@ def _validate(s: Scenario, path) -> None:
     _require(s.dt > 0, "run.dt", "must be > 0", path)
     _require(s.t_final >= 0, "run.t_final", "must be >= 0", path)
     _require(s.output_stride is None or s.output_stride > 0, "run.output_stride", "must be > 0", path)
+    _require(len(set(s.moments)) == len(s.moments), "run.moments", "must not repeat an exponent", path)
+    _require(len(set(s.pair_moments)) == len(s.pair_moments), "run.pair_moments", "must not repeat an exponent", path)
     _require(s.initial_amplitude >= 0, "initial.amplitude", "must be >= 0", path)
     _require(1 <= s.initial_species <= s.n_max, "initial.species", "must lie in 1..n_max", path)
     _require(s.grid_dim in (1, 2, 3), "grid.dim", "must be 1, 2 or 3", path)
@@ -375,10 +385,6 @@ def build_diffusion(s: Scenario) -> DiffusionProfile:
     return DiffusionProfile.from_table(values[:n])
 
 
-def build_grid(s: Scenario) -> Grid:
-    return Grid(s.grid_dim, s.grid_length, s.grid_cells)
-
-
 def build_initial_field(s: Scenario, grid: Grid) -> MassField:
     if s.initial_kind == "monodisperse":
         f = MassField.zeros(grid, s.n_max)
@@ -392,22 +398,36 @@ def build_initial_field(s: Scenario, grid: Grid) -> MassField:
     return read_field_csv(s.initial_table, grid, s.n_max)
 
 
-def build_run_config(s: Scenario, **overrides) -> RunConfig:
-    policy = TruncationPolicy(s.policy, s.n_max)
-    base = dict(
-        t_final=s.t_final,
-        dt=s.dt,
-        policy=policy,
-        splitting=s.splitting,
-        output_stride=s.output_stride,
-        moment_exponents=tuple(s.moments),
-        pair_moment_exponents=tuple(s.pair_moments),
-        record_fields=s.record_fields,
-        track_majorant=s.track_majorant,
-        auto_halve=s.auto_halve,
+def build_run_config(s: Scenario) -> RunConfig:
+    """Integration parameters of a scenario's solver run, monitors and tracer included."""
+    moments, pair_moments = tuple(s.moments), tuple(s.pair_moments)
+    if "moment_plateau" in s.monitors:
+        moments = tuple(sorted(set(moments) | {s.plateau_a}))
+        pair_moments = tuple(sorted(set(pair_moments) | {s.plateau_a - 1}))
+    dt, stride = s.dt, s.output_stride
+    if s.mode == "tracer":
+        # dt divides the slice width, so strides land exactly on slice boundaries.
+        stride = s.t_final / s.tracer_slices
+        dt = stride / max(1, int(np.ceil(stride / s.dt)))
+    return RunConfig(
+        t_final=s.t_final, dt=dt, policy=TruncationPolicy(s.policy, s.n_max), splitting=s.splitting,
+        output_stride=stride, moment_exponents=moments, pair_moment_exponents=pair_moments,
+        record_fields=s.record_fields or s.mode == "tracer" or "gronwall" in s.monitors,
+        track_majorant=s.track_majorant or "heat_majorant" in s.monitors, auto_halve=s.auto_halve,
     )
-    base.update(overrides)
-    return RunConfig(**base)
+
+
+def build_run(s: Scenario) -> tuple[MassField, Kernel, DiffusionProfile | None, RunConfig]:
+    """Initial field, kernel, diffusion profile and config of a scenario's run.
+
+    Homogeneous mode runs on the zero-dimensional point grid, which needs no
+    diffusion profile; pde and tracer modes run on the scenario's grid.
+    """
+    if s.mode == "homogeneous":
+        grid, dp = Grid.point(), None
+    else:
+        grid, dp = Grid(s.grid_dim, s.grid_length, s.grid_cells), build_diffusion(s)
+    return build_initial_field(s, grid), build_kernel(s), dp, build_run_config(s)
 
 
 # -- output files --------------------------------------------------------
@@ -491,60 +511,36 @@ def _out_dir(s: Scenario, override: str | None) -> Path:
     return out
 
 
-def execute(s: Scenario, out_override: str | None = None, workers_override: int | None = None) -> int:
+def execute(s: Scenario, out_override: str | None = None) -> int:
     """Run one scenario end to end; returns the process exit code."""
-    if workers_override is not None:
-        s = dataclasses.replace(s, workers=workers_override)
     out = _out_dir(s, out_override)
-    reports = []
-    lines = [f"scenario {s.name} (mode={s.mode})"]
+    lines, reports = (_gelscan if s.mode == "gelscan" else _solve)(s, out)
+    report = "\n".join([f"scenario {s.name} (mode={s.mode})"] + lines) + "\n"
+    (out / "report.txt").write_text(report, encoding="utf-8")
+    sys.stdout.write(report)
+    return 0 if all(r.passed for r in reports) else 2
 
-    if s.mode == "gelscan":
-        kernel = build_kernel(dataclasses.replace(s, n_max=max(s.gelscan_n_list)))
-        verdict = gelation_scan(
-            kernel,
-            list(s.gelscan_n_list),
-            s.gelscan_t_final if s.gelscan_t_final is not None else s.t_final,
-            initial=s.gelscan_initial,
-            dt=s.gelscan_dt,
-        )
-        rows = [",".join(["n_max", "mass_ratio", "gel"])]
-        rows += [
-            f"{n},{_fmt(r)},{_fmt(g)}"
-            for n, r, g in zip(verdict.n_values, verdict.mass_ratios, verdict.gel_values)
-        ]
-        (out / "gelscan.csv").write_text(SERIES_SCHEMA + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        lines.append(str(verdict))
-        report = "\n".join(lines) + "\n"
-        (out / "report.txt").write_text(report, encoding="utf-8")
-        sys.stdout.write(report)
-        return 0
 
-    kernel = build_kernel(s)
-    if s.mode == "homogeneous":
-        cfg = build_run_config(s)
-        rec = homogeneous_run(build_initial_field(s, Grid.point()), kernel, cfg)
-        dp = None
-    else:
-        # pde and tracer share the spatial run.
-        dp = build_diffusion(s)
-        grid = build_grid(s)
-        field0 = build_initial_field(s, grid)
-        need_fields = s.record_fields or s.mode == "tracer" or "gronwall" in s.monitors
-        need_majorant = s.track_majorant or "heat_majorant" in s.monitors
-        overrides: dict = {}
-        if "moment_plateau" in s.monitors:
-            overrides["moment_exponents"] = tuple(sorted(set(s.moments) | {s.plateau_a}))
-            overrides["pair_moment_exponents"] = tuple(sorted(set(s.pair_moments) | {s.plateau_a - 1}))
-        if s.mode == "tracer":
-            # dt must divide the slice width so strides land exactly on
-            # slice boundaries.
-            slice_dt = s.t_final / s.tracer_slices
-            overrides["output_stride"] = slice_dt
-            overrides["dt"] = slice_dt / max(1, int(np.ceil(slice_dt / s.dt)))
-        cfg = build_run_config(s, record_fields=need_fields, track_majorant=need_majorant, **overrides)
-        rec = run(field0, kernel, dp, cfg)
+def _gelscan(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
+    """Gel-reservoir trend over ``gelscan.n_list``; a verdict, not a gate."""
+    kernel = build_kernel(dataclasses.replace(s, n_max=max(s.gelscan_n_list)))
+    verdict = gelation_scan(
+        kernel,
+        list(s.gelscan_n_list),
+        s.gelscan_t_final if s.gelscan_t_final is not None else s.t_final,
+        initial=s.gelscan_initial,
+        dt=s.gelscan_dt,
+    )
+    rows = ["n_max,mass_ratio,gel"]
+    rows += [f"{n},{_fmt(r)},{_fmt(g)}" for n, r, g in zip(verdict.n_values, verdict.mass_ratios, verdict.gel_values)]
+    (out / "gelscan.csv").write_text(SERIES_SCHEMA + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return [str(verdict)], []
 
+
+def _solve(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
+    """One solver run (pde, homogeneous or tracer mode), its files and its monitors."""
+    field0, kernel, dp, cfg = build_run(s)
+    rec = run(field0, kernel, dp, cfg)
     extra = {"cons_drift": conservation_drift(rec)}
     if rec.majorant is not None:
         extra["majorant_ratio"] = majorant_ratios(rec, dp).max(axis=1)
@@ -555,105 +551,77 @@ def execute(s: Scenario, out_override: str | None = None, workers_override: int 
         for i, t in enumerate(rec.times):
             write_field_csv(snapdir / f"snapshot_{i:04d}.csv", rec.fields[i], rec.grid, t, rec.gel[i])
 
-    reports.append(check_conservation(rec, s.conservation_tolerance))
+    reports = [check_conservation(rec, s.conservation_tolerance)]
     if 0.0 in rec.moments:
         reports.append(collision_budget(rec))
-    if "heat_majorant" in s.monitors or rec.majorant is not None:
+    if rec.majorant is not None:
         reports.append(check_heat_majorant(rec, dp, s.heat_majorant_tolerance))
     if "gronwall" in s.monitors:
-        perturbed = MassField(grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
-        rec_g = run(perturbed, kernel, dp, cfg)
-        reports.append(check_gronwall(rec, rec_g, s.gronwall_c0, s.gronwall_a_bound))
+        perturbed = MassField(field0.grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
+        reports.append(check_gronwall(rec, run(perturbed, kernel, dp, cfg), s.gronwall_c0, s.gronwall_a_bound))
     if "moment_plateau" in s.monitors:
         recs = [rec]
         for level in range(1, s.plateau_refinements + 1):
-            s2 = dataclasses.replace(s, n_max=s.n_max * 2**level)
-            k2 = build_kernel(s2)
-            dp2 = build_diffusion(s2)
-            f2 = build_initial_field(s2, grid)
-            cfg2 = build_run_config(
-                s2,
-                record_fields=False,
-                track_majorant=False,
-                moment_exponents=cfg.moment_exponents,
-                pair_moment_exponents=cfg.pair_moment_exponents,
-            )
-            recs.append(run(f2, k2, dp2, cfg2))
+            f2, k2, dp2, cfg2 = build_run(dataclasses.replace(s, n_max=s.n_max * 2**level))
+            recs.append(run(f2, k2, dp2, dataclasses.replace(cfg2, record_fields=False, track_majorant=False)))
         reports.append(check_moment_bound(recs, s.plateau_a, dp, tolerance=s.plateau_tolerance))
 
-    if s.mode == "tracer":
-        slice_dt = s.t_final / s.tracer_slices
-        fields = [
-            MassField(rec.grid, f.reshape((s.n_max,) + rec.grid.shape), validate=False)
-            for f in rec.fields
-        ]
-        ens = TracerEnsemble(count=s.tracer_count, seed=s.seed, immortal=s.tracer_immortal)
-        times = list(s.tracer_times) if s.tracer_times is not None else [s.t_final]
-        result = simulate(fields[:-1], kernel, dp, ens, slice_dt, histogram_times=times, workers=s.workers)
-        m0 = float(sum(fields[0].species_integrals()))
-        hist_rows = ["time,mass,cell,count"]
-        summary_rows = [
-            "time,tv,max_abs_z,n_z_bins,z_q50,z_q90,z_q99,overflow_fraction,cemetery_empirical,cemetery_model"
-        ]
-        for hist in result.histograms:
-            stride_index = int(round(hist.time / slice_dt))
-            rep = density_consistency(hist, fields[stride_index], m0)
-            for (mi, ci) in np.argwhere(hist.counts):
-                hist_rows.append(f"{_fmt(hist.time)},{mi + 1},{ci},{hist.counts[mi, ci]}")
-            for ci in np.flatnonzero(hist.overflow):
-                hist_rows.append(f"{_fmt(hist.time)},{s.n_max + 1},{ci},{hist.overflow[ci]}")
-            if hist.cemetery:
-                hist_rows.append(f"{_fmt(hist.time)},0,-1,{hist.cemetery}")
-            q = rep.z_quantiles
-            summary_rows.append(
-                ",".join(
-                    [_fmt(hist.time), _fmt(rep.tv_distance), _fmt(rep.max_abs_z), str(rep.n_z_bins)]
-                    + [_fmt(q.get(name, 0.0)) for name in ("q50", "q90", "q99")]
-                    + [_fmt(rep.overflow_fraction), _fmt(rep.cemetery_empirical), _fmt(rep.cemetery_model)]
-                )
-            )
-            lines.append(
-                f"tracer t={hist.time:g}: TV={rep.tv_distance:.4f}, max|z|={rep.max_abs_z:.2f} over {rep.n_z_bins} bins"
-            )
-            if s.tracer_tv_tolerance is not None:
-                reports.append(
-                    BoundReport(
-                        name="tracer_tv",
-                        max_violation=rep.tv_distance,
-                        tolerance=s.tracer_tv_tolerance,
-                        passed=rep.tv_distance <= s.tracer_tv_tolerance,
-                    )
-                )
-            if s.tracer_z_tolerance is not None:
-                reports.append(
-                    BoundReport(
-                        name="tracer_z",
-                        max_violation=rep.max_abs_z,
-                        tolerance=s.tracer_z_tolerance,
-                        passed=rep.max_abs_z <= s.tracer_z_tolerance,
-                    )
-                )
-        (out / "histogram.csv").write_text("\n".join(hist_rows) + "\n", encoding="utf-8")
-        (out / "summary.csv").write_text("\n".join(summary_rows) + "\n", encoding="utf-8")
-        counts = result.collision_counts
-        mean_coll = float((np.arange(counts.size) * counts).sum()) / s.tracer_count
-        lines.append(
-            f"tracer collisions per trajectory: mean {mean_coll:.3f}, max {counts.size - 1}"
-            + (" (immortal: counts are descriptive only)" if s.tracer_immortal else "")
-        )
-        th = result.thinning
-        lines.append(
-            f"tracer thinning: {th.proposals} proposals, {th.accepted} accepted"
-            f" (acceptance rate {th.acceptance_rate:.4f}), {th.extensions} chunk-local table extensions"
-        )
+    lines, gates = _tracer(s, rec, cfg.output_stride, out) if s.mode == "tracer" else ([], [])
+    reports += gates
+    return lines + [str(r) for r in reports] + [f"note: {event}" for event in rec.events], reports
 
-    lines += [str(r) for r in reports]
-    for event in rec.events:
-        lines.append(f"note: {event}")
-    report = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(report, encoding="utf-8")
-    sys.stdout.write(report)
-    return 0 if all(r.passed for r in reports) else 2
+
+def _tracer(s: Scenario, rec: RunRecord, slice_dt: float, out: Path) -> tuple[list[str], list[BoundReport]]:
+    """Tracer ensemble against the solver's fields, one slice per stride."""
+    shape = (s.n_max,) + rec.grid.shape
+    fields = [MassField(rec.grid, f.reshape(shape), validate=False) for f in rec.fields]
+    ens = TracerEnsemble(count=s.tracer_count, seed=s.seed, immortal=s.tracer_immortal)
+    times = list(s.tracer_times) if s.tracer_times is not None else [s.t_final]
+    result = simulate(fields[:-1], rec.kernel, rec.dp, ens, slice_dt, histogram_times=times, workers=s.workers)
+    m0 = float(sum(fields[0].species_integrals()))
+    lines, gates = [], []
+    hist_rows = ["time,mass,cell,count"]
+    summary_rows = ["time,tv,max_abs_z,n_z_bins,z_q50,z_q90,z_q99,overflow_fraction,cemetery_empirical,cemetery_model"]
+    for hist in result.histograms:
+        stride_index = int(round(hist.time / slice_dt))
+        rep = density_consistency(hist, fields[stride_index], m0)
+        for (mi, ci) in np.argwhere(hist.counts):
+            hist_rows.append(f"{_fmt(hist.time)},{mi + 1},{ci},{hist.counts[mi, ci]}")
+        for ci in np.flatnonzero(hist.overflow):
+            hist_rows.append(f"{_fmt(hist.time)},{s.n_max + 1},{ci},{hist.overflow[ci]}")
+        if hist.cemetery:
+            hist_rows.append(f"{_fmt(hist.time)},0,-1,{hist.cemetery}")
+        q = rep.z_quantiles
+        summary_rows.append(
+            ",".join(
+                [_fmt(hist.time), _fmt(rep.tv_distance), _fmt(rep.max_abs_z), str(rep.n_z_bins)]
+                + [_fmt(q.get(name, 0.0)) for name in ("q50", "q90", "q99")]
+                + [_fmt(rep.overflow_fraction), _fmt(rep.cemetery_empirical), _fmt(rep.cemetery_model)]
+            )
+        )
+        lines.append(
+            f"tracer t={hist.time:g}: TV={rep.tv_distance:.4f}, max|z|={rep.max_abs_z:.2f} over {rep.n_z_bins} bins"
+        )
+        for name, value, tol in (
+            ("tracer_tv", rep.tv_distance, s.tracer_tv_tolerance),
+            ("tracer_z", rep.max_abs_z, s.tracer_z_tolerance),
+        ):
+            if tol is not None:
+                gates.append(BoundReport(name=name, max_violation=value, tolerance=tol, passed=value <= tol))
+    (out / "histogram.csv").write_text("\n".join(hist_rows) + "\n", encoding="utf-8")
+    (out / "summary.csv").write_text("\n".join(summary_rows) + "\n", encoding="utf-8")
+    counts = result.collision_counts
+    mean_coll = float((np.arange(counts.size) * counts).sum()) / s.tracer_count
+    lines.append(
+        f"tracer collisions per trajectory: mean {mean_coll:.3f}, max {counts.size - 1}"
+        + (" (immortal: counts are descriptive only)" if s.tracer_immortal else "")
+    )
+    th = result.thinning
+    lines.append(
+        f"tracer thinning: {th.proposals} proposals, {th.accepted} accepted"
+        f" (acceptance rate {th.acceptance_rate:.4f}), {th.extensions} chunk-local table extensions"
+    )
+    return lines, gates
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -670,11 +638,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = parse_config(args.config)
-        if args.command == "gelscan":
-            # The command overrides the file's mode, so check the gelscan keys.
-            scenario = dataclasses.replace(scenario, mode="gelscan")
-            _validate(scenario, args.config)
-        return execute(scenario, out_override=args.out, workers_override=args.workers)
+        # The command and flags override the file, so check the result again
+        # (``smolkit gelscan`` also checks the gelscan keys).
+        overrides = {"mode": "gelscan"} if args.command == "gelscan" else {}
+        if args.workers is not None:
+            overrides["workers"] = args.workers
+        scenario = dataclasses.replace(scenario, **overrides)
+        _validate(scenario, args.config)
+        return execute(scenario, out_override=args.out)
     except (ConfigError, HypothesisError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

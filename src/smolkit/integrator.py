@@ -98,6 +98,9 @@ class RunConfig:
             raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.output_stride is not None and self.output_stride <= 0:
             raise ValueError("output stride must be > 0")
+        for name in ("moment_exponents", "pair_moment_exponents"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"repeated exponent in {name}: each series would be recorded twice")
 
     @property
     def stride(self) -> float:

@@ -275,7 +275,7 @@ tracer.slices = 8
     scenario = parse_config(path)
     blobs = {}
     for w in (1, 2, 8):
-        execute(scenario, out_override=str(tmp_path / f"w{w}"), workers_override=w)
+        execute(dataclasses.replace(scenario, workers=w), out_override=str(tmp_path / f"w{w}"))
         blobs[w] = tuple(
             (tmp_path / f"w{w}" / name).read_bytes()
             for name in ("series.csv", "histogram.csv", "summary.csv")

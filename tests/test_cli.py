@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import smolkit.cli as cli
 from smolkit.cli import (
     ConfigError,
     Scenario,
@@ -105,6 +106,12 @@ class TestParseConfig:
         with pytest.raises(SystemExit):
             main(["verify", str(p)])
 
+    @pytest.mark.parametrize("key", ["run.moments", "run.pair_moments"])
+    def test_repeated_moment_exponent_rejected(self, tmp_path, key):
+        p = write(tmp_path, MINIMAL + f"{key} = 0,1,1,2\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(p)
+
     def test_monitor_names_validated(self, tmp_path):
         p = write(tmp_path, MINIMAL + "monitors = conservation, wishful\n")
         with pytest.raises(ConfigError, match="wishful"):
@@ -153,6 +160,14 @@ class TestExecute:
                            "monitors = gronwall\ngronwall.c0 = 2.0\ngronwall.a_bound = 1e-9")
         p = write(tmp_path, text)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_is_validated(self, tmp_path, capsys, workers):
+        """``--workers`` meets the same check as ``workers`` in the file."""
+        p = write(tmp_path, MINIMAL)
+        assert main(["run", str(p), "--workers", workers, "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {p}: workers: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
@@ -209,6 +224,58 @@ gelscan.t_final = 0.5
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "heat_majorant_domination" in report
         assert "PASS" in report
+
+
+def spy_runs(monkeypatch) -> list:
+    """Record ``(initial field, config)`` of every solver run the CLI starts."""
+    calls = []
+    real = cli.run
+
+    def spy(field0, kernel, dp, cfg):
+        calls.append((field0, cfg))
+        return real(field0, kernel, dp, cfg)
+
+    monkeypatch.setattr(cli, "run", spy)
+    return calls
+
+
+class TestRefinementRuns:
+    """The moment-plateau refinements and the gronwall perturbation."""
+
+    MONITORED = PDE.replace(
+        "monitors = conservation, heat_majorant",
+        "monitors = conservation, moment_plateau, gronwall\nmoment_plateau.refinements = 2\ngronwall.c0 = 2.0",
+    )
+
+    def test_plateau_and_gronwall_pass(self, tmp_path, monkeypatch):
+        calls = spy_runs(monkeypatch)
+        s = parse_config(write(tmp_path, self.MONITORED))
+        assert execute(s, out_override=str(tmp_path / "out")) == 0
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        for name in ("moment_plateau_a2", "gronwall_stability"):
+            assert [line.split(":")[0] for line in report if f" {name}:" in line] == [f"PASS {name}"]
+        # base, perturbed base, then the 2N and 4N refinements
+        assert [f.n_max for f, _ in calls] == [12, 12, 24, 48]
+        base, perturbed = calls[0][0], calls[1][0]
+        np.testing.assert_array_equal(perturbed.data, base.data * (1.0 + s.gronwall_delta))
+        assert calls[1][1] is calls[0][1]
+        for _, cfg in calls[2:]:
+            assert not cfg.record_fields and not cfg.track_majorant
+            assert cfg.moment_exponents == calls[0][1].moment_exponents
+
+    def test_tracer_refinements_share_dt_and_stride(self, tmp_path, monkeypatch):
+        """Tracer mode aligns dt and the stride to the slice width; the
+        refinements must run on the same time grid as the base run."""
+        text = TestDeterminism.REJECTING.replace("run.t_final = 0.1", "run.t_final = 0.5")
+        text = text.replace("run.dt = 0.005", "run.dt = 0.01").replace("tracer.count = 20000", "tracer.count = 500")
+        calls = spy_runs(monkeypatch)
+        s = parse_config(write(tmp_path, text + "monitors = conservation, moment_plateau\n"))
+        execute(s, out_override=str(tmp_path / "out"))
+        base = calls[0][1]
+        assert base.stride == 0.125 and 0.125 / base.dt == pytest.approx(13)
+        assert [f.n_max for f, _ in calls] == [24, 48]
+        for _, cfg in calls[1:]:
+            assert (cfg.dt, cfg.stride) == (base.dt, base.stride)
 
 
 class TestDeterminism:
@@ -273,8 +340,8 @@ tracer.slices = 4
         for tag, text in (("uniform", self.TRACER), ("rejecting", self.REJECTING)):
             s = parse_config(write(tmp_path, text))
             w1, wn = tmp_path / tag / "w1", tmp_path / tag / "wN"
-            execute(s, out_override=str(w1), workers_override=1)
-            execute(s, out_override=str(wn), workers_override=workers)
+            execute(dataclasses.replace(s, workers=1), out_override=str(w1))
+            execute(dataclasses.replace(s, workers=workers), out_override=str(wn))
             for name in ("series.csv", "histogram.csv", "summary.csv", "report.txt"):
                 assert (w1 / name).read_bytes() == (wn / name).read_bytes(), (tag, name)
         report = (tmp_path / "rejecting" / "w1" / "report.txt").read_text()

@@ -405,6 +405,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(t_final=1.0, dt=0.1, policy=TruncationPolicy.cutoff(4), splitting="yolo")
 
+    @pytest.mark.parametrize("key", ["moment_exponents", "pair_moment_exponents"])
+    def test_rejects_repeated_exponent(self, key):
+        # a repeated exponent would append its series twice per stride
+        with pytest.raises(ValueError, match="repeated"):
+            RunConfig(t_final=1.0, dt=0.1, policy=TruncationPolicy.cutoff(4), **{key: (0.0, 1.0, 1.0, 2.0)})
+
     def test_default_stride(self):
         cfg = RunConfig(t_final=2.0, dt=0.01, policy=TruncationPolicy.cutoff(4))
         assert cfg.stride == pytest.approx(0.1)
