@@ -98,8 +98,14 @@ class RateEvaluator:
     the gel reservoir the flux is a sum of suffix sums.  Otherwise dense
     pair tables are precomputed and summed directly.
 
-    Instances are immutable after construction; evaluation is pure and
-    cell-parallel, so one evaluator can serve any number of workers.
+    Evaluation is pure in its results, but each instance keeps private work
+    buffers (the zero-padded FFT input and its spectra, the prefix and
+    suffix sums, field-sized temporaries), allocated on the first call
+    for a cell count and reused after; with factors, a steady-state call
+    given ``out`` allocates nothing of field size.  The buffers make an
+    instance unsafe to share between threads: use one per thread (a forked
+    process works on its own copy).  Arrays an evaluation returns are fresh
+    unless passed in as ``out``, and later calls never change them.
     """
 
     def __init__(self, kernel: Kernel, policy: TruncationPolicy):
@@ -108,6 +114,7 @@ class RateEvaluator:
             raise ValueError("kernel range smaller than the truncation range")
         self.policy = policy
         self.n_max = n_max
+        self._scratch: dict[int, _Scratch] = {}
         self._factors = kernel.factors(n_max)
         if self._factors is not None:
             A, B = self._factors
@@ -149,33 +156,59 @@ class RateEvaluator:
             self._loss_matrix = 2.0 * table
             self._gel_matrix = np.where(s > n_max, s * table, 0.0)
 
-    def gain_all(self, flat: np.ndarray) -> np.ndarray:
-        """(n_max, cells) gain term; species 1 has no gain."""
-        out = np.zeros_like(flat)
+    def _buffers(self, cells: int) -> _Scratch:
+        """The work buffers for ``cells`` cells, allocated on first use."""
+        buf = self._scratch.get(cells)
+        if buf is None:
+            fft = None if self._factors is None else (self._loss_A.shape[0], self._fft_len)
+            buf = self._scratch[cells] = _Scratch(self.n_max, cells, fft)
+        return buf
+
+    def gain_all(self, flat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """(n_max, cells) gain term; species 1 has no gain.
+
+        Written into ``out`` if given, which must not overlap ``flat``.
+        """
+        if out is None:
+            out = np.empty_like(flat)
         if self._factors is not None:
-            L, R = self._fft_len, self._loss_A.shape[0]
-            X = np.fft.rfft(self._gain_weights[:, :, None] * flat[:-1], n=L, axis=1)
-            out[1:] = np.fft.irfft((X[:R] * X[R:]).sum(axis=0), n=L, axis=0)[: self.n_max - 1]
+            buf = self._buffers(flat.shape[1])
+            R, m = self._loss_A.shape[0], self.n_max - 1
+            # Rows m.. of the padded input are never written and stay zero.
+            np.multiply(self._gain_weights[:, :, None], flat[:-1], out=buf.padded[:, :m])
+            X = np.fft.rfft(buf.padded, axis=1, out=buf.spectra)
+            np.multiply(X[:R], X[R:], out=X[:R])
+            X[:R].sum(axis=0, out=buf.spectrum)
+            np.fft.irfft(buf.spectrum, n=self._fft_len, axis=0, out=buf.conv)
+            out[0] = 0.0
+            out[1:] = buf.conv[:m]
             return out
+        out.fill(0.0)
         for i, w in enumerate(self._gain_rows):
             hi = i + w.size - 1
             out[2 * i + 1 : i + hi + 2] += (w[:, None] * flat[i : hi + 1]) * flat[i]
         return out
 
-    def loss_coefficients(self, flat: np.ndarray) -> np.ndarray:
-        """(n_max, cells) coefficients lambda_n(x) with loss_n = lambda_n * f_n."""
+    def loss_coefficients(self, flat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """(n_max, cells) coefficients lambda_n(x) with loss_n = lambda_n * f_n.
+
+        Written into ``out`` if given, which must not overlap ``flat``.
+        """
         if self._factors is None:
-            return self._loss_matrix @ flat
+            return np.matmul(self._loss_matrix, flat, out=out)
         B = self._factors[1]
         if self.policy.kind != CUTOFF:
-            return self._loss_A.T @ (B @ flat)
+            return np.matmul(self._loss_A.T, B @ flat, out=out)
         # Under cutoff species n meets partners m <= n_max - n, so
         # lambda_n = 2 sum_r A_r(n) P_r[n_max - n] with P_r the prefix sums of B_r f.
-        P = B[:, :, None] * flat
+        buf = self._buffers(flat.shape[1])
+        P = np.multiply(B[:, :, None], flat, out=buf.sums)
         np.cumsum(P, axis=1, out=P)
-        lam = np.zeros_like(flat)
+        lam = np.empty_like(flat) if out is None else out
+        lam.fill(0.0)
+        term = buf.term[:-1]
         for a, p in zip(self._loss_A, P):
-            lam[:-1] += a[:-1, None] * p[-2::-1]
+            lam[:-1] += np.multiply(a[:-1, None], p[-2::-1], out=term)
         return lam
 
     def _gel_flux(self, flat: np.ndarray) -> np.ndarray:
@@ -187,18 +220,29 @@ class RateEvaluator:
         negative part is read as zero here, so every term is nonnegative and
         the reservoir never decreases.
         """
-        f = np.maximum(flat, 0.0)
-        S = (self._factors[1][:, ::-1, None] * f[::-1]).cumsum(axis=1)
-        return self._mass @ ((self._loss_A[:, :, None] * S).sum(axis=0) * f)
+        buf = self._buffers(flat.shape[1])
+        f = np.maximum(flat, 0.0, out=buf.term)
+        S = np.multiply(self._factors[1][:, ::-1, None], f[::-1], out=buf.sums)
+        np.cumsum(S, axis=1, out=S)
+        np.multiply(self._loss_A[:, :, None], S, out=S)
+        weighted = S.sum(axis=0, out=buf.field)
+        weighted *= f
+        return self._mass @ weighted
 
-    def rates(self, flat: np.ndarray, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def rates(
+        self, flat: np.ndarray, lam: np.ndarray | None = None, *, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(Q, flux_to_gel) for data laid out as (n_max, cells).
 
         ``lam``, if given, must be ``loss_coefficients(flat)``; a caller that
-        already holds it saves the second evaluation.
+        already holds it saves the second evaluation.  Q is written into
+        ``out`` if given, which must not overlap ``flat`` or ``lam``.
         """
-        Q = self.gain_all(flat)
-        Q -= (self.loss_coefficients(flat) if lam is None else lam) * flat
+        Q = self.gain_all(flat, out=out)
+        buf = self._buffers(flat.shape[1])
+        if lam is None:
+            lam = self.loss_coefficients(flat, out=buf.field)
+        Q -= np.multiply(lam, flat, out=buf.field)
         if self.policy.kind == CUTOFF:
             flux = np.zeros(flat.shape[1])
         elif self._factors is not None:
@@ -206,6 +250,27 @@ class RateEvaluator:
         else:
             flux = np.einsum("nc,nc->c", flat, self._gel_matrix @ flat)
         return Q, flux
+
+
+class _Scratch:
+    """Work buffers of one :class:`RateEvaluator` for one cell count.
+
+    ``field`` is (n_max, cells).  With factors of rank R and FFT length L
+    there are also a second field-sized ``term``, the (R, n_max, cells)
+    prefix/suffix sums, the zero-padded (2R, L, cells) FFT input, its
+    spectra, their product-sum and its inverse transform.
+    """
+
+    def __init__(self, n_max: int, cells: int, fft: tuple[int, int] | None):
+        self.field = np.empty((n_max, cells))
+        if fft is not None:
+            R, L = fft
+            self.term = np.empty((n_max, cells))
+            self.sums = np.empty((R, n_max, cells))
+            self.padded = np.zeros((2 * R, L, cells))
+            self.spectra = np.empty((2 * R, L // 2 + 1, cells), dtype=complex)
+            self.spectrum = np.empty((L // 2 + 1, cells), dtype=complex)
+            self.conv = np.empty((L, cells))
 
 
 def reaction_rates(F: MassField, kernel: Kernel, policy: TruncationPolicy) -> RateField:

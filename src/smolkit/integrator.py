@@ -168,21 +168,42 @@ class _Engine:
         if dp is not None and dp.n_max < self.n_max:
             raise ValueError("diffusion profile range smaller than n_max")
         self.dvals = dp.values[: self.n_max] if dp is not None else None
+        # Work arrays of the reaction substep: the guard's lambda, the four
+        # RK4 slopes, and one buffer for the stage fields and their combination.
+        shape = (self.n_max, grid.n_cells)
+        self._lam, self._k1, self._k2, self._k3, self._k4, self._stage = (np.empty(shape) for _ in range(6))
 
     # -- substeps ------------------------------------------------------
 
     def react_rk4(self, flat: np.ndarray, gel: float, dt: float) -> tuple[np.ndarray, float]:
-        """RK4 reaction substep; raises StepSizeError before any stage runs."""
-        lam = self.evaluator.loss_coefficients(flat)
+        """RK4 reaction substep; raises StepSizeError before any stage runs.
+
+        The stages run in the engine's work arrays; only the returned field
+        is new, and ``flat`` is left unchanged.
+        """
+        lam = self.evaluator.loss_coefficients(flat, out=self._lam)
         n, cell = np.unravel_index(lam.argmax(), lam.shape)
         if dt * lam[n, cell] > STABILITY_LIMIT:
             raise StepSizeError(dt, float(lam[n, cell]), int(n) + 1, int(cell))
         rates = self.evaluator.rates
-        k1, g1 = rates(flat, lam)
-        k2, g2 = rates(flat + 0.5 * dt * k1)
-        k3, g3 = rates(flat + 0.5 * dt * k2)
-        k4, g4 = rates(flat + dt * k3)
-        new = flat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1, k2, k3, k4, acc = self._k1, self._k2, self._k3, self._k4, self._stage
+
+        def stage(h: float, k: np.ndarray) -> np.ndarray:
+            """flat + h * k, as the out-of-place expression rounds it."""
+            return np.add(flat, np.multiply(h, k, out=acc), out=acc)
+
+        _, g1 = rates(flat, lam, out=k1)
+        _, g2 = rates(stage(0.5 * dt, k1), out=k2)
+        _, g3 = rates(stage(0.5 * dt, k2), out=k3)
+        _, g4 = rates(stage(dt, k3), out=k4)
+        # (dt/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right; x + y is
+        # rounded the same as y + x, and doubling is exact.
+        np.multiply(2.0, k2, out=acc)
+        acc += k1
+        acc += np.multiply(2.0, k3, out=k3)
+        acc += k4
+        acc *= dt / 6.0
+        new = flat + acc
         gel_rate = (g1 + 2.0 * g2 + 2.0 * g3 + g4).sum() * self.cell_volume
         return new, gel + (dt / 6.0) * float(gel_rate)
 

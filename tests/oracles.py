@@ -1,4 +1,10 @@
-"""Reference solutions written from the definitions, independent of smolkit."""
+"""Reference solutions written from the definitions.
+
+``fine_rk4_constant_kernel`` is independent of smolkit.  ``rk4_reaction_step``
+takes a smolkit rate evaluator and is the RK4 reaction substep written out of
+place, every stage field and slope a new array: the arithmetic that the
+integrator's buffered step must reproduce bit for bit.
+"""
 
 import numpy as np
 
@@ -24,3 +30,14 @@ def fine_rk4_constant_kernel(n_max, t_final, dt):
         k4 = rhs(c + dt * k3)
         c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
+
+
+def rk4_reaction_step(evaluator, flat, gel, dt, cell_volume):
+    """One RK4 reaction substep of (flat, gel) by ``evaluator.rates``, out of place."""
+    k1, g1 = evaluator.rates(flat)
+    k2, g2 = evaluator.rates(flat + 0.5 * dt * k1)
+    k3, g3 = evaluator.rates(flat + 0.5 * dt * k2)
+    k4, g4 = evaluator.rates(flat + dt * k3)
+    new = flat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    gel_rate = (g1 + 2.0 * g2 + 2.0 * g3 + g4).sum() * cell_volume
+    return new, gel + (dt / 6.0) * float(gel_rate)

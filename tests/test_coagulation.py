@@ -347,3 +347,50 @@ class TestFactorisedEvaluator:
         RateEvaluator(k, policy).rates(flat)
         with pytest.raises(AssertionError, match="dense kernel table"):
             RateEvaluator(table, policy)
+
+
+class TestScratchReuse:
+    """RateEvaluator keeps work buffers per cell count; reusing them must be
+    invisible.  One evaluator called on 1, 3 and 64 cells in turn gives bit
+    for bit what a fresh evaluator gives, with and without ``out``, and the
+    arrays it returned earlier are never changed by later calls."""
+
+    CELLS = (1, 3, 64, 1, 64, 3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(SEPARABLE),
+        policy_kind=st.sampled_from(["cutoff", "gel_reservoir"]),
+        dense=st.booleans(),
+        n_max=st.integers(1, 80),
+        seed=st.integers(0, 2**31),
+    )
+    def test_reused_evaluator_matches_fresh(self, kind, policy_kind, dense, n_max, seed):
+        k = separable_kernel(kind, n_max)
+        if dense:
+            k = Kernel.from_table(k.dense())
+        policy = TruncationPolicy(policy_kind, n_max)
+        shared = RateEvaluator(k, policy)
+        rng = np.random.default_rng(seed)
+        returned = []
+        for cells in self.CELLS:
+            flat = rng.random((n_max, cells))
+            fresh = RateEvaluator(k, policy)
+            Q, flux = fresh.rates(flat)
+            lam, gain = fresh.loss_coefficients(flat), fresh.gain_all(flat)
+
+            got = {"Q": shared.rates(flat)[0], "lam": shared.loss_coefficients(flat), "gain": shared.gain_all(flat)}
+            got["flux"] = shared.rates(flat, got["lam"])[1]
+            bufs = [np.full_like(flat, np.nan) for _ in range(4)]
+            Qo, fluxo = shared.rates(flat, out=bufs[0])
+            Ql, _ = shared.rates(flat, lam, out=bufs[1])
+            assert Qo is bufs[0] and Ql is bufs[1]
+            assert shared.loss_coefficients(flat, out=bufs[2]) is bufs[2]
+            assert shared.gain_all(flat, out=bufs[3]) is bufs[3]
+
+            for a, b in [(got["Q"], Q), (Qo, Q), (Ql, Q), (got["lam"], lam), (bufs[2], lam),
+                         (got["gain"], gain), (bufs[3], gain), (got["flux"], flux), (fluxo, flux)]:
+                assert np.array_equal(a, b)
+            returned += [(a, a.copy()) for a in got.values()]
+        for a, copy in returned:
+            assert np.array_equal(a, copy)
