@@ -18,9 +18,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._fork import fork_map
 from .coagulation import RateEvaluator, TruncationPolicy
 from .field import Grid, MassField, initial_data_functionals
 from .integrator import RunConfig, RunRecord, STABILITY_LIMIT, homogeneous_run
@@ -311,12 +313,21 @@ def check_moment_bound(
     )
 
 
+def _gel_level(kernel: Kernel, level: tuple[MassField, RunConfig]) -> tuple[float, float, float]:
+    """G(T), I(T)/I(0) and I(0) of one refinement level's reservoir run."""
+    state, cfg = level
+    rec = homogeneous_run(state, kernel, cfg)
+    i0 = rec.mass[0]
+    return rec.gel[-1], rec.mass[-1] / i0 if i0 else 1.0, i0
+
+
 def gelation_scan(
     kernel: Kernel,
     n_list: list[int],
     t_final: float,
     initial: float | np.ndarray = 1.0,
     dt: float | None = None,
+    workers: int = 1,
 ) -> GelVerdict:
     """Diagnose the conservation/gelation dichotomy by sectional refinement.
 
@@ -332,11 +343,16 @@ def gelation_scan(
     A single truncation can always fake conservation, hence the refinement
     trend.  Cutoff runs are structurally conserving and carry no gelation
     information; this scan always uses the gel reservoir.
+
+    Every level's initial state, first loss coefficients and step are set up
+    here, before any run starts; the level runs share nothing and go through
+    :func:`~smolkit._fork.fork_map`, largest range first, in up to
+    ``workers`` forked processes that send back only G(T), I(T)/I(0) and
+    I(0).  The verdict is the same for any ``workers``.
     """
     if sorted(n_list) != list(n_list) or len(n_list) < 2:
         raise ValueError("n_list must be at least two increasing ranges")
-    gels = []
-    ratios = []
+    levels = []
     for n_max in n_list:
         c = np.zeros(n_max)
         src = np.atleast_1d(np.asarray(initial, dtype=float))
@@ -358,11 +374,15 @@ def gelation_scan(
             output_stride=t_final / 4.0 if t_final > 0 else None,
             moment_exponents=(0.0, 1.0),
         )
-        rec = homogeneous_run(state, kernel, cfg)
-        gels.append(rec.gel[-1])
-        ratios.append(rec.mass[-1] / rec.mass[0] if rec.mass[0] else 1.0)
-        log.info("gelation scan N=%d: I(T)/I(0)=%.6f, G(T)=%.6g", n_max, ratios[-1], gels[-1])
-    i0 = rec.mass[0] if rec.mass[0] else 1.0
+        levels.append((state, cfg))
+    # Largest range first: it takes longest, so the others share the
+    # remaining workers while it runs.
+    results = fork_map(partial(_gel_level, kernel), levels[::-1], workers)[::-1]
+    gels = [g for g, _, _ in results]
+    ratios = [r for _, r, _ in results]
+    for n_max, r, g in zip(n_list, ratios, gels):
+        log.info("gelation scan N=%d: I(T)/I(0)=%.6f, G(T)=%.6g", n_max, r, g)
+    i0 = results[-1][2] or 1.0
     floor = GEL_FLOOR * abs(i0)
     conserving = all(
         g2 <= CONSERVING_FACTOR * g1 or g2 <= floor for g1, g2 in zip(gels, gels[1:])

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fork import usable_cpus
 from .analysis import (
     BoundReport,
     HypothesisError,
@@ -77,7 +78,7 @@ class Scenario:
     name: str = ""
     mode: str = ""
     seed: int = 0
-    workers: int = 1
+    workers: int = dataclasses.field(default_factory=usable_cpus)
     out_dir: str | None = None
 
     kernel_kind: str = "constant"
@@ -530,6 +531,7 @@ def _gelscan(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
         s.gelscan_t_final if s.gelscan_t_final is not None else s.t_final,
         initial=s.gelscan_initial,
         dt=s.gelscan_dt,
+        workers=s.workers,
     )
     rows = ["n_max,mass_ratio,gel"]
     rows += [f"{n},{_fmt(r)},{_fmt(g)}" for n, r, g in zip(verdict.n_values, verdict.mass_ratios, verdict.gel_values)]
@@ -632,7 +634,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config", help="scenario file")
         p.add_argument(
             "--workers", type=int, default=None,
-            help="tracer worker processes, at most one per chunk (outputs bit-identical for any N)",
+            help="worker processes for the tracer's chunks or the gelscan levels, at most one per"
+            " chunk or level (default: the usable CPUs; outputs bit-identical for any N)",
         )
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
@@ -650,7 +653,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (FloatingPointError, RuntimeError, OSError) as err:
-        print(f"runtime error: {err}", file=sys.stderr)
+        # Named by type: a worker process that died reads BrokenProcessPool.
+        print(f"runtime error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
 

@@ -73,6 +73,10 @@ class StepSizeError(RuntimeError):
             f"{STABILITY_LIMIT} for species n={species} at cell {cell} (lambda={lam:.3g})"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its fields, so that it crosses a worker process boundary.
+        return StepSizeError, (self.dt, self.lam, self.species, self.cell)
+
 
 @dataclass(frozen=True)
 class RunConfig:

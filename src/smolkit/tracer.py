@@ -26,9 +26,10 @@ enters the density comparison.
 of count one, and dead tracers are a per-histogram ``cemetery`` count.
 Ensembles are simulated in fixed-size chunks, each owning a counter-based
 RNG substream keyed by (seed, chunk index).  With ``workers > 1`` the chunks
-run in forked worker processes (numpy-heavy chunk loops hold the GIL, so
-threads would not run them in parallel); chunk results merge in chunk order,
-so outputs are bit-identical for any worker count.
+run in forked worker processes through :func:`smolkit._fork.fork_map`
+(numpy-heavy chunk loops hold the GIL, so threads would not run them in
+parallel); chunk results merge in chunk order, so outputs are bit-identical
+for any worker count.
 
 The attempt-rate tables are built once per simulation, before any chunk
 runs: the kernel columns once, and one rate table per frozen slice.  Every
@@ -40,11 +41,12 @@ cannot depend on how chunks are scheduled or which process runs them.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
+from ._fork import fork_map
 from .field import Grid, MassField
 from .kernels import DiffusionProfile, Kernel
 
@@ -357,19 +359,6 @@ def _run_chunk(task: _ChunkTask, chunk_index: int) -> _ChunkResult:
     return hists, np.bincount(collisions), thinning
 
 
-# The task of a pool worker process, set once by the pool's initializer.
-_TASK: _ChunkTask | None = None
-
-
-def _install_task(task: _ChunkTask) -> None:
-    global _TASK
-    _TASK = task
-
-
-def _run_installed_chunk(chunk_index: int) -> _ChunkResult:
-    return _run_chunk(_TASK, chunk_index)
-
-
 def simulate(
     F_timeline: list[MassField],
     kernel: Kernel,
@@ -385,11 +374,12 @@ def simulate(
     trajectories start from ``F_timeline[0]``.  Histograms are recorded at
     the requested times, which must land on slice boundaries.
 
-    With ``workers > 1`` and more than one chunk, the chunks run in
+    The chunks go through :func:`~smolkit._fork.fork_map`: with
+    ``workers > 1`` and more than one chunk they run in
     ``min(workers, n_chunks)`` forked worker processes, which inherit the
-    shared tables through the fork; where ``fork`` is unavailable they run
-    in this process.  Results are bit-identical for fixed (seed, count)
-    regardless of ``workers``.
+    shared tables through the fork; with ``workers == 1``, one chunk, or
+    where ``fork`` is unavailable they run in this process.  Results are
+    bit-identical for fixed (seed, count) regardless of ``workers``.
     """
     if slice_dt <= 0:
         raise ValueError("slice_dt must be > 0")
@@ -424,17 +414,7 @@ def simulate(
         row_cum=row_cum,
         n_max=n_max,
     )
-    n_chunks = len(ensemble.chunk_keys())
-    if workers > 1 and n_chunks > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # Named explicitly: the default start method differs across Python
-        # versions, and only fork hands the task over without pickling it.
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, n_chunks), initializer=_install_task, initargs=(task,)) as pool:
-            results = pool.map(_run_installed_chunk, range(n_chunks), chunksize=1)
-            pool.close()
-            pool.join()
-    else:
-        results = [_run_chunk(task, i) for i in range(n_chunks)]
+    results = fork_map(partial(_run_chunk, task), range(len(ensemble.chunk_keys())), workers)
 
     merged: list[TracerHistogram] = []
     mark_items = sorted(marks.items())

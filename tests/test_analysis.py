@@ -5,9 +5,13 @@ substitution; continuity at the branch boundary and linear growth in the
 controlled moment order are structural identities of the formula.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+import smolkit.analysis as analysis
 from smolkit.analysis import (
     collision_budget,
     BoundReport,
@@ -21,7 +25,7 @@ from smolkit.analysis import (
     linf_moment_exponent,
     majorant_ratios,
 )
-from smolkit.coagulation import TruncationPolicy
+from smolkit.coagulation import RateEvaluator, TruncationPolicy
 from smolkit.field import Grid, MassField
 from smolkit.integrator import RunConfig, homogeneous_run, run
 from smolkit.kernels import DiffusionProfile, Kernel
@@ -280,6 +284,39 @@ class TestGelationScan:
         np.testing.assert_allclose(v.gel_values, oracle.gel_values, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(v.mass_ratios, oracle.mass_ratios, rtol=1e-12, atol=0.0)
         assert v.verdict == oracle.verdict
+
+    def test_first_loss_coefficients_run_here_before_any_fork(self, tmp_path, monkeypatch):
+        """Every level's lambda0 is evaluated in this process before the
+        levels are mapped out, and no worker evaluates one: a set-up probe
+        that stops the process at its first evaluator call must stop this
+        process, never a worker.  Calls are logged to a file, since workers
+        cannot append to this process's lists."""
+        calls_path = tmp_path / "calls"
+        calls_path.touch()
+        loss_coefficients = RateEvaluator.loss_coefficients
+        fork_map = analysis.fork_map
+        seen_on_entry = []
+
+        def recording_lambda(self, flat, **kwargs):
+            with open(calls_path, "a") as fh:
+                fh.write(f"{os.getpid()} {sys._getframe(1).f_code.co_name}\n")
+            return loss_coefficients(self, flat, **kwargs)
+
+        def recording_map(fn, items, workers):
+            seen_on_entry.append(len(calls_path.read_text().splitlines()))
+            return fork_map(fn, items, workers)
+
+        monkeypatch.setattr(RateEvaluator, "loss_coefficients", recording_lambda)
+        monkeypatch.setattr(analysis, "fork_map", recording_map)
+        gelation_scan(Kernel.product(1.0, 32), [8, 16, 32], 0.5, workers=2)
+        calls = [line.split() for line in calls_path.read_text().splitlines()]
+        here = str(os.getpid())
+        assert seen_on_entry == [3]
+        assert calls[:3] == [[here, "gelation_scan"]] * 3
+        steps = calls[3:]
+        assert steps and all(pid != here for pid, _ in steps)
+        # Workers only step: every call there comes from an RK4 substep.
+        assert {caller for _, caller in steps} <= {"react_rk4", "rates"}
 
     def test_n_list_must_increase(self):
         k = Kernel.constant(0.0, 64)

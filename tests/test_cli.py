@@ -1,6 +1,7 @@
 """Config parsing, round-trip identity, execution paths, and exit codes."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -335,18 +336,43 @@ tracer.count = 20000
 tracer.slices = 4
 """
 
+    # Three refinement levels of the product kernel: gelling, so G(T) is
+    # far from roundoff and any reordering of the levels would show.
+    GELSCAN = """
+name = det-gel
+mode = gelscan
+kernel.kind = product
+run.n_max = 64
+gelscan.n_list = 16,32,64
+gelscan.t_final = 1.0
+"""
+
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_count_does_not_change_bytes(self, tmp_path, workers):
-        for tag, text in (("uniform", self.TRACER), ("rejecting", self.REJECTING)):
+        tracer_files = ("series.csv", "histogram.csv", "summary.csv", "report.txt")
+        for tag, text, names in (
+            ("uniform", self.TRACER, tracer_files),
+            ("rejecting", self.REJECTING, tracer_files),
+            ("gelscan", self.GELSCAN, ("gelscan.csv", "report.txt")),
+        ):
             s = parse_config(write(tmp_path, text))
             w1, wn = tmp_path / tag / "w1", tmp_path / tag / "wN"
             execute(dataclasses.replace(s, workers=1), out_override=str(w1))
             execute(dataclasses.replace(s, workers=workers), out_override=str(wn))
-            for name in ("series.csv", "histogram.csv", "summary.csv", "report.txt"):
+            for name in names:
                 assert (w1 / name).read_bytes() == (wn / name).read_bytes(), (tag, name)
         report = (tmp_path / "rejecting" / "w1" / "report.txt").read_text()
         rate = float(report.split("(acceptance rate ")[1].split(")")[0])
         assert rate < 1.0
+
+    @pytest.mark.parametrize("command, text", [("run", TRACER), ("gelscan", GELSCAN)], ids=["tracer", "gelscan"])
+    def test_one_worker_makes_no_fork(self, tmp_path, monkeypatch, command, text):
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = str(tmp_path / "out")
+        assert main([command, str(write(tmp_path, text)), "--workers", "1", "--out", out]) == 0
 
     def test_report_counts_thinning(self, tmp_path):
         s = parse_config(write(tmp_path, self.TRACER))

@@ -1,0 +1,115 @@
+"""fork_map: item order, in-process fallbacks, worker errors and dead workers."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from smolkit._fork import fork_map, usable_cpus
+from smolkit.integrator import StepSizeError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def no_fork():
+    raise AssertionError("a process was started")
+
+
+def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter; the timeout turns a hang into a failure."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_results_come_back_in_item_order(workers):
+    # A closure over an array: it reaches the workers through the fork,
+    # since a local function cannot be pickled.
+    table = np.arange(10.0) ** 2
+
+    def square_plus_pid(i):
+        return table[i], os.getpid()
+
+    out = fork_map(square_plus_pid, range(10), workers)
+    assert [v for v, _ in out] == list(table)
+    pids = {pid for _, pid in out}
+    if workers == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and 1 <= len(pids) <= workers
+
+
+@pytest.mark.parametrize("workers, items", [(1, range(5)), (4, [7])])
+def test_one_worker_or_one_item_runs_here(monkeypatch, workers, items):
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert fork_map(lambda x: x + 1, items, workers) == [x + 1 for x in items]
+
+
+def test_worker_exception_is_reraised_with_its_type():
+    def fail_on_two(i):
+        if i == 2:
+            raise StepSizeError(0.5, 3.0, 7, 1)
+        return i
+
+    with pytest.raises(StepSizeError) as info:
+        fork_map(fail_on_two, range(4), 2)
+    assert (info.value.dt, info.value.lam, info.value.species, info.value.cell) == (0.5, 3.0, 7, 1)
+
+
+def test_dead_worker_raises_instead_of_hanging():
+    """A worker that exits mid-item breaks the pool; the map must raise."""
+    proc = run_python(
+        """
+        import os
+        from smolkit._fork import fork_map
+
+        fork_map(lambda i: os._exit(3) if i == 1 else i, range(4), 2)
+        """
+    )
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
+
+
+def test_cli_names_a_dead_worker(tmp_path):
+    """A gelscan level whose worker dies exits 1 and names the error."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        "name = dead\nmode = gelscan\nkernel.kind = product\nrun.n_max = 32\n"
+        "gelscan.n_list = 8,16,32\ngelscan.t_final = 0.5\n"
+    )
+    proc = run_python(
+        f"""
+        import os, sys
+        import smolkit.analysis as analysis
+        from smolkit.cli import main
+
+        run_level = analysis._gel_level
+
+        def die_on_16(kernel, level):
+            if level[0].n_max == 16:
+                os._exit(3)
+            return run_level(kernel, level)
+
+        analysis._gel_level = die_on_16
+        sys.exit(main(["gelscan", {str(cfg)!r}, "--workers", "2", "--out", {str(tmp_path / "out")!r}]))
+        """
+    )
+    assert proc.returncode == 1
+    assert "runtime error: BrokenProcessPool" in proc.stderr
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1

@@ -6,6 +6,7 @@ is built here, independently of the package, from the transition rules
 that generator provides the expected occupation law for 3-sigma tests.
 """
 
+import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -16,7 +17,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from smolkit import tracer
+from smolkit import _fork, tracer
 from smolkit.diffusion import heat_step
 from smolkit.field import Grid, MassField, MomentSpec, moment
 from smolkit.kernels import DiffusionProfile, Kernel
@@ -345,12 +346,12 @@ class TestSharedRateTables:
 
     def test_process_count_is_capped_by_chunks(self, monkeypatch):
         """``workers`` far above the chunk count starts one process per
-        chunk; a fake pool records the count and maps in this process."""
+        chunk; a fake executor records the count and maps in this process."""
         seen = []
 
-        class FakePool:
-            def __init__(self, processes, initializer, initargs):
-                seen.append(processes)
+        class FakeExecutor:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                seen.append(max_workers)
                 initializer(*initargs)
 
             def __enter__(self):
@@ -359,17 +360,11 @@ class TestSharedRateTables:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize=1):
+            def map(self, fn, iterable):
                 return [fn(i) for i in iterable]
 
-            def close(self):
-                pass
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", FakePool)
-        monkeypatch.setattr(tracer, "_TASK", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(_fork, "_INSTALLED", None)
         monkeypatch.setattr(os, "fork", self.no_fork)
         out = self.three_chunks(workers=10_000)
         assert seen == [3]
