@@ -464,8 +464,9 @@ def write_field_csv(path: Path, flat: np.ndarray, grid: Grid, t: float, gel: flo
     lines = [
         f"{FIELD_SCHEMA} t={_fmt(t)} gel={_fmt(gel)} dim={grid.dim} cells={grid.cells_per_side} length={_fmt(grid.length)}"
     ]
-    for n in range(flat.shape[0]):
-        lines.append(str(n + 1) + "," + ",".join(_fmt(v) for v in np.atleast_1d(flat[n])))
+    # repr of a Python float is _fmt's text; tolist() converts a row at once.
+    for n, row in enumerate(flat.reshape(flat.shape[0], -1).tolist(), start=1):
+        lines.append(f"{n},{','.join(map(repr, row))}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

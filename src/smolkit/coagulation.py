@@ -24,12 +24,18 @@ in O(R N log N) per cell after Matveev, Smirnov & Tyrtyshnikov (J. Comput.
 Phys. 282, 2015): the gain is R convolutions along the mass axis done by one
 zero-padded FFT over the pairs whose lighter partner is at most n_max // 2,
 the loss partner sums are R inner products (gel reservoir) or R prefix sums
-(cutoff), and the gel flux is R suffix sums.  FFT roundoff is absolute, of
-the order of eps times the norm of the pairs transformed, so a species whose
-true gain is zero can receive a tiny gain of either sign.  It is not clipped,
-because clipping would shift the mass budget.  Tables and custom closures
-have no such structure and use the direct O(N^2) double sums, which also
-serve as the test oracle.
+(cutoff), and the gel flux is R suffix sums.  Two cheaper exact forms are
+chosen when the evaluator is built.  A kernel of rank R > 1 that depends on
+n+m alone, alpha = phi(n+m) (the sum kernel), is constant along each
+anti-diagonal, so its gain is phi(n) times a single convolution.  Under
+cutoff with n_max <= CUTOFF_MATVEC_MAX the loss coefficients are one matvec
+with the masked matrix 2 [n+m <= n_max] A^T B, which is faster there than R
+prefix sums.  FFT roundoff is absolute, of the order of eps times the norm
+of the pairs transformed (times phi(n) on the single-convolution form), so a
+species whose true gain is zero can receive a tiny gain of either sign.  It
+is not clipped, because clipping would shift the mass budget.  Tables and
+custom closures have no such structure and use the direct O(N^2) double
+sums, which also serve as the test oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +57,13 @@ __all__ = [
 
 CUTOFF = "cutoff"
 GEL_RESERVOIR = "gel_reservoir"
+
+# With factors, cutoff loss coefficients are one (n_max, n_max) matvec up to
+# this n_max and R prefix sums above it.  Median ms per call, prefix sums vs
+# matvec, one BLAS thread on a 2-vCPU x86-64 host: one cell 0.023 vs 0.011 at
+# N = 256, 0.026 vs 0.025 at 384, 0.034 vs 0.084 at 512; 64 cells 0.28 vs
+# 0.23 at 256, 0.37 vs 0.61 at 384.
+CUTOFF_MATVEC_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -92,15 +105,20 @@ class RateField:
 class RateEvaluator:
     """Evaluates reaction rates on (n_max, cells) data.
 
-    When the kernel has closed-form factors (:meth:`Kernel.factors`), only
-    the factor arrays are kept: the gain is one batched FFT convolution, the
-    loss coefficients are factor inner products or prefix sums, and under
-    the gel reservoir the flux is a sum of suffix sums.  Otherwise dense
-    pair tables are precomputed and summed directly.
+    When the kernel has closed-form factors (:meth:`Kernel.factors`), the
+    evaluator keeps the factor arrays and builds no dense kernel table: the
+    gain is one batched FFT convolution (2R transform rows, or 2 when the
+    kernel is phi(n+m) with R > 1), the loss coefficients are factor inner
+    products (gel reservoir), a matvec with a matrix built from the factors
+    (cutoff, n_max <= CUTOFF_MATVEC_MAX) or prefix sums (cutoff above it),
+    and under the gel reservoir the flux is a sum of suffix sums.  The
+    choice is fixed at construction by the kernel family, the policy and
+    n_max.  Otherwise dense pair tables are precomputed and summed directly.
 
     Evaluation is pure in its results, but each instance keeps private work
-    buffers (the zero-padded FFT input and its spectra, the prefix and
-    suffix sums, field-sized temporaries), allocated on the first call
+    buffers (the zero-padded FFT input and its spectra; the prefix and
+    suffix sums, on the paths that read them; field-sized temporaries),
+    allocated on the first call
     for a cell count and reused after; with factors, a steady-state call
     given ``out`` allocates nothing of field size.  The buffers make an
     instance unsafe to share between threads: use one per thread (a forked
@@ -116,8 +134,11 @@ class RateEvaluator:
         self.n_max = n_max
         self._scratch: dict[int, _Scratch] = {}
         self._factors = kernel.factors(n_max)
+        self._loss_matrix = None
+        self._sums_rank = 0
         if self._factors is not None:
             A, B = self._factors
+            R = A.shape[0]
             self._loss_A = 2.0 * A
             # A merger landing in range has its lighter partner at mass
             # <= n_max // 2, so the gain needs only pairs (light, any):
@@ -126,16 +147,29 @@ class RateEvaluator:
             # range and are left out of the transform and its roundoff.
             h = n_max // 2
             heavy = np.arange(1, n_max) > h
-            # One transform serves both: rows 0..R-1 light, R..2R-1 any.
-            self._gain_weights = np.concatenate(
-                [np.where(heavy, 0.0, A[:, :-1]), np.where(heavy, 2.0, 1.0) * B[:, :-1]]
-            )
+            phi = kernel.of_total_mass(n_max) if R > 1 else None
+            if phi is None:
+                light, any_ = np.where(heavy, 0.0, A[:, :-1]), np.where(heavy, 2.0, 1.0) * B[:, :-1]
+                self._phi = None
+            else:
+                # alpha(n, m) = phi(n+m) is constant along each anti-diagonal,
+                # so gain_n = phi(n) (f_light * f_any)_n: one convolution.
+                light, any_ = np.where(heavy, 0.0, 1.0)[None], np.where(heavy, 2.0, 1.0)[None]
+                self._phi = phi[1:, None]
+            # One transform serves both: rows 0..G-1 light, G..2G-1 any.
+            self._gain_weights = np.concatenate([light, any_])
             # Zero padding to L > h + n_max - 3, the largest index, keeps the
             # circular convolution linear; its index k is mass k+2.  L is the
             # smallest 2^k or 3 * 2^k that suffices, a fast FFT length.
             n = max(h + n_max - 2, 1)
             self._fft_len = min(1 << (n - 1).bit_length(), 3 << ((n - 1) // 3).bit_length())
             self._mass = np.arange(1.0, n_max + 1)
+            if policy.kind == CUTOFF and n_max <= CUTOFF_MATVEC_MAX:
+                idx = np.arange(1, n_max + 1)
+                self._loss_matrix = np.where(idx[:, None] + idx[None, :] <= n_max, self._loss_A.T @ B, 0.0)
+            # Only the gel flux and the cutoff prefix sums read the
+            # (R, n_max, cells) sums.
+            self._sums_rank = 0 if self._loss_matrix is not None else R
             return
         table = kernel.dense(n_max)
         idx = np.arange(1, n_max + 1)
@@ -160,8 +194,8 @@ class RateEvaluator:
         """The work buffers for ``cells`` cells, allocated on first use."""
         buf = self._scratch.get(cells)
         if buf is None:
-            fft = None if self._factors is None else (self._loss_A.shape[0], self._fft_len)
-            buf = self._scratch[cells] = _Scratch(self.n_max, cells, fft)
+            fft = None if self._factors is None else (self._gain_weights.shape[0], self._fft_len)
+            buf = self._scratch[cells] = _Scratch(self.n_max, cells, fft, self._sums_rank)
         return buf
 
     def gain_all(self, flat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -173,15 +207,18 @@ class RateEvaluator:
             out = np.empty_like(flat)
         if self._factors is not None:
             buf = self._buffers(flat.shape[1])
-            R, m = self._loss_A.shape[0], self.n_max - 1
+            G, m = self._gain_weights.shape[0] // 2, self.n_max - 1
             # Rows m.. of the padded input are never written and stay zero.
             np.multiply(self._gain_weights[:, :, None], flat[:-1], out=buf.padded[:, :m])
             X = np.fft.rfft(buf.padded, axis=1, out=buf.spectra)
-            np.multiply(X[:R], X[R:], out=X[:R])
-            X[:R].sum(axis=0, out=buf.spectrum)
+            np.multiply(X[:G], X[G:], out=X[:G])
+            X[:G].sum(axis=0, out=buf.spectrum)
             np.fft.irfft(buf.spectrum, n=self._fft_len, axis=0, out=buf.conv)
             out[0] = 0.0
-            out[1:] = buf.conv[:m]
+            if self._phi is None:
+                out[1:] = buf.conv[:m]
+            else:
+                np.multiply(self._phi, buf.conv[:m], out=out[1:])
             return out
         out.fill(0.0)
         for i, w in enumerate(self._gain_rows):
@@ -194,7 +231,7 @@ class RateEvaluator:
 
         Written into ``out`` if given, which must not overlap ``flat``.
         """
-        if self._factors is None:
+        if self._loss_matrix is not None:
             return np.matmul(self._loss_matrix, flat, out=out)
         B = self._factors[1]
         if self.policy.kind != CUTOFF:
@@ -255,22 +292,24 @@ class RateEvaluator:
 class _Scratch:
     """Work buffers of one :class:`RateEvaluator` for one cell count.
 
-    ``field`` is (n_max, cells).  With factors of rank R and FFT length L
-    there are also a second field-sized ``term``, the (R, n_max, cells)
-    prefix/suffix sums, the zero-padded (2R, L, cells) FFT input, its
-    spectra, their product-sum and its inverse transform.
+    ``field`` is (n_max, cells).  With factors, a gain of G = ``rows // 2``
+    convolutions and FFT length L, there are also the zero-padded
+    (2G, L, cells) FFT input, its spectra, their product-sum and its
+    inverse transform; with ``rank`` R > 0, a second field-sized ``term``
+    and the (R, n_max, cells) prefix/suffix sums.
     """
 
-    def __init__(self, n_max: int, cells: int, fft: tuple[int, int] | None):
+    def __init__(self, n_max: int, cells: int, fft: tuple[int, int] | None, rank: int):
         self.field = np.empty((n_max, cells))
         if fft is not None:
-            R, L = fft
-            self.term = np.empty((n_max, cells))
-            self.sums = np.empty((R, n_max, cells))
-            self.padded = np.zeros((2 * R, L, cells))
-            self.spectra = np.empty((2 * R, L // 2 + 1, cells), dtype=complex)
+            rows, L = fft
+            self.padded = np.zeros((rows, L, cells))
+            self.spectra = np.empty((rows, L // 2 + 1, cells), dtype=complex)
             self.spectrum = np.empty((L // 2 + 1, cells), dtype=complex)
             self.conv = np.empty((L, cells))
+        if rank:
+            self.term = np.empty((n_max, cells))
+            self.sums = np.empty((rank, n_max, cells))
 
 
 def reaction_rates(F: MassField, kernel: Kernel, policy: TruncationPolicy) -> RateField:

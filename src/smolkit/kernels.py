@@ -210,7 +210,9 @@ class Kernel:
         and product, 2 for sum and two_exponent, 2*(dim-1) for
         range_derived.  All factors are nonnegative, so the sum has no
         cancellation.  Tables and custom closures have no known factors
-        and return None.
+        and return None.  Constant and sum kernels are moreover functions
+        of n+m alone (see :meth:`of_total_mass`), which lets the gain of
+        the rank-2 sum kernel be taken as a rank-1 product.
         """
         n_max = n_max or self.n_max
         if n_max > self.n_max:
@@ -242,6 +244,21 @@ class Kernel:
                 A += [left, right]
                 B += [right, left]
             return np.stack(A), np.stack(B)
+        return None
+
+    def of_total_mass(self, n_max: int | None = None) -> np.ndarray | None:
+        """``phi`` of shape (n_max,) with alpha(n, m) = phi[n+m-1] for n+m <= n_max.
+
+        Defined for the families that depend on n+m alone: constant
+        (phi = c) and sum (phi(s) = c0 * s).  Other kinds return None.
+        """
+        n_max = n_max or self.n_max
+        if n_max > self.n_max:
+            raise KernelRangeError(f"requested {n_max} total masses exceed kernel n_max {self.n_max}")
+        if self.kind == "constant":
+            return np.full(n_max, self.params["c"])
+        if self.kind == "sum":
+            return self.params["c0"] * np.arange(1, n_max + 1, dtype=float)
         return None
 
     def rate_row(self, m: int) -> np.ndarray:

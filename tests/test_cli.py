@@ -447,19 +447,36 @@ class TestFieldCsv:
         np.testing.assert_array_equal(F.flat(), flat)
         assert F.gel_reservoir == 0.125
 
-    def test_restart_from_snapshot_with_roundoff_negatives(self, tmp_path):
-        """The constant-kernel run takes its gain by FFT, which leaves
-        densities of about -1e-19 in empty tail species; a snapshot holding
-        them seeds a new run."""
-        text = MINIMAL.replace("run.n_max = 16", "run.n_max = 64").replace("run.t_final = 0.2", "run.t_final = 1.0")
+    @pytest.mark.parametrize("grid", [Grid.point(), Grid(1, 1.0, 4), Grid(2, 1.0, 4)], ids=["point", "1d", "2d"])
+    def test_values_are_written_as_float_repr(self, tmp_path, grid):
+        """Each value's text is repr(float(v)), the shortest that reads back
+        bit for bit, including signed zero, subnormals and large values."""
+        special = [-0.0, 5e-324, 1e-300, 0.1, 1e16]
+        flat = np.resize(np.array(special + [0.5, 0.25]), (6, grid.n_cells))
+        path = tmp_path / "field.csv"
+        write_field_csv(path, flat, grid, t=0.1, gel=0.0)
+        want = [f"{n + 1}," + ",".join(repr(float(v)) for v in flat[n]) for n in range(6)]
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == want
+        assert np.array_equal(np.signbit(read_field_csv(path, grid, 6).flat()), np.signbit(flat))
+
+    @pytest.mark.parametrize("kernel", ["kernel.kind = constant\nkernel.c = 1.0", "kernel.kind = sum\nkernel.c0 = 1.0"])
+    def test_restart_from_snapshot_with_roundoff_negatives(self, tmp_path, kernel):
+        """Constant- and sum-kernel runs take their gain by FFT, which leaves
+        small densities of either sign in empty tail species; a snapshot
+        holding them seeds a new run."""
+        text = MINIMAL.replace("kernel.kind = constant\nkernel.c = 1.0", kernel)
+        text = text.replace("run.n_max = 16", "run.n_max = 64").replace("run.t_final = 0.2", "run.t_final = 1.0")
         text = text.replace("run.dt = 0.01", "run.dt = 0.001") + "run.record_fields = true\nrun.output_stride = 0.1\n"
         assert execute(parse_config(write(tmp_path, text)), out_override=str(tmp_path / "a")) == 0
-        snaps = sorted((tmp_path / "a" / "snapshots").glob("*.csv"))
-        values = [float(v) for p in snaps for row in p.read_text().splitlines()[1:] for v in row.split(",")[1:]]
-        assert min(values) < 0.0
-        restart = text + f"initial.kind = table\ninitial.table = {snaps[-1]}\n"
+        lowest = {
+            p: min(float(v) for row in p.read_text().splitlines()[1:] for v in row.split(",")[1:])
+            for p in (tmp_path / "a" / "snapshots").glob("*.csv")
+        }
+        snap = min(lowest, key=lowest.get)
+        assert lowest[snap] < 0.0
+        restart = text + f"initial.kind = table\ninitial.table = {snap}\n"
         assert execute(parse_config(write(tmp_path, restart)), out_override=str(tmp_path / "b")) == 0
-        assert read_field_csv(snaps[-1], Grid.point(), 64).data.min() == 0.0
+        assert read_field_csv(snap, Grid.point(), 64).data.min() == 0.0
 
     def test_only_roundoff_negatives_read_as_zero(self, tmp_path):
         path = tmp_path / "field.csv"

@@ -7,10 +7,11 @@ agree to 1e-12 relative.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smolkit.coagulation import (
+    CUTOFF_MATVEC_MAX,
     RateEvaluator,
     TruncationPolicy,
     reaction_rates,
@@ -281,6 +282,15 @@ class TestFactorisedEvaluator:
         flat = rng.random((n_max, cells)) * np.exp(decay * (n[:, None] / n_max - 1.0))
         return k, RateEvaluator(k, policy), RateEvaluator(Kernel.from_table(k.dense()), policy), flat
 
+    # The sum kernel's gain is phi(n) times one convolution, so its roundoff
+    # grows with n; it matters most when the mass sits in small species.
+    @example(kind="sum", policy_kind="cutoff", n_max=300, cells=64, a=0.7, b=0.3, dim=3, decay=-30.0, seed=1)
+    @example(kind="sum", policy_kind="cutoff", n_max=300, cells=64, a=0.7, b=0.3, dim=3, decay=15.0, seed=2)
+    @example(kind="sum", policy_kind="gel_reservoir", n_max=300, cells=64, a=0.7, b=0.3, dim=3, decay=-30.0, seed=3)
+    @example(kind="sum", policy_kind="gel_reservoir", n_max=300, cells=64, a=0.7, b=0.3, dim=3, decay=15.0, seed=4)
+    # Cutoff loss coefficients: one matvec up to the crossover, prefix sums above.
+    @example(kind="sum", policy_kind="cutoff", n_max=CUTOFF_MATVEC_MAX, cells=3, a=0.7, b=0.3, dim=3, decay=-30.0, seed=5)
+    @example(kind="sum", policy_kind="cutoff", n_max=CUTOFF_MATVEC_MAX + 1, cells=3, a=0.7, b=0.3, dim=3, decay=-30.0, seed=6)
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(SEPARABLE),
@@ -347,6 +357,41 @@ class TestFactorisedEvaluator:
         RateEvaluator(k, policy).rates(flat)
         with pytest.raises(AssertionError, match="dense kernel table"):
             RateEvaluator(table, policy)
+
+
+class TestCheaperForms:
+    """Forms RateEvaluator picks at construction from the kernel family, the
+    policy and n_max; their values are held to the dense oracle by
+    TestFactorisedEvaluator."""
+
+    @pytest.mark.parametrize("kind", SEPARABLE)
+    def test_sum_kernel_gain_transforms_two_rows(self, kind, monkeypatch):
+        """alpha = phi(n+m) with rank 2 needs one convolution, light by any;
+        the other families transform 2R rows, R light and R any."""
+        k = separable_kernel(kind, 16)
+        rows = []
+        rfft = np.fft.rfft
+
+        def spy(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        RateEvaluator(k, TruncationPolicy.cutoff(16)).gain_all(np.ones((16, 3)))
+        assert rows == [2 if kind == "sum" else 2 * k.factors(16)[0].shape[0]]
+
+    @pytest.mark.parametrize("n_max, prefix_sums", [(CUTOFF_MATVEC_MAX, False), (CUTOFF_MATVEC_MAX + 1, True)])
+    def test_cutoff_loss_is_one_matvec_up_to_the_crossover(self, n_max, prefix_sums, monkeypatch):
+        calls = []
+        cumsum = np.cumsum
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", spy)
+        RateEvaluator(Kernel.sum_kernel(1.0, n_max), TruncationPolicy.cutoff(n_max)).loss_coefficients(np.ones((n_max, 3)))
+        assert bool(calls) == prefix_sums
 
 
 class TestScratchReuse:

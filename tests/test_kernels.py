@@ -136,6 +136,25 @@ class TestFactors:
         assert Kernel.from_function(lambda n, m: float(n + m), 8).factors() is None
 
 
+class TestOfTotalMass:
+    """alpha(n,m) = phi(n+m) on every pair that lands in range."""
+
+    @pytest.mark.parametrize("k", [Kernel.constant(0.7, 40), Kernel.sum_kernel(1.3, 40)], ids=["constant", "sum"])
+    def test_matches_the_table_along_anti_diagonals(self, k):
+        phi = k.of_total_mass(30)
+        assert phi.shape == (30,)
+        for n in range(1, 30):
+            for m in range(1, 31 - n):
+                assert phi[n + m - 1] == pytest.approx(k.eval(n, m), rel=2 * np.finfo(float).eps)
+        with pytest.raises(KernelRangeError):
+            k.of_total_mass(41)
+
+    def test_other_families_have_none(self):
+        for k in (Kernel.product(1.0, 8), Kernel.two_exponent(1.0, 0.0, 8), _range_kernel(3, 8),
+                  Kernel.from_table(Kernel.sum_kernel(1.0, 8).dense())):
+            assert k.of_total_mass() is None
+
+
 def _sweep_k0(kernel, dp, delta, n_max):
     """Independent oracle: smallest k0 with all pairs k0 < n+m <= n_max passing."""
     worst = 0
