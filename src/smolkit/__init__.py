@@ -19,13 +19,7 @@ from .analysis import (
     gelation_scan,
     linf_moment_exponent,
 )
-from .coagulation import (
-    RateField,
-    TruncationPolicy,
-    reaction_rates,
-    weighted_sum,
-)
-from .diffusion import comparison_multiplier, heat_majorant, heat_step
+from .coagulation import TruncationPolicy
 from .field import (
     Grid,
     MassField,
@@ -34,7 +28,6 @@ from .field import (
     moment,
     pair_moment,
     potential_kernel,
-    total_mass,
 )
 from .integrator import (
     RunConfig,
@@ -42,7 +35,6 @@ from .integrator import (
     StepSizeError,
     homogeneous_run,
     run,
-    step,
 )
 from .kernels import (
     CheckResult,
@@ -77,7 +69,6 @@ __all__ = [
     "MassField",
     "MomentSpec",
     "RangeProfile",
-    "RateField",
     "RunConfig",
     "RunRecord",
     "StepSizeError",
@@ -93,11 +84,8 @@ __all__ = [
     "check_heat_majorant",
     "check_moment_bound",
     "collision_budget",
-    "comparison_multiplier",
     "density_consistency",
     "gelation_scan",
-    "heat_majorant",
-    "heat_step",
     "homogeneous_run",
     "initial_data_functionals",
     "kinetic_kernel_from_range",
@@ -105,10 +93,6 @@ __all__ = [
     "moment",
     "pair_moment",
     "potential_kernel",
-    "reaction_rates",
     "run",
     "simulate",
-    "step",
-    "total_mass",
-    "weighted_sum",
 ]

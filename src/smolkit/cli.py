@@ -54,7 +54,7 @@ from .integrator import RunConfig, RunRecord, homogeneous_run, run  # noqa: F401
 from .kernels import DiffusionProfile, Kernel, RangeProfile, kinetic_kernel_from_range
 from .tracer import TracerEnsemble, density_consistency, simulate
 
-__all__ = ["Scenario", "ConfigError", "parse_config", "serialize_config", "execute", "main"]
+__all__ = ["Scenario", "ConfigError", "parse_config", "execute", "main"]
 
 OUT_ENV = "SMOLKIT_OUT"
 SERIES_SCHEMA = "# smolkit-series v1"
@@ -177,16 +177,6 @@ def _parse_names(options: tuple[str, ...]):
         return vals
 
     return inner
-
-
-def _show(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(_show(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # key in file -> (Scenario attribute, parser)
@@ -340,18 +330,6 @@ def _validate(s: Scenario, path) -> None:
         _require(not spatial_only, "monitors", f"{sorted(spatial_only)} need a spatial mode (pde/tracer)", path)
         _require(not s.track_majorant, "run.track_majorant", "needs a spatial mode", path)
     _require(s.plateau_refinements >= 1, "moment_plateau.refinements", "must be >= 1", path)
-
-
-def serialize_config(s: Scenario) -> str:
-    """Canonical text form; parse(serialize(s)) reproduces s exactly."""
-    lines = [f"# smolkit scenario: {s.name}"]
-    for key in sorted(SCHEMA):
-        attr, _ = SCHEMA[key]
-        value = getattr(s, attr)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_show(value)}")
-    return "\n".join(lines) + "\n"
 
 
 # -- building model objects from a scenario -----------------------------

@@ -1,7 +1,7 @@
 """Reaction terms for binary coagulation: gain, loss, and mass bookkeeping.
 
 :class:`RateEvaluator` is the one rate path: it evaluates every species in
-every cell at once, and :func:`reaction_rates` is its one-field form.
+every cell at once, on data laid out as (n_max, cells).
 
 Conventions (ordered-pair bookkeeping, no 1/2 factors):
 
@@ -44,16 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import MassField
 from .kernels import Kernel
 
-__all__ = [
-    "TruncationPolicy",
-    "RateField",
-    "RateEvaluator",
-    "reaction_rates",
-    "weighted_sum",
-]
+__all__ = ["TruncationPolicy", "RateEvaluator"]
 
 CUTOFF = "cutoff"
 GEL_RESERVOIR = "gel_reservoir"
@@ -88,18 +81,6 @@ class TruncationPolicy:
     @classmethod
     def gel_reservoir(cls, n_max: int) -> "TruncationPolicy":
         return cls(GEL_RESERVOIR, n_max)
-
-
-@dataclass
-class RateField:
-    """Reaction rates per species and cell, plus the gel mass flux.
-
-    Under cutoff, sum_n n*Q[n] vanishes per cell up to roundoff; under the
-    gel reservoir it equals -flux_to_gel.
-    """
-
-    Q: np.ndarray
-    flux_to_gel: np.ndarray
 
 
 class RateEvaluator:
@@ -271,6 +252,12 @@ class RateEvaluator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Q, flux_to_gel) for data laid out as (n_max, cells).
 
+        Q is the net rate gain_n - loss_n per species and cell.  The flux
+        counts (n+m) alpha(n,m) f_n f_m once per ordered pair with
+        n+m > n_max, which balances the factor-2 loss convention exactly:
+        per cell, sum_n n*Q_n + flux_to_gel = 0 up to roundoff (the flux is
+        zero under cutoff).
+
         ``lam``, if given, must be ``loss_coefficients(flat)``; a caller that
         already holds it saves the second evaluation.  Q is written into
         ``out`` if given, which must not overlap ``flat`` or ``lam``.
@@ -310,43 +297,3 @@ class _Scratch:
         if rank:
             self.term = np.empty((n_max, cells))
             self.sums = np.empty((rank, n_max, cells))
-
-
-def reaction_rates(F: MassField, kernel: Kernel, policy: TruncationPolicy) -> RateField:
-    """Assembled net rates Q_n = gain_n - loss_n plus the gel mass flux.
-
-    The flux counts (n+m) * alpha(n,m) f_n f_m once per ordered pair with
-    n+m > n_max, which balances the factor-2 loss convention exactly:
-    per cell, sum_n n*Q_n + flux_to_gel = 0 up to roundoff.
-    """
-    if policy.n_max != F.n_max:
-        raise ValueError("policy n_max must match the field")
-    Q, flux = RateEvaluator(kernel, policy).rates(F.flat())
-    return RateField(Q.reshape((F.n_max,) + F.grid.shape), flux.reshape(F.grid.shape))
-
-
-def weighted_sum(F: MassField, kernel: Kernel, phi, policy: TruncationPolicy) -> np.ndarray:
-    """Per-cell pair form sum alpha(n,m) (phi(n+m) - phi(n) - phi(m)) f_n f_m.
-
-    ``phi`` must be defined on 1..2*n_max.  Pair admissibility follows the
-    policy, making this identically equal to sum_n phi(n) * Q_n from
-    :func:`reaction_rates`: under cutoff, overflowing pairs drop entirely;
-    under the gel reservoir the phi(n+m) credit is dropped but the losses
-    remain.  With phi(n) = n and cutoff, the sum telescopes to zero.
-    """
-    if policy.n_max != F.n_max:
-        raise ValueError("policy n_max must match the field")
-    N = F.n_max
-    phis = np.array([float(phi(n)) for n in range(1, 2 * N + 1)])
-    idx = np.arange(1, N + 1)
-    s = idx[:, None] + idx[None, :]
-    credit = phis[s - 1]
-    debit = phis[idx - 1][:, None] + phis[idx - 1][None, :]
-    if policy.kind == CUTOFF:
-        form = np.where(s <= N, credit - debit, 0.0)
-    else:
-        form = np.where(s <= N, credit, 0.0) - debit
-    B = kernel.dense(N) * form
-    flat = F.flat()
-    out = np.einsum("nc,nc->c", flat, B @ flat)
-    return out.reshape(F.grid.shape)

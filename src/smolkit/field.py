@@ -29,7 +29,6 @@ __all__ = [
     "MomentSpec",
     "moment",
     "pair_moment",
-    "total_mass",
     "potential_kernel",
     "initial_data_functionals",
 ]
@@ -247,17 +246,6 @@ def pair_moment(
     flat = F.flat()
     out = np.einsum("nc,nc->c", flat, B @ flat)
     return out.reshape(F.grid.shape)
-
-
-def total_mass(F: MassField) -> tuple[float, float]:
-    """(mass excluding gel, mass including gel).
-
-    The first component is sum_n n * integral of f_n dx; the second adds the
-    gel reservoir.  Reductions are fixed-order for bit reproducibility.
-    """
-    n = np.arange(1, F.n_max + 1, dtype=float)
-    excl = float(n @ F.flat().sum(axis=1)) * F.grid.cell_volume
-    return excl, excl + F.gel_reservoir
 
 
 def potential_kernel(r, dim: int):

@@ -43,7 +43,6 @@ __all__ = [
     "RunConfig",
     "RunRecord",
     "StepSizeError",
-    "step",
     "run",
     "homogeneous_run",
 ]
@@ -261,16 +260,6 @@ class _Engine:
             w = n * self.dvals ** (self.grid.dim / 2.0)
             rec.weighted_mass_moment.append(w @ flat)
             rec.majorant.append(u.copy())
-
-
-def step(F: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig) -> MassField:
-    """Advance one splitting step of length cfg.dt; pure (returns a new field).
-
-    ``dp`` may be None only on the point grid.
-    """
-    engine = _Engine(F, kernel, dp, cfg)
-    flat, gel, _ = engine.step_once(F.flat().copy(), F.gel_reservoir, None, cfg.dt)
-    return MassField(F.grid, flat.reshape(F.data.shape), gel, validate=False)
 
 
 def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig) -> RunRecord:

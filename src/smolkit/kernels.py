@@ -48,14 +48,19 @@ class Kernel:
     """Symmetric coagulation rate table/closure with growth metadata.
 
     Instances are immutable after construction and safe for concurrent
-    reads.  Use the class-method constructors; they populate the dense
-    ``table`` (masses 1..n_max) whenever ``n_max <= TABLE_LIMIT``.
+    reads.  Use the class-method constructors.  Construction without a
+    ``table`` tabulates the formula over masses 1..n_max whenever
+    ``n_max <= TABLE_LIMIT``.
     """
 
     kind: str
     params: dict
     n_max: int
     table: np.ndarray | None = field(repr=False, default=None)
+
+    def __post_init__(self):
+        if self.table is None:
+            object.__setattr__(self, "table", self._tabulate())
 
     # -- constructors -------------------------------------------------
 
@@ -64,36 +69,36 @@ class Kernel:
         """alpha(n, m) = c."""
         if c < 0:
             raise ValueError("constant kernel requires c >= 0")
-        return cls._build("constant", {"c": float(c)}, n_max)
+        return cls("constant", {"c": float(c)}, int(n_max))
 
     @classmethod
     def sum_kernel(cls, c0: float, n_max: int) -> "Kernel":
         """alpha(n, m) = c0 * (n + m)."""
         if c0 < 0:
             raise ValueError("sum kernel requires c0 >= 0")
-        return cls._build("sum", {"c0": float(c0)}, n_max)
+        return cls("sum", {"c0": float(c0)}, int(n_max))
 
     @classmethod
     def product(cls, a: float, n_max: int) -> "Kernel":
         """alpha(n, m) = (n * m) ** a."""
-        return cls._build("product", {"a": float(a)}, n_max)
+        return cls("product", {"a": float(a)}, int(n_max))
 
     @classmethod
     def two_exponent(cls, a: float, b: float, n_max: int) -> "Kernel":
         """alpha(n, m) = n^a m^b + n^b m^a."""
-        return cls._build("two_exponent", {"a": float(a), "b": float(b)}, n_max)
+        return cls("two_exponent", {"a": float(a), "b": float(b)}, int(n_max))
 
     @classmethod
-    def from_function(cls, fn, n_max: int, kind: str = "custom") -> "Kernel":
+    def from_function(cls, fn, n_max: int) -> "Kernel":
         """Tabulate a symmetric closure ``fn(n, m)`` over 1..n_max.
 
-        The closure is kept for evaluations beyond the table range.
+        The kernel's kind is ``"custom"``.  The closure is kept for
+        evaluations beyond the table range.
         """
-        k = cls(kind=kind, params={"fn": fn}, n_max=int(n_max))
-        table = k._tabulate()
-        if table is not None:
-            _require_symmetric(table)
-        return cls(kind=kind, params={"fn": fn}, n_max=int(n_max), table=table)
+        k = cls(kind="custom", params={"fn": fn}, n_max=int(n_max))
+        if k.table is not None:
+            _require_symmetric(k.table)
+        return k
 
     @classmethod
     def from_table(cls, table: np.ndarray, n_max: int | None = None) -> "Kernel":
@@ -140,11 +145,6 @@ class Kernel:
             n, m = np.argwhere(np.isnan(filled))[0] + 1
             raise ValueError(f"{path}: missing rate for pair ({n},{m})")
         return cls.from_table(filled, n_max)
-
-    @classmethod
-    def _build(cls, kind: str, params: dict, n_max: int) -> "Kernel":
-        k = cls(kind=kind, params=params, n_max=int(n_max))
-        return cls(kind=kind, params=params, n_max=int(n_max), table=k._tabulate())
 
     # -- evaluation ---------------------------------------------------
 
@@ -388,8 +388,7 @@ def kinetic_kernel_from_range(
     if c < 0:
         raise ValueError("prefactor c must be >= 0")
     params = {"diffusion": dp, "range": rp, "dim": int(dim), "c": float(c)}
-    k = Kernel(kind="range_derived", params=params, n_max=dp.n_max)
-    return Kernel(kind="range_derived", params=params, n_max=dp.n_max, table=k._tabulate())
+    return Kernel(kind="range_derived", params=params, n_max=dp.n_max)
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,6 @@ class TracerEnsemble:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    def chunk_keys(self) -> list[tuple[int, int]]:
-        n_chunks = (self.count + self.chunk_size - 1) // self.chunk_size
-        return [(self.seed, i) for i in range(n_chunks)]
-
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
@@ -414,7 +410,8 @@ def simulate(
         row_cum=row_cum,
         n_max=n_max,
     )
-    results = fork_map(partial(_run_chunk, task), range(len(ensemble.chunk_keys())), workers)
+    n_chunks = (ensemble.count + ensemble.chunk_size - 1) // ensemble.chunk_size
+    results = fork_map(partial(_run_chunk, task), range(n_chunks), workers)
 
     merged: list[TracerHistogram] = []
     mark_items = sorted(marks.items())

@@ -3,7 +3,8 @@
 ``fine_rk4_constant_kernel`` is independent of smolkit.  ``rk4_reaction_step``
 takes a smolkit rate evaluator and is the RK4 reaction substep written out of
 place, every stage field and slope a new array: the arithmetic that the
-integrator's buffered step must reproduce bit for bit.
+integrator's buffered step must reproduce bit for bit.  ``weighted_sum`` is
+the dense pair form of sum_n phi(n) Q_n, the oracle of the pair identity.
 """
 
 import numpy as np
@@ -41,3 +42,30 @@ def rk4_reaction_step(evaluator, flat, gel, dt, cell_volume):
     new = flat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     gel_rate = (g1 + 2.0 * g2 + 2.0 * g3 + g4).sum() * cell_volume
     return new, gel + (dt / 6.0) * float(gel_rate)
+
+
+def weighted_sum(F, kernel, phi, policy):
+    """Per-cell pair form sum alpha(n,m) (phi(n+m) - phi(n) - phi(m)) f_n f_m.
+
+    ``phi`` must be defined on 1..2*n_max.  Pair admissibility follows the
+    policy, making this identically equal to sum_n phi(n) * Q_n from
+    ``RateEvaluator.rates``: under cutoff, overflowing pairs drop entirely;
+    under the gel reservoir the phi(n+m) credit is dropped but the losses
+    remain.  With phi(n) = n and cutoff, the sum telescopes to zero.
+    """
+    if policy.n_max != F.n_max:
+        raise ValueError("policy n_max must match the field")
+    N = F.n_max
+    phis = np.array([float(phi(n)) for n in range(1, 2 * N + 1)])
+    idx = np.arange(1, N + 1)
+    s = idx[:, None] + idx[None, :]
+    credit = phis[s - 1]
+    debit = phis[idx - 1][:, None] + phis[idx - 1][None, :]
+    if policy.kind == "cutoff":
+        form = np.where(s <= N, credit - debit, 0.0)
+    else:
+        form = np.where(s <= N, credit, 0.0) - debit
+    B = kernel.dense(N) * form
+    flat = F.flat()
+    out = np.einsum("nc,nc->c", flat, B @ flat)
+    return out.reshape(F.grid.shape)

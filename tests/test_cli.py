@@ -1,4 +1,4 @@
-"""Config parsing, round-trip identity, execution paths, and exit codes."""
+"""Config parsing, execution paths, and exit codes."""
 
 import dataclasses
 import os
@@ -14,7 +14,6 @@ from smolkit.cli import (
     main,
     parse_config,
     read_field_csv,
-    serialize_config,
     write_field_csv,
 )
 from smolkit.field import Grid
@@ -117,19 +116,6 @@ class TestParseConfig:
         p = write(tmp_path, MINIMAL + "monitors = conservation, wishful\n")
         with pytest.raises(ConfigError, match="wishful"):
             parse_config(p)
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("text", [MINIMAL, PDE])
-    def test_parse_serialize_parse_identity(self, tmp_path, text):
-        s1 = parse_config(write(tmp_path, text))
-        p2 = write(tmp_path, serialize_config(s1), "round.cfg")
-        s2 = parse_config(p2)
-        assert s1 == s2
-
-    def test_serialized_form_is_canonical(self, tmp_path):
-        s = parse_config(write(tmp_path, MINIMAL))
-        assert serialize_config(s) == serialize_config(dataclasses.replace(s))
 
 
 class TestExecute:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smolkit.coagulation import TruncationPolicy
 from smolkit.field import (
     Grid,
     MassField,
@@ -19,9 +20,17 @@ from smolkit.field import (
     moment,
     pair_moment,
     potential_kernel,
-    total_mass,
 )
+from smolkit.integrator import RunConfig, run
 from smolkit.kernels import DiffusionProfile, Kernel
+
+
+def recorded_mass(F):
+    """(mass excluding gel, mass including gel) as ``run`` records them at t = 0."""
+    dp = DiffusionProfile.constant(1.0, F.n_max) if F.grid.dim else None
+    cfg = RunConfig(t_final=0.0, dt=1.0, policy=TruncationPolicy.gel_reservoir(F.n_max))
+    rec = run(F, Kernel.constant(0.0, F.n_max), dp, cfg)
+    return rec.mass[0], float(rec.mass_with_gel[0])
 
 
 class TestGrid:
@@ -40,7 +49,7 @@ class TestGrid:
         assert g.dim == 0 and g.shape == () and g.n_cells == 1 and g.cell_volume == 1.0
         F = MassField.monodisperse(g, 3, amplitude=0.5)
         assert F.data.shape == (3,) and F.flat().shape == (3, 1)
-        assert total_mass(F) == (0.5, 0.5)
+        assert recorded_mass(F) == (0.5, 0.5)
         with pytest.raises(ValueError, match="one cell"):
             Grid(0, 1.0, 2)
 
@@ -107,12 +116,12 @@ class TestMoment:
         rhs = moment(f1, MomentSpec(a)) + moment(f2, MomentSpec(a))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
-    def test_mass_moment_matches_total_mass(self):
+    def test_mass_moment_matches_recorded_mass(self):
         g = Grid(2, 1.5, 4)
         rng = np.random.default_rng(3)
         F = MassField(g, rng.random((6,) + g.shape))
         via_moment = float(moment(F, MomentSpec(1.0)).sum()) * g.cell_volume
-        assert via_moment == pytest.approx(total_mass(F)[0], rel=1e-12)
+        assert via_moment == pytest.approx(recorded_mass(F)[0], rel=1e-12)
 
     def test_high_exponent_uses_extended_accumulation(self):
         g = Grid(1, 1.0, 4)
@@ -171,11 +180,11 @@ class TestPairMoment:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-class TestTotalMass:
+class TestRecordedMass:
     def test_uniform_species_one(self):
         g = Grid(3, 2.0, 4)
         F = MassField.monodisperse(g, 4, amplitude=1.0)
-        excl, incl = total_mass(F)
+        excl, incl = recorded_mass(F)
         assert excl == pytest.approx(8.0)  # volume of the torus
         assert incl == excl
 
@@ -183,13 +192,13 @@ class TestTotalMass:
         g = Grid(1, 2.0, 8)
         F = MassField.zeros(g, 4)
         F.data[1] = 0.5
-        assert total_mass(F)[0] == pytest.approx(2.0)
+        assert recorded_mass(F)[0] == pytest.approx(2.0)
 
     def test_gel_reported_separately(self):
         g = Grid(1, 1.0, 4)
         F = MassField.zeros(g, 2)
         F.gel_reservoir = 3.0
-        assert total_mass(F) == (0.0, 3.0)
+        assert recorded_mass(F) == (0.0, 3.0)
 
 
 class TestPotentialKernel:

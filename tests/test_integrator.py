@@ -6,6 +6,7 @@ against a fine-step integration before being trusted); it pins down the
 factor-2 loss convention end to end.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import fine_rk4_constant_kernel, rk4_reaction_step
 from smolkit.coagulation import RateEvaluator, TruncationPolicy
+from smolkit.diffusion import heat_step_batched
 from smolkit.field import Grid, MassField
 from smolkit.integrator import (
     RunConfig,
@@ -22,7 +24,6 @@ from smolkit.integrator import (
     _Engine,
     homogeneous_run,
     run,
-    step,
 )
 from smolkit.kernels import DiffusionProfile, Kernel
 
@@ -158,18 +159,22 @@ def small_setup():
     return grid, k, dp, F
 
 
+def one_step(F, kernel, dp, cfg):
+    """The record of a run over exactly one step of cfg.dt, fields kept."""
+    return run(F, kernel, dp, dataclasses.replace(cfg, t_final=cfg.dt, record_fields=True))
+
+
 class TestStep:
     def test_pure_diffusion_when_kernel_vanishes(self, small_setup):
         grid, _, dp, F = small_setup
         n_max = F.n_max
         k0 = Kernel.constant(0.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=0.02, policy=TruncationPolicy.cutoff(n_max))
-        out = step(F, k0, dp, cfg)
-        from smolkit.diffusion import heat_step
-
+        out = one_step(F, k0, dp, cfg).fields[-1].reshape(F.data.shape)
         for n in range(n_max):
-            expect = heat_step(heat_step(F.data[n], dp.value(n + 1), 0.01, grid), dp.value(n + 1), 0.01, grid)
-            np.testing.assert_allclose(out.data[n], expect, atol=1e-15)
+            d = [dp.value(n + 1)]
+            expect = heat_step_batched(heat_step_batched(F.data[n][None], d, 0.01, grid), d, 0.01, grid)[0]
+            np.testing.assert_allclose(out[n], expect, atol=1e-15)
 
     def test_matches_homogeneous_path_without_diffusion(self):
         """d = 0 on a spatially uniform field reduces the splitting to the
@@ -180,25 +185,22 @@ class TestStep:
         dp = DiffusionProfile.from_table(np.full(n_max, 1e-300))
         F = MassField.monodisperse(grid, n_max, amplitude=0.5)
         cfg = RunConfig(t_final=0.02, dt=0.02, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
-        stepped = step(F, k, dp, cfg)
+        stepped = run(F, k, dp, cfg).fields[-1]
         rec = homogeneous_run(MassField(Grid.point(), F.flat()[:, 0].copy()), k, cfg)
-        np.testing.assert_allclose(stepped.flat()[:, 0], rec.fields[-1][:, 0], rtol=1e-10)
+        np.testing.assert_allclose(stepped[:, 0], rec.fields[-1][:, 0], rtol=1e-10)
 
     def test_mass_audit_single_step(self, small_setup):
         grid, k, dp, F = small_setup
         cfg = RunConfig(t_final=1.0, dt=0.01, policy=TruncationPolicy.gel_reservoir(F.n_max))
-        out = step(F, k, dp, cfg)
-        from smolkit.field import total_mass
-
-        before = total_mass(F)[1]
-        after = total_mass(out)[1]
+        total = one_step(F, k, dp, cfg).mass_with_gel
+        before, after = total[0], total[-1]
         assert abs(after - before) / before <= 1e-11
 
     def test_stability_error_names_species_and_cell(self, small_setup):
         grid, k, dp, F = small_setup
-        cfg = RunConfig(t_final=1.0, dt=50.0, policy=TruncationPolicy.cutoff(F.n_max), auto_halve=False)
+        cfg = RunConfig(t_final=50.0, dt=50.0, policy=TruncationPolicy.cutoff(F.n_max), auto_halve=False)
         with pytest.raises(StepSizeError) as err:
-            step(F, k, dp, cfg)
+            run(F, k, dp, cfg)
         assert err.value.species >= 1
         assert "cell" in str(err.value)
 
@@ -213,10 +215,40 @@ class TestStep:
         F.data[0, 16] = 40.0
         cfg = RunConfig(t_final=0.01, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
                         splitting=splitting, auto_halve=False)
-        out = step(F, Kernel.constant(1.0, n_max), DiffusionProfile.constant(1.0, n_max), cfg)
-        from smolkit.field import total_mass
+        total = run(F, Kernel.constant(1.0, n_max), DiffusionProfile.constant(1.0, n_max), cfg).mass_with_gel
+        assert total[-1] == pytest.approx(total[0], rel=1e-12)
 
-        assert total_mass(out)[1] == pytest.approx(total_mass(F)[1], rel=1e-12)
+
+class TestMajorantRow:
+    """``track_majorant`` carries the initial mass density sum_n n f_n(x, 0)
+    as an extra row diffused at the fastest rate d(1)."""
+
+    def test_monodisperse_constant_fixed_point(self):
+        grid = Grid(1, 1.0, 16)
+        F = MassField.monodisperse(grid, 4, amplitude=2.5)
+        dp = DiffusionProfile.power_law(1.0, 0.5, 4)
+        cfg = RunConfig(t_final=3.0, dt=0.05, policy=TruncationPolicy.cutoff(4), track_majorant=True)
+        rec = run(F, Kernel.constant(1.0, 4), dp, cfg)
+        assert rec.times[-1] == pytest.approx(3.0)
+        np.testing.assert_allclose(rec.majorant[-1], 2.5, rtol=1e-13)
+
+    def test_zero_time_returns_mass_density(self):
+        grid = Grid(1, 1.0, 16)
+        rng = np.random.default_rng(6)
+        F = MassField(grid, rng.random((3,) + grid.shape))
+        dp = DiffusionProfile.constant(1.0, 3)
+        cfg = RunConfig(t_final=0.0, dt=0.01, policy=TruncationPolicy.cutoff(3), track_majorant=True)
+        rec = run(F, Kernel.constant(1.0, 3), dp, cfg)
+        n = np.arange(1, 4, dtype=float)
+        np.testing.assert_allclose(rec.majorant[0], np.tensordot(n, F.data, axes=(0, 0)))
+
+    def test_increasing_profile_rejected(self):
+        grid = Grid(1, 1.0, 16)
+        F = MassField.monodisperse(grid, 3)
+        dp = DiffusionProfile.from_table([1.0, 2.0, 3.0])
+        cfg = RunConfig(t_final=1.0, dt=0.01, policy=TruncationPolicy.cutoff(3), track_majorant=True)
+        with pytest.raises(ValueError, match="non-increasing"):
+            run(F, Kernel.constant(1.0, 3), dp, cfg)
 
 
 class TestRun:

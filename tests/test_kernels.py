@@ -316,6 +316,18 @@ class TestCustomTables:
         with pytest.raises(ValueError, match="missing"):
             Kernel.from_csv(path, 2)
 
+    def test_closure_kernel_is_custom_and_takes_no_kind(self):
+        """A closure kernel is always "custom": a family name would make the
+        family formulas read parameters the closure kernel does not have."""
+        k = Kernel.from_function(lambda n, m: float(n * m), 8)
+        assert k.kind == "custom" and k.eval(2, 3) == 6.0 and k.table is not None
+        with pytest.raises(TypeError):
+            Kernel.from_function(lambda n, m: float(n * m), 8, kind="sum")
+
+    def test_from_function_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            Kernel.from_function(lambda n, m: float(n), 4)
+
     def test_rate_row_clamps_for_table_kernels(self):
         k = Kernel.from_table(np.arange(1, 10, dtype=float).reshape(3, 3) * 0 + 2.0)
         np.testing.assert_array_equal(k.rate_row(7), k.rate_row(3))

@@ -1,0 +1,74 @@
+"""The public surface holds only what the program calls.
+
+Every name in ``smolkit.__all__`` must be read by code in the package other
+than its own definition.  Imports and the ``__all__`` lists are not reads.
+A read from inside the definition of another public name that is itself
+unused does not count either, so a chain of wrappers that only tests call is
+caught whole.  Scopes come from :mod:`symtable`, so a local variable that
+shares a public name is not mistaken for a call.
+"""
+
+import symtable
+from collections import defaultdict
+from pathlib import Path
+
+import smolkit
+
+SRC = Path(smolkit.__file__).parent
+
+EXCEPTIONS = {
+    "check_assumption_1_2",  # ROADMAP item 2's theorem-scope certificate either calls it or removes it.
+    "check_assumption_1_3",  # ROADMAP item 2's theorem-scope certificate either calls it or removes it.
+    "linf_moment_exponent",  # acceptance criterion 8 is the contract of this formula.
+}
+
+
+def _scopes(table):
+    yield table
+    for child in table.get_children():
+        yield from _scopes(child)
+
+
+def global_reads() -> dict[str, set[tuple[str, str]]]:
+    """Name -> the (module, top-level definition) pairs whose code reads it as
+    a module global; module-level code is the definition ``"<module>"``."""
+    reads = defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        module = f"smolkit.{path.stem}" if path.stem != "__init__" else "smolkit"
+        top = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+        for sym in top.get_symbols():
+            if sym.is_referenced():
+                reads[sym.get_name()].add((module, "<module>"))
+        for child in top.get_children():
+            for scope in _scopes(child):
+                for sym in scope.get_symbols():
+                    if sym.is_referenced() and sym.is_global():
+                        reads[sym.get_name()].add((module, child.get_name()))
+    return reads
+
+
+def unused_public_names() -> set[str]:
+    """Public names with no read outside their own and other unused definitions."""
+    home = {name: (getattr(smolkit, name).__module__, name) for name in smolkit.__all__}
+    reads = global_reads()
+    unused: set[str] = set()
+    while True:
+        dead = {home[name] for name in unused}
+        found = {
+            name
+            for name in set(smolkit.__all__) - unused
+            if all(where == home[name] or where in dead for where in reads[name])
+        }
+        if not found:
+            return unused
+        unused |= found
+
+
+def test_every_public_name_has_a_program_caller():
+    extra = sorted(unused_public_names() - EXCEPTIONS)
+    assert not extra, f"public names that only tests call: {extra}"
+
+
+def test_exceptions_are_still_needed():
+    stale = sorted(EXCEPTIONS - unused_public_names())
+    assert not stale, f"no longer unused public names, drop them from EXCEPTIONS: {stale}"

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.stats
 
 from smolkit import _fork, tracer
-from smolkit.diffusion import heat_step
+from smolkit.diffusion import heat_step_batched
 from smolkit.field import Grid, MassField, MomentSpec, moment
 from smolkit.kernels import DiffusionProfile, Kernel
 from smolkit.tracer import (
@@ -448,7 +448,7 @@ class TestDensityConsistency:
         t, slices = 0.4, 8
         ens = TracerEnsemble(count=120000, seed=11)
         out = simulate([F] * slices, k, dp, ens, t / slices, histogram_times=[t])
-        evolved = MassField(grid, np.stack([heat_step(F.data[i], d, t, grid) for i in range(n_max)]))
+        evolved = MassField(grid, heat_step_batched(F.data, [d] * n_max, t, grid))
         m0 = float(sum(F.species_integrals()))
         rep = density_consistency(out.histograms[0], evolved, m0)
         assert rep.max_abs_z <= 4.0
@@ -472,7 +472,7 @@ class TestDensityConsistency:
         weights = np.arange(1, n_max + 1) ** a * m0 / (h.total * grid.cell_volume)
         emp = weights @ h.counts
         sigma = np.sqrt(weights**2 @ h.counts)
-        u = heat_step(moment(F, MomentSpec(1.0)), dp.value(1), t, grid)
+        u = heat_step_batched(moment(F, MomentSpec(1.0))[None], [dp.value(1)], t, grid)[0]
         masses = np.arange(1, 4 * n_max + 1)
         envelope = dp.value(1) ** 0.5 / (masses ** (1 - a) * dp.value(masses) ** 0.5).min()
         assert np.all(emp <= envelope * u + 3 * sigma + 1e-12)
