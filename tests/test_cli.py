@@ -118,6 +118,15 @@ class TestParseConfig:
             parse_config(p)
 
 
+    @pytest.mark.parametrize("text", [MINIMAL, PDE], ids=["minimal", "pde"])
+    def test_every_set_key_reaches_the_scenario(self, tmp_path, text):
+        s = parse_config(write(tmp_path, text))
+        for line in filter(None, map(str.strip, text.splitlines())):
+            key, _, value = (part.strip() for part in line.partition("="))
+            attr, parser = cli.SCHEMA[key]
+            assert getattr(s, attr) == parser(value), key
+
+
 class TestExecute:
     def test_pure_diffusion_scenario_exits_zero(self, tmp_path):
         text = PDE.replace("kernel.kind = sum", "kernel.kind = constant").replace(

@@ -92,6 +92,25 @@ class TestMultipliers:
         deep = np.exp(-(10.0 * 0.9) * k2)
         assert np.all(deep >= 0) and np.all(deep <= 1.0)
 
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 16), (3, 8)])
+    def test_single_fourier_mode_decays_exactly(self, dim, m):
+        """The one heat step is exact in time: the mode cos(2 pi j.x / L)
+        decays by exp(-D t (2 pi / L)^2 |j|^2) and the mean is untouched."""
+        length, D, t = 2.0, 0.3, 0.05
+        grid = Grid(dim, length, m)
+        j = np.array([1, 2, 3][:dim])
+        x = np.indices(grid.shape) * grid.h
+        phase = 2.0 * np.pi * np.tensordot(j, x, axes=1) / length
+        g = 1.0 + 0.5 * np.cos(phase)
+        decay = np.exp(-D * t * (2.0 * np.pi / length) ** 2 * float(j @ j))
+        out = heat_step_batched(g[None], [D], t, grid)[0]
+        np.testing.assert_allclose(out, 1.0 + 0.5 * decay * np.cos(phase), rtol=0, atol=1e-13)
+
+    def test_scheme_keyword_rejected(self):
+        g = np.ones((1, 8))
+        with pytest.raises(TypeError, match="scheme"):
+            heat_step_batched(g, [1.0], 0.1, Grid(1, 1.0, 8), scheme="crank_nicolson")
+
     def test_propagator_validates_args(self):
         grid = Grid(1, 1.0, 8)
         g = np.ones(grid.shape)
