@@ -23,10 +23,8 @@ from .coagulation import TruncationPolicy
 from .field import (
     Grid,
     MassField,
-    MomentSpec,
     initial_data_functionals,
     moment,
-    pair_moment,
     potential_kernel,
 )
 from .integrator import (
@@ -67,7 +65,6 @@ __all__ = [
     "HypothesisError",
     "Kernel",
     "MassField",
-    "MomentSpec",
     "RangeProfile",
     "RunConfig",
     "RunRecord",
@@ -91,7 +88,6 @@ __all__ = [
     "kinetic_kernel_from_range",
     "linf_moment_exponent",
     "moment",
-    "pair_moment",
     "potential_kernel",
     "run",
     "simulate",

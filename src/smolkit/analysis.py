@@ -24,7 +24,7 @@ import numpy as np
 
 from ._fork import fork_map
 from .coagulation import RateEvaluator, TruncationPolicy
-from .field import Grid, MassField, initial_data_functionals
+from .field import Grid, MassField, initial_data_functionals, moment_weights
 from .integrator import RunConfig, RunRecord, STABILITY_LIMIT, homogeneous_run
 from .kernels import CheckResult, DiffusionProfile, Kernel, check_assumption_1_1
 
@@ -69,13 +69,16 @@ class BoundReport:
     name: str
     max_violation: float
     tolerance: float
-    passed: bool
     location: tuple | None = None
     detail: str = ""
 
     def __post_init__(self):
         if self.max_violation < 0:
             raise ValueError("violation must be >= 0")
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tolerance
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -153,7 +156,6 @@ def check_heat_majorant(record: RunRecord, dp: DiffusionProfile, tolerance: floa
         name="heat_majorant_domination",
         max_violation=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
         location=(record.times[k], int(cell)) if worst > 0 else None,
     )
 
@@ -161,8 +163,7 @@ def check_heat_majorant(record: RunRecord, dp: DiffusionProfile, tolerance: floa
 def _sup_weighted_cell_moment(record: RunRecord, exponent: float) -> float:
     if record.fields is None:
         raise ValueError("record was not run with record_fields=True")
-    n = np.arange(1, record.n_max + 1, dtype=float)
-    w = n**exponent
+    w = moment_weights(exponent, record.n_max)
     return max(float((w @ f).max()) for f in record.fields)
 
 
@@ -186,7 +187,7 @@ def check_gronwall(
         raise ValueError("records must share stride times")
     kernel = f_record.kernel
     nmax = f_record.n_max
-    idx = np.arange(1, nmax + 1, dtype=float)
+    idx = moment_weights(1.0, nmax)
     if np.any(kernel.dense(nmax) > c0 * np.outer(idx, idx) * (1 + 1e-12)):
         raise HypothesisError(f"kernel exceeds c0*n*m for c0={c0:g}; the stability envelope does not apply")
     a_obs = max(_sup_weighted_cell_moment(f_record, 2.0), _sup_weighted_cell_moment(g_record, 2.0))
@@ -214,7 +215,6 @@ def check_gronwall(
         name="gronwall_stability",
         max_violation=worst,
         tolerance=1.0 + tolerance,
-        passed=worst <= 1.0 + tolerance,
         location=where,
         detail=f"A={A:g}, c0={c0:g}, X(0)={x0:g}",
     )
@@ -245,7 +245,6 @@ def check_conservation(record: RunRecord, tolerance: float = 1e-10) -> BoundRepo
         name=name,
         max_violation=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
         location=(record.times[i],),
     )
 
@@ -308,7 +307,6 @@ def check_moment_bound(
         name=f"moment_plateau_a{a:g}",
         max_violation=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
         detail=detail,
     )
 
@@ -418,7 +416,6 @@ def collision_budget(record: RunRecord) -> BoundReport:
         name="collision_budget",
         max_violation=violation,
         tolerance=1e-12,
-        passed=violation <= 1e-12,
         detail=f"collisions {collisions:.6g} vs initial mass {budget:.6g}",
     )
 

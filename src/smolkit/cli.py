@@ -588,7 +588,7 @@ def _tracer(s: Scenario, rec: RunRecord, slice_dt: float, out: Path) -> tuple[li
             ("tracer_z", rep.max_abs_z, s.tracer_z_tolerance),
         ):
             if tol is not None:
-                gates.append(BoundReport(name=name, max_violation=value, tolerance=tol, passed=value <= tol))
+                gates.append(BoundReport(name=name, max_violation=value, tolerance=tol))
     (out / "histogram.csv").write_text("\n".join(hist_rows) + "\n", encoding="utf-8")
     (out / "summary.csv").write_text("\n".join(summary_rows) + "\n", encoding="utf-8")
     counts = result.collision_counts
@@ -631,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, HypothesisError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (FloatingPointError, RuntimeError, OSError) as err:
+    except (FloatingPointError, OverflowError, RuntimeError, OSError) as err:
         # Named by type: a worker process that died reads BrokenProcessPool.
         print(f"runtime error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1

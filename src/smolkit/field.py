@@ -6,7 +6,8 @@ zero-dimensional :meth:`Grid.point`, one cell of unit volume.  A
 :class:`MassField` holds the number densities ``f_n(x)`` for masses
 ``n = 1..n_max`` in a mass-major layout: ``data[n-1]`` is a contiguous
 spatial slab, so per-species spectral transforms operate on contiguous
-memory.
+memory.  Every moment weight n^a comes from :func:`moment_weights`, which
+rejects a < 0 and raises OverflowError when a weight overflows float64.
 
 The torus stands in for free space; initial data should be supported well
 inside the wrap scale (constructors warn beyond length/4) so that periodic
@@ -26,19 +27,15 @@ from .kernels import DiffusionProfile, Kernel
 __all__ = [
     "Grid",
     "MassField",
-    "MomentSpec",
+    "moment_weights",
     "moment",
-    "pair_moment",
+    "pair_weights",
+    "kernel_pair_weights",
     "potential_kernel",
     "initial_data_functionals",
 ]
 
 log = logging.getLogger(__name__)
-
-# Moments with exponent above this use extended-precision accumulation and
-# get overflow-checked weights.
-_FAST_MOMENT_EXPONENT = 6.0
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -178,74 +175,42 @@ class MassField:
         return self.flat().sum(axis=1) * self.grid.cell_volume
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """Moment weight n^a, optionally carrying the d(n)^(dim/2) factor."""
-
-    a: float
-    diffusion_weighted: bool = False
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("moment exponent must be >= 0")
+def _finite(x: np.ndarray, a: float, n_max: int) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"moment of exponent a={a:g} overflows float64 at n_max={n_max}")
+    return x
 
 
-def _moment_weights(spec: MomentSpec, dp: DiffusionProfile | None, n_max: int, dim: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1, dtype=float)
-    with np.errstate(over="ignore"):  # overflow is caught explicitly below
-        w = n**spec.a
-    if spec.diffusion_weighted:
-        if dp is None:
-            raise ValueError("diffusion-weighted moment needs a diffusion profile")
-        w = w * dp.values[:n_max] ** (dim / 2.0)
-    if not np.all(np.isfinite(w)):
-        raise OverflowError(f"moment weights overflow for exponent a={spec.a}")
-    return w
+@np.errstate(over="ignore")  # _finite reports the overflow
+def moment_weights(a: float, n_max: int) -> np.ndarray:
+    """The weights n^a, n = 1..n_max, of the moment X_a = sum_n n^a f_n.
 
-
-def moment(F: MassField, spec: MomentSpec, dp: DiffusionProfile | None = None) -> np.ndarray:
-    """Per-cell weighted mass sum: sum_n n^a [d(n)^(dim/2)] f_n(x)."""
-    w = _moment_weights(spec, dp, F.n_max, F.grid.dim)
-    if spec.a <= _FAST_MOMENT_EXPONENT:
-        return np.tensordot(w, F.data, axes=(0, 0))
-    # Large exponents: accumulate in extended precision to control the
-    # cancellation-free but wide dynamic range of n^a * f.
-    acc = np.tensordot(w.astype(np.longdouble), F.data.astype(np.longdouble), axes=(0, 0))
-    if not np.all(np.isfinite(acc)):
-        raise OverflowError(f"moment accumulation overflowed for a={spec.a}")
-    return acc.astype(float)
-
-
-def pair_moment(
-    F: MassField,
-    a: float,
-    dp: DiffusionProfile | None,
-    kernel: Kernel | None = None,
-    diffusion_weighted: bool = False,
-) -> np.ndarray:
-    """Per-cell quadratic pair functional over ordered mass pairs.
-
-    diffusion_weighted=False:
-        sum_{n,m} n*m*(n^a + m^a)*(d(n)+d(m)) f_n f_m
-    diffusion_weighted=True:
-        sum_{n,m} (n^a m + m^a n) * alpha(n,m) f_n f_m
+    The one source of moment weights: raises ValueError for a < 0 and
+    OverflowError when a weight overflows float64.
     """
     if a < 0:
-        raise ValueError("pair moment exponent must be >= 0")
-    N = F.n_max
-    n = np.arange(1, N + 1, dtype=float)
-    if diffusion_weighted:
-        if kernel is None:
-            raise ValueError("kernel-weighted pair moment needs the kernel")
-        B = (n[:, None] ** a * n[None, :] + n[None, :] ** a * n[:, None]) * kernel.dense(N)
-    else:
-        if dp is None:
-            raise ValueError("unweighted pair moment needs a diffusion profile")
-        dsum = dp.values[:N, None] + dp.values[None, :N]
-        B = n[:, None] * n[None, :] * (n[:, None] ** a + n[None, :] ** a) * dsum
-    flat = F.flat()
-    out = np.einsum("nc,nc->c", flat, B @ flat)
-    return out.reshape(F.grid.shape)
+        raise ValueError(f"moment exponent must be >= 0, got a={a:g}")
+    return _finite(np.arange(1, n_max + 1, dtype=float) ** a, a, n_max)
+
+
+def moment(F: MassField, a: float) -> np.ndarray:
+    """Per-cell moment X_a(x) = sum_n n^a f_n(x), checked finite."""
+    return _finite(np.tensordot(moment_weights(a, F.n_max), F.data, axes=(0, 0)), a, F.n_max)
+
+
+@np.errstate(over="ignore")
+def pair_weights(a: float, dp: DiffusionProfile, n_max: int) -> np.ndarray:
+    """(n_max, n_max) weights of Y_a = sum_{n,m} n m (n^a + m^a)(d(n) + d(m)) f_n f_m."""
+    w, n = moment_weights(a, n_max), moment_weights(1.0, n_max)
+    dsum = dp.values[:n_max, None] + dp.values[None, :n_max]
+    return _finite(n[:, None] * n[None, :] * (w[:, None] + w[None, :]) * dsum, a, n_max)
+
+
+@np.errstate(over="ignore")
+def kernel_pair_weights(a: float, kernel: Kernel, n_max: int) -> np.ndarray:
+    """(n_max, n_max) weights of Yk_a = sum_{n,m} (n^a m + m^a n) K(n, m) f_n f_m."""
+    w, n = moment_weights(a, n_max), moment_weights(1.0, n_max)
+    return _finite((w[:, None] * n[None, :] + w[None, :] * n[:, None]) * kernel.dense(n_max), a, n_max)
 
 
 def potential_kernel(r, dim: int):
@@ -293,8 +258,8 @@ def initial_data_functionals(F: MassField, a: float) -> tuple[float, float, floa
     dim=1 needs no exclusion since w(0) is finite there.
     """
     grid = F.grid
-    xa = moment(F, MomentSpec(a)).reshape(grid.n_cells)
-    x1 = moment(F, MomentSpec(1.0)).reshape(grid.n_cells)
+    xa = moment(F, a).reshape(grid.n_cells)
+    x1 = moment(F, 1.0).reshape(grid.n_cells)
     w = potential_kernel(_pair_distance_matrix(grid), grid.dim)
     if grid.dim >= 2:
         np.fill_diagonal(w, 0.0)

@@ -23,7 +23,9 @@ The space-free system dc_n/dt = Q_n(c) is the same run on the
 zero-dimensional ``Grid.point()``: one cell, no spatial axes, and diffusion
 reduces to the identity, so no diffusion profile is needed there.
 
-A run is sequential in time with fixed-order reductions; results are
+Recording contracts moment weights and pair-moment matrices that the run
+builds once, before the first step, so a bad exponent fails there.  A run
+is sequential in time with fixed-order reductions; results are
 bit-reproducible for a fixed config regardless of worker count.
 """
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .coagulation import RateEvaluator, TruncationPolicy
 from .diffusion import heat_step_batched
-from .field import Grid, MassField, pair_moment
+from .field import Grid, MassField, kernel_pair_weights, moment_weights, pair_weights
 from .kernels import DiffusionProfile, Kernel
 
 __all__ = [
@@ -115,9 +117,10 @@ class RunRecord:
     """Stride-sampled diagnostics of one run.
 
     ``mass`` excludes the gel reservoir; ``gel`` is the reservoir itself.
-    ``moments[a]`` is the spatial integral of the a-th mass moment per
-    stride.  Field snapshots, the weighted moment sum_n n d(n)^(dim/2) f_n,
-    and its heat majorant are stored per stride when requested.
+    ``moments[a]``, ``pair_moments[a]`` and ``pair_moments_weighted[a]`` are
+    the spatial integrals of X_a, Y_a and Yk_a per stride.  Field snapshots,
+    the weighted moment sum_n n d(n)^(dim/2) f_n, and its heat majorant are
+    stored per stride when requested.
     """
 
     n_max: int
@@ -157,8 +160,6 @@ class _Engine:
     """
 
     def __init__(self, F: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig):
-        self.kernel = kernel
-        self.dp = dp
         self.cfg = cfg
         self.grid = grid = F.grid
         self.n_max = cfg.policy.n_max
@@ -170,7 +171,17 @@ class _Engine:
             raise ValueError("the spatial solver needs a diffusion profile")
         if dp is not None and dp.n_max < self.n_max:
             raise ValueError("diffusion profile range smaller than n_max")
+        if cfg.track_majorant and (dp is None or not dp.non_increasing):
+            raise ValueError("majorant tracking requires a non-increasing diffusion profile")
         self.dvals = dp.values[: self.n_max] if dp is not None else None
+        # Every weight row and pair matrix of the recorded moments, built
+        # once: a bad exponent fails here, before the first step.
+        self.mass_row = moment_weights(1.0, self.n_max)
+        self.moment_rows = {a: moment_weights(a, self.n_max) for a in cfg.moment_exponents}
+        pairs = cfg.pair_moment_exponents
+        self.pair_matrices = {a: pair_weights(a, dp, self.n_max) for a in pairs if dp is not None}
+        self.kernel_pair_matrices = {a: kernel_pair_weights(a, kernel, self.n_max) for a in pairs}
+        self.majorant_row = self.mass_row * self.dvals ** (grid.dim / 2.0) if cfg.track_majorant else None
         # Work arrays of the reaction substep: the guard's lambda, the four
         # RK4 slopes, and one buffer for the stage fields and their combination.
         shape = (self.n_max, grid.n_cells)
@@ -239,26 +250,22 @@ class _Engine:
     # -- recording -----------------------------------------------------
 
     def record(self, rec: RunRecord, t: float, flat: np.ndarray, gel: float, u: np.ndarray | None, dt: float) -> None:
-        n = np.arange(1, self.n_max + 1, dtype=float)
+        totals = flat.sum(axis=1)
         rec.times.append(t)
-        rec.mass.append(float(n @ flat.sum(axis=1)) * self.cell_volume)
+        rec.mass.append(float(self.mass_row @ totals) * self.cell_volume)
         rec.gel.append(gel)
         rec.dt_series.append(dt)
-        for a in self.cfg.moment_exponents:
-            rec.moments.setdefault(a, []).append(float((n**a) @ flat.sum(axis=1)) * self.cell_volume)
-        if self.cfg.pair_moment_exponents:
-            F = MassField(self.grid, flat.reshape((self.n_max,) + self.grid.shape), validate=False)
-            for a in self.cfg.pair_moment_exponents:
-                if self.dp is not None:
-                    y = pair_moment(F, a, self.dp, diffusion_weighted=False)
-                    rec.pair_moments.setdefault(a, []).append(float(y.sum()) * self.cell_volume)
-                yw = pair_moment(F, a, self.dp, self.kernel, diffusion_weighted=True)
-                rec.pair_moments_weighted.setdefault(a, []).append(float(yw.sum()) * self.cell_volume)
+        for a, w in self.moment_rows.items():
+            rec.moments.setdefault(a, []).append(float(w @ totals) * self.cell_volume)
+        pairs = ((rec.pair_moments, self.pair_matrices), (rec.pair_moments_weighted, self.kernel_pair_matrices))
+        for series, matrices in pairs:
+            for a, B in matrices.items():
+                y = np.einsum("nc,nc->c", flat, B @ flat)
+                series.setdefault(a, []).append(float(y.sum()) * self.cell_volume)
         if rec.fields is not None:
             rec.fields.append(flat.copy())
         if u is not None:
-            w = n * self.dvals ** (self.grid.dim / 2.0)
-            rec.weighted_mass_moment.append(w @ flat)
+            rec.weighted_mass_moment.append(self.majorant_row @ flat)
             rec.majorant.append(u.copy())
 
 
@@ -275,9 +282,7 @@ def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConf
     )
     u = None
     if cfg.track_majorant:
-        if dp is None or not dp.non_increasing:
-            raise ValueError("majorant tracking requires a non-increasing diffusion profile")
-        u = np.arange(1, engine.n_max + 1, dtype=float) @ flat
+        u = engine.mass_row @ flat
         rec.weighted_mass_moment, rec.majorant = [], []
     dt = cfg.dt
     halvings = 0

@@ -93,11 +93,11 @@ class Kernel:
         """Tabulate a symmetric closure ``fn(n, m)`` over 1..n_max.
 
         The kernel's kind is ``"custom"``.  The closure is kept for
-        evaluations beyond the table range.
+        evaluations beyond the table range.  Symmetry is checked on the
+        leading ``min(n_max, TABLE_LIMIT)`` block, tabulated or not.
         """
         k = cls(kind="custom", params={"fn": fn}, n_max=int(n_max))
-        if k.table is not None:
-            _require_symmetric(k.table)
+        _require_symmetric(k.dense(min(k.n_max, TABLE_LIMIT)))
         return k
 
     @classmethod

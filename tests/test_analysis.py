@@ -203,7 +203,13 @@ class TestConservationReport:
 
     def test_negative_violation_rejected_by_report(self):
         with pytest.raises(ValueError):
-            BoundReport(name="x", max_violation=-1.0, tolerance=0.1, passed=True)
+            BoundReport(name="x", max_violation=-1.0, tolerance=0.1)
+
+    def test_passed_is_the_violation_within_tolerance(self):
+        assert BoundReport(name="x", max_violation=0.1, tolerance=0.1).passed
+        assert not BoundReport(name="x", max_violation=0.2, tolerance=0.1).passed
+        with pytest.raises(TypeError):
+            BoundReport(name="x", max_violation=0.2, tolerance=0.1, passed=True)
 
 
 class TestMomentPlateau:

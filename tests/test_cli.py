@@ -165,6 +165,18 @@ class TestExecute:
         assert f"error: {p}: workers: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line,named", [("run.moments = 200", "a=200"), ("run.pair_moments = 150", "a=150"), ("run.moments = -1", "a=-1")]
+    )
+    def test_bad_moment_exponent_exits_one_before_the_run(self, tmp_path, capsys, line, named):
+        """A weight n^a that overflows float64 at n_max = 1000, or an exponent
+        a < 0, is one line on stderr and exit 1, not a nan series."""
+        p = write(tmp_path, MINIMAL.replace("run.n_max = 16", "run.n_max = 1000") + line + "\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and named in err
+        assert not (tmp_path / "out" / "series.csv").exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

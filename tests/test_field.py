@@ -15,10 +15,10 @@ from smolkit.coagulation import TruncationPolicy
 from smolkit.field import (
     Grid,
     MassField,
-    MomentSpec,
     initial_data_functionals,
     moment,
-    pair_moment,
+    moment_weights,
+    pair_weights,
     potential_kernel,
 )
 from smolkit.integrator import RunConfig, run
@@ -31,6 +31,14 @@ def recorded_mass(F):
     cfg = RunConfig(t_final=0.0, dt=1.0, policy=TruncationPolicy.gel_reservoir(F.n_max))
     rec = run(F, Kernel.constant(0.0, F.n_max), dp, cfg)
     return rec.mass[0], float(rec.mass_with_gel[0])
+
+
+def recorded_pair_moments(F, a, dp, kernel):
+    """(Y_a, Yk_a) as ``run`` records them at t = 0: the spatial integrals of
+    sum n m (n^a + m^a)(d(n) + d(m)) f_n f_m and sum (n^a m + m^a n) K(n, m) f_n f_m."""
+    cfg = RunConfig(t_final=0.0, dt=1.0, policy=TruncationPolicy.cutoff(F.n_max), pair_moment_exponents=(a,))
+    rec = run(F, kernel, dp, cfg)
+    return rec.pair_moments[a][0], rec.pair_moments_weighted[a][0]
 
 
 class TestGrid:
@@ -87,22 +95,23 @@ class TestMoment:
         F = MassField.zeros(g, 4)
         F.data[0] = 2.0
         F.data[2] = 1.0
-        np.testing.assert_allclose(moment(F, MomentSpec(2.0)), 11.0)
+        np.testing.assert_allclose(moment(F, 2.0), 11.0)
 
     def test_zeroth_moment_monodisperse(self):
         g = Grid(1, 1.0, 4)
         F = MassField.monodisperse(g, 4, amplitude=0.7)
-        np.testing.assert_allclose(moment(F, MomentSpec(0.0)), 0.7)
+        np.testing.assert_allclose(moment(F, 0.0), 0.7)
 
     def test_diffusion_weighted_value(self):
-        """a=1, d(n)=1/n, dim=2: weight d(n)^(dim/2) = 1/n, so f1=f2=1
-        contributes 1*1 + 2*(1/2) = 2."""
+        """The majorant row sum_n n d(n)^(dim/2) f_n at t = 0: d(n)=1/n, dim=2
+        gives weight n * 1/n, so f1=f2=1 contributes 1*1 + 2*(1/2) = 2."""
         g = Grid(2, 1.0, 4)
         F = MassField.zeros(g, 2)
         F.data[:] = 1.0
         dp = DiffusionProfile.power_law(1.0, 1.0, 2)
-        out = moment(F, MomentSpec(1.0, diffusion_weighted=True), dp)
-        np.testing.assert_allclose(out, 2.0)
+        cfg = RunConfig(t_final=0.0, dt=1.0, policy=TruncationPolicy.cutoff(2), track_majorant=True)
+        rec = run(F, Kernel.constant(0.0, 2), dp, cfg)
+        np.testing.assert_allclose(rec.weighted_mass_moment[0], 2.0)
 
     @settings(max_examples=20, deadline=None)
     @given(a=st.floats(min_value=0.0, max_value=4.0), seed=st.integers(0, 2**31))
@@ -112,29 +121,34 @@ class TestMoment:
         f1 = MassField(g, rng.random((5, 8)))
         f2 = MassField(g, rng.random((5, 8)))
         both = MassField(g, f1.data + f2.data)
-        lhs = moment(both, MomentSpec(a))
-        rhs = moment(f1, MomentSpec(a)) + moment(f2, MomentSpec(a))
+        lhs = moment(both, a)
+        rhs = moment(f1, a) + moment(f2, a)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_mass_moment_matches_recorded_mass(self):
         g = Grid(2, 1.5, 4)
         rng = np.random.default_rng(3)
         F = MassField(g, rng.random((6,) + g.shape))
-        via_moment = float(moment(F, MomentSpec(1.0)).sum()) * g.cell_volume
+        via_moment = float(moment(F, 1.0).sum()) * g.cell_volume
         assert via_moment == pytest.approx(recorded_mass(F)[0], rel=1e-12)
 
-    def test_high_exponent_uses_extended_accumulation(self):
+    def test_high_exponent_in_float64(self):
         g = Grid(1, 1.0, 4)
         F = MassField.zeros(g, 100)
         F.data[99] = 1.0
-        out = moment(F, MomentSpec(8.0))
+        out = moment(F, 8.0)
         np.testing.assert_allclose(out, 100.0**8, rtol=1e-12)
 
     def test_overflowing_weights_rejected(self):
         g = Grid(1, 1.0, 4)
         F = MassField.zeros(g, 1000)
-        with pytest.raises(OverflowError):
-            moment(F, MomentSpec(200.0))
+        with pytest.raises(OverflowError, match=r"a=200 .*n_max=1000"):
+            moment(F, 200.0)
+
+    def test_negative_exponent_rejected(self):
+        F = MassField.zeros(Grid(1, 1.0, 4), 3)
+        with pytest.raises(ValueError, match="a=-1"):
+            moment(F, -1.0)
 
 
 class TestPairMoment:
@@ -143,20 +157,28 @@ class TestPairMoment:
         g = Grid(1, 1.0, 4)
         F = MassField.monodisperse(g, 3)
         dp = DiffusionProfile.constant(1.0, 3)
-        np.testing.assert_allclose(pair_moment(F, 1.0, dp), 4.0)
+        y, _ = recorded_pair_moments(F, 1.0, dp, Kernel.constant(1.0, 3))
+        np.testing.assert_allclose(y, 4.0)
 
     def test_monodisperse_kernel_weighted(self):
         g = Grid(1, 1.0, 4)
         F = MassField.monodisperse(g, 3)
         dp = DiffusionProfile.constant(1.0, 3)
         k = Kernel.constant(1.0, 3)
-        np.testing.assert_allclose(pair_moment(F, 1.0, dp, k, diffusion_weighted=True), 2.0)
+        _, yk = recorded_pair_moments(F, 1.0, dp, k)
+        np.testing.assert_allclose(yk, 2.0)
 
     def test_empty_field_zero(self):
         g = Grid(1, 1.0, 4)
         F = MassField.zeros(g, 3)
         dp = DiffusionProfile.constant(1.0, 3)
-        np.testing.assert_array_equal(pair_moment(F, 2.0, dp), 0.0)
+        assert recorded_pair_moments(F, 2.0, dp, Kernel.constant(1.0, 3)) == (0.0, 0.0)
+
+    def test_pair_weights_check_their_own_overflow(self):
+        """1000^101 is finite, but n m (n^a + m^a)(d(n) + d(m)) is not."""
+        assert np.all(np.isfinite(moment_weights(101.0, 1000)))
+        with pytest.raises(OverflowError, match="a=101"):
+            pair_weights(101.0, DiffusionProfile.constant(1.0, 1000), 1000)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_against_double_loop(self, weighted):
@@ -167,7 +189,7 @@ class TestPairMoment:
         dp = DiffusionProfile.power_law(1.3, 0.4, n_max)
         k = Kernel.two_exponent(0.2, 0.7, n_max)
         a = 1.4
-        got = pair_moment(F, a, dp, k, diffusion_weighted=weighted)
+        y, yk = recorded_pair_moments(F, a, dp, k)
         want = np.zeros(cells)
         for c in range(cells):
             for n in range(1, n_max + 1):
@@ -177,7 +199,7 @@ class TestPairMoment:
                         want[c] += (n**a * m + m**a * n) * k.eval(n, m) * fn * fm
                     else:
                         want[c] += n * m * (n**a + m**a) * (dp.value(n) + dp.value(m)) * fn * fm
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(yk if weighted else y, want.sum() * g.cell_volume, rtol=1e-12)
 
 
 class TestRecordedMass:

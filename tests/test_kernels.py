@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from smolkit.kernels import (
+    TABLE_LIMIT,
     DiffusionProfile,
     Kernel,
     KernelRangeError,
@@ -327,6 +328,11 @@ class TestCustomTables:
     def test_from_function_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="asymmetric"):
             Kernel.from_function(lambda n, m: float(n), 4)
+
+    def test_from_function_rejects_asymmetric_above_table_limit(self):
+        """No table is kept above TABLE_LIMIT; the leading block is still checked."""
+        with pytest.raises(ValueError, match="asymmetric"):
+            Kernel.from_function(lambda n, m: float(n), TABLE_LIMIT + 1)
 
     def test_rate_row_clamps_for_table_kernels(self):
         k = Kernel.from_table(np.arange(1, 10, dtype=float).reshape(3, 3) * 0 + 2.0)

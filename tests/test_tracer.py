@@ -19,7 +19,7 @@ import scipy.stats
 
 from smolkit import _fork, tracer
 from smolkit.diffusion import heat_step_batched
-from smolkit.field import Grid, MassField, MomentSpec, moment
+from smolkit.field import Grid, MassField, moment
 from smolkit.kernels import DiffusionProfile, Kernel
 from smolkit.tracer import (
     ThinningCounts,
@@ -472,7 +472,7 @@ class TestDensityConsistency:
         weights = np.arange(1, n_max + 1) ** a * m0 / (h.total * grid.cell_volume)
         emp = weights @ h.counts
         sigma = np.sqrt(weights**2 @ h.counts)
-        u = heat_step_batched(moment(F, MomentSpec(1.0))[None], [dp.value(1)], t, grid)[0]
+        u = heat_step_batched(moment(F, 1.0)[None], [dp.value(1)], t, grid)[0]
         masses = np.arange(1, 4 * n_max + 1)
         envelope = dp.value(1) ** 0.5 / (masses ** (1 - a) * dp.value(masses) ** 0.5).min()
         assert np.all(emp <= envelope * u + 3 * sigma + 1e-12)
