@@ -31,7 +31,6 @@ from .integrator import (
     RunConfig,
     RunRecord,
     StepSizeError,
-    homogeneous_run,
     run,
 )
 from .kernels import (
@@ -83,7 +82,6 @@ __all__ = [
     "collision_budget",
     "density_consistency",
     "gelation_scan",
-    "homogeneous_run",
     "initial_data_functionals",
     "kinetic_kernel_from_range",
     "linf_moment_exponent",

@@ -1,7 +1,7 @@
 """Map a function over independent items in forked worker processes.
 
 :func:`fork_map` is the one place smolkit starts processes: the tracer maps
-its chunks through it and the gelation scan its refinement levels.  The
+its chunks through it and the CLI's refinement ladder its levels.  The
 function and the items reach the workers through the fork, never through
 pickle, so closures over large read-only arrays cost nothing to hand over;
 only each item's index goes out and only its result comes back.

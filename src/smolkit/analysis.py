@@ -11,6 +11,9 @@ single truncation, since any truncated system can mimic a bound.
 Gelation verdicts follow the same philosophy: mass conservation of the
 untruncated system is a limit statement, so the verdict is read off the
 trend of the gel reservoir G(T) under doubling of the sectional range.
+
+Every function here judges finished runs; none builds, runs or forks one.
+The refinement runs come from the CLI's ladder (``smolkit.cli``).
 """
 
 from __future__ import annotations
@@ -18,15 +21,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._fork import fork_map
-from .coagulation import RateEvaluator, TruncationPolicy
-from .field import Grid, MassField, initial_data_functionals, moment_weights
-from .integrator import RunConfig, RunRecord, STABILITY_LIMIT, homogeneous_run
-from .kernels import CheckResult, DiffusionProfile, Kernel, check_assumption_1_1
+from .field import MassField, initial_data_functionals, moment_weights
+from .integrator import RunRecord
+from .integrator import homogeneous_run  # noqa: F401 (no caller; perfbench/spans.py patches analysis.homogeneous_run)
+from .kernels import CheckResult, DiffusionProfile, check_assumption_1_1
 
 __all__ = [
     "BoundReport",
@@ -311,26 +312,11 @@ def check_moment_bound(
     )
 
 
-def _gel_level(kernel: Kernel, level: tuple[MassField, RunConfig]) -> tuple[float, float, float]:
-    """G(T), I(T)/I(0) and I(0) of one refinement level's reservoir run."""
-    state, cfg = level
-    rec = homogeneous_run(state, kernel, cfg)
-    i0 = rec.mass[0]
-    return rec.gel[-1], rec.mass[-1] / i0 if i0 else 1.0, i0
-
-
-def gelation_scan(
-    kernel: Kernel,
-    n_list: list[int],
-    t_final: float,
-    initial: float | np.ndarray = 1.0,
-    dt: float | None = None,
-    workers: int = 1,
-) -> GelVerdict:
+def gelation_scan(records: list[RunRecord]) -> GelVerdict:
     """Diagnose the conservation/gelation dichotomy by sectional refinement.
 
-    Runs the homogeneous system under the gel-reservoir policy for each
-    range in ``n_list`` and classifies the trend of G(T):
+    ``records`` are gel-reservoir runs of one scenario at increasing ranges
+    (the CLI's gelscan ladder).  The trend of G(T) is classified as
 
     * ``conserving`` if each refinement at least halves G(T) (or G is below
       ``GEL_FLOOR`` times the initial mass outright);
@@ -340,48 +326,18 @@ def gelation_scan(
 
     A single truncation can always fake conservation, hence the refinement
     trend.  Cutoff runs are structurally conserving and carry no gelation
-    information; this scan always uses the gel reservoir.
-
-    Every level's initial state, first loss coefficients and step are set up
-    here, before any run starts; the level runs share nothing and go through
-    :func:`~smolkit._fork.fork_map`, largest range first, in up to
-    ``workers`` forked processes that send back only G(T), I(T)/I(0) and
-    I(0).  The verdict is the same for any ``workers``.
+    information, so they are rejected.
     """
-    if sorted(n_list) != list(n_list) or len(n_list) < 2:
-        raise ValueError("n_list must be at least two increasing ranges")
-    levels = []
-    for n_max in n_list:
-        c = np.zeros(n_max)
-        src = np.atleast_1d(np.asarray(initial, dtype=float))
-        c[: min(n_max, src.size)] = src[:n_max]
-        state = MassField(Grid.point(), c)
-        policy = TruncationPolicy.gel_reservoir(n_max)
-        lam0 = float(RateEvaluator(kernel, policy).loss_coefficients(state.flat()).max())
-        if dt is not None:
-            dt_n = dt
-        elif lam0 > 0:
-            dt_n = 0.8 * STABILITY_LIMIT / lam0
-        else:
-            # No reaction at all; any positive step will do, also at t_final = 0.
-            dt_n = t_final / 100.0 if t_final > 0 else 1.0
-        cfg = RunConfig(
-            t_final=t_final,
-            dt=min(dt_n, t_final) if t_final > 0 else dt_n,
-            policy=policy,
-            output_stride=t_final / 4.0 if t_final > 0 else None,
-            moment_exponents=(0.0, 1.0),
-        )
-        levels.append((state, cfg))
-    # Largest range first: it takes longest, so the others share the
-    # remaining workers while it runs.
-    results = fork_map(partial(_gel_level, kernel), levels[::-1], workers)[::-1]
-    gels = [g for g, _, _ in results]
-    ratios = [r for _, r, _ in results]
-    for n_max, r, g in zip(n_list, ratios, gels):
+    n_values = [rec.n_max for rec in records]
+    if sorted(n_values) != n_values or len(records) < 2:
+        raise ValueError("gelation_scan needs runs at two or more increasing ranges")
+    if any(rec.policy.kind != "gel_reservoir" for rec in records):
+        raise ValueError("gelation_scan needs gel-reservoir runs; a cutoff run conserves mass by construction")
+    gels = [rec.gel[-1] for rec in records]
+    ratios = [rec.mass[-1] / rec.mass[0] if rec.mass[0] else 1.0 for rec in records]
+    for n_max, r, g in zip(n_values, ratios, gels):
         log.info("gelation scan N=%d: I(T)/I(0)=%.6f, G(T)=%.6g", n_max, r, g)
-    i0 = results[-1][2] or 1.0
-    floor = GEL_FLOOR * abs(i0)
+    floor = GEL_FLOOR * abs(records[-1].mass[0] or 1.0)
     conserving = all(
         g2 <= CONSERVING_FACTOR * g1 or g2 <= floor for g1, g2 in zip(gels, gels[1:])
     )
@@ -394,7 +350,7 @@ def gelation_scan(
         verdict = "gelling"
     else:
         verdict = "inconclusive"
-    return GelVerdict(list(n_list), ratios, gels, verdict)
+    return GelVerdict(n_values, ratios, gels, verdict)
 
 
 def collision_budget(record: RunRecord) -> BoundReport:

@@ -18,10 +18,12 @@ hypothesis, or runtime error.  The default output directory is
 ``execute`` hands a scenario to one handler per mode, ``_gelscan`` or
 ``_solve`` (pde, homogeneous and tracer; tracer mode adds ``_tracer``), and
 writes the report lines they return.  ``build_run`` is the one place a
-solver run is constructed: the main run and every moment-plateau refinement
-(the scenario at ``n_max * 2**k``, same dt and stride) come from it, and the
-gronwall monitor reruns the main run's build on perturbed data.  Homogeneous
-mode is the same run on ``Grid.point()``.
+solver run is constructed: the main run, the gronwall monitor's rerun on
+perturbed data, and every level of ``_ladder``, which runs the trend gates'
+refinements in forked workers: the moment plateau's (``n_max * 2**k``, same
+dt and stride) and gelscan's (each N of ``gelscan.n_list``, on
+``Grid.point()`` under the gel reservoir).  Homogeneous mode is the same run
+on ``Grid.point()``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import dataclasses
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ._fork import usable_cpus
+from ._fork import fork_map, usable_cpus
 from .analysis import (
     BoundReport,
     HypothesisError,
@@ -48,9 +51,10 @@ from .analysis import (
     gelation_scan,
     majorant_ratios,
 )
-from .coagulation import TruncationPolicy
+from .coagulation import RateEvaluator, TruncationPolicy
 from .field import Grid, MassField
-from .integrator import RunConfig, RunRecord, homogeneous_run, run  # noqa: F401 (perfbench wraps cli.homogeneous_run)
+from .integrator import STABILITY_LIMIT, RunConfig, RunRecord, run
+from .integrator import homogeneous_run  # noqa: F401 (no caller; perfbench/spans.py patches cli.homogeneous_run)
 from .kernels import DiffusionProfile, Kernel, RangeProfile, kinetic_kernel_from_range
 from .tracer import TracerEnsemble, density_consistency, simulate
 
@@ -140,8 +144,6 @@ class Scenario:
     plateau_refinements: int = 1
 
     gelscan_n_list: tuple[int, ...] = (64, 128, 256)
-    gelscan_t_final: float | None = None
-    gelscan_initial: float = 1.0
     gelscan_dt: float | None = None
 
 
@@ -238,8 +240,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "moment_plateau.tolerance": ("plateau_tolerance", float),
     "moment_plateau.refinements": ("plateau_refinements", int),
     "gelscan.n_list": ("gelscan_n_list", _parse_ints),
-    "gelscan.t_final": ("gelscan_t_final", float),
-    "gelscan.initial": ("gelscan_initial", float),
     "gelscan.dt": ("gelscan_dt", float),
 }
 
@@ -321,10 +321,11 @@ def _validate(s: Scenario, path) -> None:
         _require(list(s.gelscan_n_list) == sorted(s.gelscan_n_list), "gelscan.n_list", "must increase", path)
         _require(min(s.gelscan_n_list) >= 1, "gelscan.n_list", "every range must be >= 1", path)
         _require(s.gelscan_dt is None or s.gelscan_dt > 0, "gelscan.dt", "must be > 0", path)
-        _require(s.gelscan_t_final is None or s.gelscan_t_final >= 0, "gelscan.t_final", "must be >= 0", path)
-        _require(s.gelscan_initial >= 0, "gelscan.initial", "must be >= 0", path)
+        _require(s.initial_species <= min(s.gelscan_n_list), "initial.species", "must lie in 1..min(gelscan.n_list)", path)
     if "gronwall" in s.monitors:
         _require(s.gronwall_delta > 0, "gronwall.delta", "must be > 0", path)
+    if "moment_plateau" in s.monitors:
+        _require(s.plateau_a >= 1, "moment_plateau.a", "must be >= 1 (the pair moments take the exponent a - 1)", path)
     if s.mode == "homogeneous":
         spatial_only = {"gronwall", "heat_majorant", "moment_plateau"} & set(s.monitors)
         _require(not spatial_only, "monitors", f"{sorted(spatial_only)} need a spatial mode (pde/tracer)", path)
@@ -396,17 +397,66 @@ def build_run_config(s: Scenario) -> RunConfig:
     )
 
 
-def build_run(s: Scenario) -> tuple[MassField, Kernel, DiffusionProfile | None, RunConfig]:
+def _gelscan_config(s: Scenario, field0: MassField, kernel: Kernel) -> RunConfig:
+    """A gelscan level: gel reservoir, four strides, and ``gelscan.dt`` or 0.8 of
+    the stability limit at the initial data.  That limit is evaluated in any
+    case, so each level's first evaluator call is made in the calling process."""
+    T, policy = s.t_final, TruncationPolicy.gel_reservoir(s.n_max)
+    lam0 = float(RateEvaluator(kernel, policy).loss_coefficients(field0.flat()).max())
+    if s.gelscan_dt is not None:
+        dt = s.gelscan_dt
+    elif lam0 > 0:
+        dt = 0.8 * STABILITY_LIMIT / lam0
+    else:
+        # No reaction at all; any positive step will do, also at t_final = 0.
+        dt = T / 100.0 if T > 0 else 1.0
+    return RunConfig(
+        t_final=T, dt=min(dt, T) if T > 0 else dt, policy=policy,
+        output_stride=T / 4.0 if T > 0 else None, moment_exponents=(0.0, 1.0),
+    )
+
+
+def build_run(s: Scenario, kernel: Kernel | None = None) -> tuple[MassField, Kernel, DiffusionProfile | None, RunConfig]:
     """Initial field, kernel, diffusion profile and config of a scenario's run.
 
-    Homogeneous mode runs on the zero-dimensional point grid, which needs no
-    diffusion profile; pde and tracer modes run on the scenario's grid.
+    Homogeneous and gelscan modes run on the zero-dimensional point grid,
+    which needs no diffusion profile; pde and tracer modes run on the
+    scenario's grid.  ``kernel``, if given, is used instead of building one;
+    it must cover ``s.n_max``.
     """
-    if s.mode == "homogeneous":
+    kernel = build_kernel(s) if kernel is None else kernel
+    if s.mode in ("homogeneous", "gelscan"):
         grid, dp = Grid.point(), None
     else:
         grid, dp = Grid(s.grid_dim, s.grid_length, s.grid_cells), build_diffusion(s)
-    return build_initial_field(s, grid), build_kernel(s), dp, build_run_config(s)
+    field0 = build_initial_field(s, grid)
+    cfg = _gelscan_config(s, field0, kernel) if s.mode == "gelscan" else build_run_config(s)
+    return field0, kernel, dp, cfg
+
+
+def _run_level(kernel: Kernel, level: tuple[MassField, DiffusionProfile | None, RunConfig]) -> RunRecord:
+    """One ladder level's run, returned without the kernel, which the caller holds."""
+    field0, dp, cfg = level
+    return dataclasses.replace(run(field0, kernel, dp, cfg), kernel=None)
+
+
+def _ladder(s: Scenario, n_values: list[int]) -> list[RunRecord]:
+    """The scenario rerun at each ``n_max`` in ``n_values``, without fields or majorant.
+
+    Every level is built here by :func:`build_run`, a gelscan level up to its
+    first loss coefficients, with one kernel built at the largest N.  The
+    runs then go through ``fork_map`` in up to ``s.workers`` processes, and
+    each sends back only its stride series.
+    """
+    kernel = build_kernel(dataclasses.replace(s, n_max=max(n_values)))
+    levels = []
+    for n_max in n_values:
+        field0, _, dp, cfg = build_run(dataclasses.replace(s, n_max=n_max), kernel)
+        levels.append((field0, dp, dataclasses.replace(cfg, record_fields=False, track_majorant=False)))
+    # Largest N first: it takes longest, so the others share the remaining
+    # workers while it runs.
+    records = fork_map(partial(_run_level, kernel), levels[::-1], s.workers)[::-1]
+    return [dataclasses.replace(rec, kernel=kernel) for rec in records]
 
 
 # -- output files --------------------------------------------------------
@@ -503,15 +553,7 @@ def execute(s: Scenario, out_override: str | None = None) -> int:
 
 def _gelscan(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
     """Gel-reservoir trend over ``gelscan.n_list``; a verdict, not a gate."""
-    kernel = build_kernel(dataclasses.replace(s, n_max=max(s.gelscan_n_list)))
-    verdict = gelation_scan(
-        kernel,
-        list(s.gelscan_n_list),
-        s.gelscan_t_final if s.gelscan_t_final is not None else s.t_final,
-        initial=s.gelscan_initial,
-        dt=s.gelscan_dt,
-        workers=s.workers,
-    )
+    verdict = gelation_scan(_ladder(s, list(s.gelscan_n_list)))
     rows = ["n_max,mass_ratio,gel"]
     rows += [f"{n},{_fmt(r)},{_fmt(g)}" for n, r, g in zip(verdict.n_values, verdict.mass_ratios, verdict.gel_values)]
     (out / "gelscan.csv").write_text(SERIES_SCHEMA + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -541,11 +583,8 @@ def _solve(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
         perturbed = MassField(field0.grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
         reports.append(check_gronwall(rec, run(perturbed, kernel, dp, cfg), s.gronwall_c0, s.gronwall_a_bound))
     if "moment_plateau" in s.monitors:
-        recs = [rec]
-        for level in range(1, s.plateau_refinements + 1):
-            f2, k2, dp2, cfg2 = build_run(dataclasses.replace(s, n_max=s.n_max * 2**level))
-            recs.append(run(f2, k2, dp2, dataclasses.replace(cfg2, record_fields=False, track_majorant=False)))
-        reports.append(check_moment_bound(recs, s.plateau_a, dp, tolerance=s.plateau_tolerance))
+        refinements = _ladder(s, [s.n_max * 2**k for k in range(1, s.plateau_refinements + 1)])
+        reports.append(check_moment_bound([rec] + refinements, s.plateau_a, dp, tolerance=s.plateau_tolerance))
 
     lines, gates = _tracer(s, rec, cfg.output_stride, out) if s.mode == "tracer" else ([], [])
     reports += gates
@@ -613,8 +652,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config", help="scenario file")
         p.add_argument(
             "--workers", type=int, default=None,
-            help="worker processes for the tracer's chunks or the gelscan levels, at most one per"
-            " chunk or level (default: the usable CPUs; outputs bit-identical for any N)",
+            help="worker processes for the tracer's chunks or the gelscan and moment-plateau levels,"
+            " at most one per chunk or level (default: the usable CPUs; outputs bit-identical for any N)",
         )
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)

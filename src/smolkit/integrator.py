@@ -46,7 +46,6 @@ __all__ = [
     "RunRecord",
     "StepSizeError",
     "run",
-    "homogeneous_run",
 ]
 
 log = logging.getLogger(__name__)

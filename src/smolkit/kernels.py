@@ -93,11 +93,14 @@ class Kernel:
         """Tabulate a symmetric closure ``fn(n, m)`` over 1..n_max.
 
         The kernel's kind is ``"custom"``.  The closure is kept for
-        evaluations beyond the table range.  Symmetry is checked on the
-        leading ``min(n_max, TABLE_LIMIT)`` block, tabulated or not.
+        evaluations beyond the table range.  Rates are checked finite,
+        nonnegative and symmetric on the leading ``min(n_max, TABLE_LIMIT)``
+        block, tabulated or not.
         """
         k = cls(kind="custom", params={"fn": fn}, n_max=int(n_max))
-        _require_symmetric(k.dense(min(k.n_max, TABLE_LIMIT)))
+        block = k.dense(min(k.n_max, TABLE_LIMIT))
+        _require_rates(block)
+        _require_symmetric(block)
         return k
 
     @classmethod
@@ -116,8 +119,7 @@ class Kernel:
             raise ValueError("kernel table smaller than n_max")
         arr = arr[:n_max, :n_max].copy()
         _require_symmetric(arr)
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("kernel table entries must be finite and >= 0")
+        _require_rates(arr)
         arr.flags.writeable = False
         return cls(kind="table", params={}, n_max=int(n_max), table=arr)
 
@@ -135,8 +137,8 @@ class Kernel:
                 raise ValueError(f"{path}: expected CSV header 'n,m,alpha'")
             for row in reader:
                 n, m, a = int(row["n"]), int(row["m"]), float(row["alpha"])
-                _check_mass_index(n, n_max)
-                _check_mass_index(m, n_max)
+                if not (1 <= n <= n_max and 1 <= m <= n_max):
+                    raise ValueError(f"{path}: pair ({n},{m}) outside 1..{n_max}")
                 for i, j in ((n - 1, m - 1), (m - 1, n - 1)):
                     if not math.isnan(filled[i, j]) and filled[i, j] != a:
                         raise ValueError(f"{path}: conflicting entries for pair ({n},{m})")
@@ -179,8 +181,7 @@ class Kernel:
             return None
         idx = np.arange(1, self.n_max + 1)
         table = np.asarray(self._closure(idx[:, None], idx[None, :]), dtype=float)
-        if np.any(table < 0) or not np.all(np.isfinite(table)):
-            raise ValueError("kernel produced negative or non-finite rates")
+        _require_rates(table)
         table.flags.writeable = False
         return table
 
@@ -275,6 +276,11 @@ class Kernel:
             return self.table[:, self.n_max - 1]
         idx = np.arange(1, self.n_max + 1)
         return np.asarray(self._closure(idx, m), dtype=float)
+
+
+def _require_rates(table: np.ndarray) -> None:
+    if np.any(table < 0) or not np.all(np.isfinite(table)):
+        raise ValueError("kernel rates must be finite and >= 0")
 
 
 def _require_symmetric(table: np.ndarray, rtol: float = 1e-12) -> None:

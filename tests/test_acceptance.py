@@ -14,7 +14,8 @@ import pytest
 
 import smolkit as sk
 from oracles import fine_rk4_constant_kernel, weighted_sum
-from smolkit.cli import execute, parse_config
+import smolkit.cli as cli
+from smolkit.cli import Scenario, execute, parse_config
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -59,7 +60,7 @@ def test_criterion_1_constant_kernel_exact_solution():
     cfg = sk.RunConfig(t_final=1.0, dt=1e-3, policy=sk.TruncationPolicy.cutoff(n_max),
                        output_stride=1.0, record_fields=True)
     t0 = time.perf_counter()
-    rec = sk.homogeneous_run(sk.MassField.monodisperse(sk.Grid.point(), n_max), kernel, cfg)
+    rec = sk.run(sk.MassField.monodisperse(sk.Grid.point(), n_max), kernel, None, cfg)
     elapsed = time.perf_counter() - t0
     c = rec.fields[-1][:, 0]
     err = float((np.abs(c[:20] - exact[:20]) / exact[:20]).max())
@@ -149,14 +150,19 @@ def test_criterion_6_gelation_dichotomy():
     mass (the sol mass settles near 1/(2T)); alpha = (n*m)^0.4 (with
     d = n^-0.1, a sub-linear regime) conserves, the reservoir halving
     under every refinement."""
-    gelling = sk.gelation_scan(sk.Kernel.product(1.0, 512), [128, 256, 512], 1.0, initial=1.0)
+    def scan(a: float) -> sk.GelVerdict:
+        s = Scenario(name="dichotomy", mode="gelscan", kernel_kind="product", kernel_a=a, t_final=1.0,
+                     initial_amplitude=1.0, gelscan_n_list=(128, 256, 512), workers=1)
+        return sk.gelation_scan(cli._ladder(s, list(s.gelscan_n_list)))
+
+    gelling = scan(1.0)
     i0 = 1.0
     ok_gel = (
         gelling.verdict == "gelling"
         and gelling.gel_values[-1] >= 0.1 * i0
         and abs(gelling.mass_ratios[-1] - 0.5) < 1e-3
     )
-    conserving = sk.gelation_scan(sk.Kernel.product(0.4, 512), [128, 256, 512], 1.0, initial=1.0)
+    conserving = scan(0.4)
     ok_cons = conserving.verdict == "conserving"
     report(6, "gelation dichotomy", ok_gel and ok_cons,
            f"gelling G(1)={gelling.gel_values[-1]:.4f}, conserving G(1)={conserving.gel_values[-1]:.2e}")

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-import smolkit.analysis as analysis
+import smolkit.cli as cli
 from smolkit.analysis import (
     collision_budget,
     BoundReport,
@@ -25,9 +25,10 @@ from smolkit.analysis import (
     linf_moment_exponent,
     majorant_ratios,
 )
+from smolkit.cli import Scenario
 from smolkit.coagulation import RateEvaluator, TruncationPolicy
 from smolkit.field import Grid, MassField
-from smolkit.integrator import RunConfig, homogeneous_run, run
+from smolkit.integrator import RunConfig, run
 from smolkit.kernels import DiffusionProfile, Kernel
 
 
@@ -179,14 +180,14 @@ class TestConservationReport:
         n_max = 8
         k = Kernel.sum_kernel(1.0, n_max)
         cfg = RunConfig(t_final=0.5, dt=0.005, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         assert check_conservation(rec).passed
 
     def test_reservoir_run_passes_including_gel(self):
         n_max = 32
         k = Kernel.product(1.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=2e-3, policy=TruncationPolicy.gel_reservoir(n_max), output_stride=0.25)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         rep = check_conservation(rec)
         assert rep.passed and rec.gel[-1] > 0
 
@@ -194,7 +195,7 @@ class TestConservationReport:
         n_max = 32
         k = Kernel.product(1.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=2e-3, policy=TruncationPolicy.gel_reservoir(n_max), output_stride=0.25)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         drift = conservation_drift(rec)
         assert drift.shape == (len(rec.times),) and drift[0] == 0.0
         rep = check_conservation(rec)
@@ -256,37 +257,43 @@ class TestMomentPlateau:
         assert "NOT met" in rep.detail
 
 
+def scan(n_list, t_final=1.0, workers=1, **keys):
+    """The CLI's gelscan ladder over ``n_list`` from unit monodisperse data,
+    with scenario attributes ``keys``, judged by :func:`gelation_scan`."""
+    s = Scenario(name="scan", mode="gelscan", t_final=t_final, gelscan_n_list=tuple(n_list), workers=workers, **keys)
+    return gelation_scan(cli._ladder(s, list(n_list)))
+
+
 class TestGelationScan:
     def test_zero_kernel_conserves(self):
-        k = Kernel.constant(0.0, 64)
-        v = gelation_scan(k, [16, 32, 64], 1.0)
+        v = scan([16, 32, 64], kernel_kind="constant", kernel_c=0.0)
         assert v.verdict == "conserving"
         assert all(g == 0 for g in v.gel_values)
 
     def test_multiplicative_kernel_gels(self):
         """alpha = n*m from unit monodisperse data: the reservoir converges
         to I(0) - I(T) = 1 - 1/(2T), here 0.5 at T = 1."""
-        k = Kernel.product(1.0, 128)
-        v = gelation_scan(k, [32, 64, 128], 1.0)
+        v = scan([32, 64, 128], kernel_kind="product", kernel_a=1.0)
         assert v.verdict == "gelling"
         assert v.gel_values[-1] == pytest.approx(0.5, abs=5e-3)
 
     def test_weak_kernel_conserves(self):
-        k = Kernel.product(0.4, 64)
-        v = gelation_scan(k, [16, 32, 64], 1.0)
+        v = scan([16, 32, 64], kernel_kind="product", kernel_a=0.4)
         assert v.verdict == "conserving"
 
-    def test_factorised_scan_matches_dense_oracle(self, monkeypatch):
+    def test_factorised_scan_matches_dense_oracle(self, tmp_path, monkeypatch):
         """The scan's step size and run take lambda from the evaluator, so a
         factorised kernel never builds its dense table."""
-        k = Kernel.product(1.0, 64)
-        oracle = gelation_scan(Kernel.from_table(k.dense()), [16, 32, 64], 1.0)
+        table = tmp_path / "product.csv"
+        rows = [f"{n},{m},{float(n * m)!r}" for n in range(1, 65) for m in range(1, n + 1)]
+        table.write_text("n,m,alpha\n" + "\n".join(rows) + "\n")
+        oracle = scan([16, 32, 64], kernel_kind="table", kernel_table=str(table))
 
         def no_dense(self, n_max=None):
             raise AssertionError("dense table built")
 
         monkeypatch.setattr(Kernel, "dense", no_dense)
-        v = gelation_scan(k, [16, 32, 64], 1.0)
+        v = scan([16, 32, 64], kernel_kind="product", kernel_a=1.0)
         np.testing.assert_allclose(v.gel_values, oracle.gel_values, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(v.mass_ratios, oracle.mass_ratios, rtol=1e-12, atol=0.0)
         assert v.verdict == oracle.verdict
@@ -300,7 +307,7 @@ class TestGelationScan:
         calls_path = tmp_path / "calls"
         calls_path.touch()
         loss_coefficients = RateEvaluator.loss_coefficients
-        fork_map = analysis.fork_map
+        fork_map = cli.fork_map
         seen_on_entry = []
 
         def recording_lambda(self, flat, **kwargs):
@@ -313,21 +320,31 @@ class TestGelationScan:
             return fork_map(fn, items, workers)
 
         monkeypatch.setattr(RateEvaluator, "loss_coefficients", recording_lambda)
-        monkeypatch.setattr(analysis, "fork_map", recording_map)
-        gelation_scan(Kernel.product(1.0, 32), [8, 16, 32], 0.5, workers=2)
+        monkeypatch.setattr(cli, "fork_map", recording_map)
+        scan([8, 16, 32], 0.5, workers=2, kernel_kind="product", kernel_a=1.0)
         calls = [line.split() for line in calls_path.read_text().splitlines()]
         here = str(os.getpid())
         assert seen_on_entry == [3]
-        assert calls[:3] == [[here, "gelation_scan"]] * 3
+        assert calls[:3] == [[here, "_gelscan_config"]] * 3
         steps = calls[3:]
         assert steps and all(pid != here for pid, _ in steps)
         # Workers only step: every call there comes from an RK4 substep.
         assert {caller for _, caller in steps} <= {"react_rk4", "rates"}
 
     def test_n_list_must_increase(self):
-        k = Kernel.constant(0.0, 64)
         with pytest.raises(ValueError):
-            gelation_scan(k, [64, 32], 1.0)
+            scan([64, 32], kernel_kind="constant", kernel_c=0.0)
+
+    def test_cutoff_runs_are_rejected(self):
+        """A cutoff run conserves mass by construction, so its G(T) = 0
+        would read as a conserving trend whatever the kernel."""
+        n_max = 16
+        records = []
+        for n in (n_max // 2, n_max):
+            cfg = RunConfig(t_final=0.5, dt=0.01, policy=TruncationPolicy.cutoff(n), output_stride=0.25)
+            records.append(run(MassField.monodisperse(Grid.point(), n), Kernel.product(1.0, n), None, cfg))
+        with pytest.raises(ValueError, match="gel-reservoir"):
+            gelation_scan(records)
 
 
 class TestCollisionBudget:
@@ -337,7 +354,7 @@ class TestCollisionBudget:
         n_max = 16
         k = Kernel.sum_kernel(1.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=0.005, policy=TruncationPolicy.cutoff(n_max), output_stride=0.25)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         rep = collision_budget(rec)
         assert rep.passed
         assert "collisions" in rep.detail
@@ -346,6 +363,6 @@ class TestCollisionBudget:
         n_max = 4
         k = Kernel.constant(0.0, n_max)
         cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         rep = collision_budget(rec)
         assert rep.passed and rep.max_violation == 0.0

@@ -191,7 +191,6 @@ run.n_max = 32
 run.t_final = 0.5
 run.dt = 0.01
 gelscan.n_list = 16,32
-gelscan.t_final = 0.5
 """
         s = parse_config(write(tmp_path, text))
         assert execute(s, out_override=str(tmp_path / "out")) == 0
@@ -201,7 +200,7 @@ gelscan.t_final = 0.5
 
     def test_gelscan_zero_data_at_time_zero(self, tmp_path, capsys):
         """No reaction and no time: the fallback step must still be positive."""
-        p = write(tmp_path, MINIMAL + "gelscan.initial = 0\ngelscan.t_final = 0\n")
+        p = write(tmp_path, MINIMAL.replace("run.t_final = 0.2", "run.t_final = 0") + "initial.amplitude = 0\n")
         assert main(["gelscan", str(p), "--out", str(tmp_path / "out")]) == 0
         assert "error" not in capsys.readouterr().err
         table = (tmp_path / "out" / "gelscan.csv").read_text().splitlines()
@@ -213,8 +212,8 @@ gelscan.t_final = 0.5
             ("gelscan.n_list = 32,16", "gelscan.n_list"),
             ("gelscan.n_list = 0,8", "gelscan.n_list"),
             ("gelscan.dt = -0.1", "gelscan.dt"),
-            ("gelscan.t_final = -1", "gelscan.t_final"),
-            ("gelscan.initial = -1", "gelscan.initial"),
+            ("gelscan.n_list = 8", "gelscan.n_list"),
+            ("gelscan.n_list = 4,8\ninitial.species = 8", "initial.species"),
         ],
     )
     def test_gelscan_command_validates_gelscan_keys(self, tmp_path, capsys, line, key):
@@ -224,6 +223,49 @@ gelscan.t_final = 0.5
         assert main(["gelscan", str(p), "--out", str(tmp_path / "out")]) == 1
         assert f"error: {p}: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["gelscan.t_final", "gelscan.initial"])
+    def test_removed_gelscan_keys_are_unknown(self, tmp_path, key):
+        """gelscan reads run.t_final and initial.*; the old duplicates are
+        unknown keys, not silently ignored ones."""
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(write(tmp_path, MINIMAL + f"{key} = 1.0\n"))
+
+    def test_table_kernel_gelscan_matches_the_product_kernel(self, tmp_path):
+        """One kernel serves every level, built at the largest N, so a table
+        that covers exactly max(gelscan.n_list) runs; it is the same kernel
+        as alpha = n*m, on the dense path instead of the factorised one."""
+        table = tmp_path / "product.csv"
+        rows = [f"{n},{m},{float(n * m)!r}" for n in range(1, 33) for m in range(1, n + 1)]
+        table.write_text("n,m,alpha\n" + "\n".join(rows) + "\n")
+        scan = "name = scan\nmode = gelscan\nrun.n_max = 32\nrun.t_final = 0.5\ngelscan.n_list = 8,16,32\n"
+        gels = {}
+        for kind, key in (("product", "kernel.a = 1.0"), ("table", f"kernel.table = {table}")):
+            p = write(tmp_path, scan + f"kernel.kind = {kind}\n{key}\n", name=f"{kind}.cfg")
+            assert main(["gelscan", str(p), "--workers", "1", "--out", str(tmp_path / kind)]) == 0
+            lines = (tmp_path / kind / "gelscan.csv").read_text().splitlines()[2:]
+            gels[kind] = np.array([[float(v) for v in line.split(",")] for line in lines])
+        np.testing.assert_array_equal(gels["table"][:, 0], [8, 16, 32])
+        np.testing.assert_allclose(gels["table"], gels["product"], rtol=1e-12, atol=0.0)
+
+    def test_kernel_table_pair_out_of_range_exits_one(self, tmp_path, capsys):
+        """A kernel CSV with a pair beyond run.n_max is a one-line error, not a traceback."""
+        table = tmp_path / "k.csv"
+        rows = [f"{n},{m},1.0" for n in range(1, 33) for m in range(1, n + 1)]
+        table.write_text("n,m,alpha\n" + "\n".join(rows) + "\n")
+        p = write(tmp_path, MINIMAL.replace("kernel.kind = constant", f"kernel.kind = table\nkernel.table = {table}"))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {table}: pair (17,1) outside 1..16"]
+
+    @pytest.mark.parametrize("a", ["0.5", "0"])
+    def test_plateau_exponent_below_one_is_named(self, tmp_path, capsys, a):
+        """The pair moments of the plateau take the exponent a - 1, so a < 1
+        is a config error naming the key, not a failed weight."""
+        text = PDE.replace("monitors = conservation, heat_majorant", f"monitors = moment_plateau\nmoment_plateau.a = {a}")
+        p = write(tmp_path, text)
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {p}: moment_plateau.a: must be >= 1" in capsys.readouterr().err
 
     def test_pde_mode_runs_heat_majorant_monitor(self, tmp_path):
         s = parse_config(write(tmp_path, PDE))
@@ -248,12 +290,15 @@ def spy_runs(monkeypatch) -> list:
 
 
 class TestRefinementRuns:
-    """The moment-plateau refinements and the gronwall perturbation."""
+    """The moment-plateau refinements and the gronwall perturbation.
+
+    The scenarios set ``workers = 1``: the spy sees no run a forked level makes.
+    """
 
     MONITORED = PDE.replace(
         "monitors = conservation, heat_majorant",
         "monitors = conservation, moment_plateau, gronwall\nmoment_plateau.refinements = 2\ngronwall.c0 = 2.0",
-    )
+    ) + "workers = 1\n"
 
     def test_plateau_and_gronwall_pass(self, tmp_path, monkeypatch):
         calls = spy_runs(monkeypatch)
@@ -262,8 +307,8 @@ class TestRefinementRuns:
         report = (tmp_path / "out" / "report.txt").read_text().splitlines()
         for name in ("moment_plateau_a2", "gronwall_stability"):
             assert [line.split(":")[0] for line in report if f" {name}:" in line] == [f"PASS {name}"]
-        # base, perturbed base, then the 2N and 4N refinements
-        assert [f.n_max for f, _ in calls] == [12, 12, 24, 48]
+        # base, perturbed base, then the refinements, largest N first
+        assert [f.n_max for f, _ in calls] == [12, 12, 48, 24]
         base, perturbed = calls[0][0], calls[1][0]
         np.testing.assert_array_equal(perturbed.data, base.data * (1.0 + s.gronwall_delta))
         assert calls[1][1] is calls[0][1]
@@ -277,7 +322,7 @@ class TestRefinementRuns:
         text = TestDeterminism.REJECTING.replace("run.t_final = 0.1", "run.t_final = 0.5")
         text = text.replace("run.dt = 0.005", "run.dt = 0.01").replace("tracer.count = 20000", "tracer.count = 500")
         calls = spy_runs(monkeypatch)
-        s = parse_config(write(tmp_path, text + "monitors = conservation, moment_plateau\n"))
+        s = parse_config(write(tmp_path, text + "monitors = conservation, moment_plateau\nworkers = 1\n"))
         execute(s, out_override=str(tmp_path / "out"))
         base = calls[0][1]
         assert base.stride == 0.125 and 0.125 / base.dt == pytest.approx(13)
@@ -351,8 +396,15 @@ mode = gelscan
 kernel.kind = product
 run.n_max = 64
 gelscan.n_list = 16,32,64
-gelscan.t_final = 1.0
+run.t_final = 1.0
 """
+
+    # Two moment-plateau refinements (N = 24, 48) of the pde scenario: the
+    # refinement levels are mapped out like the gelscan levels.
+    PLATEAU = PDE.replace(
+        "monitors = conservation, heat_majorant",
+        "monitors = conservation, heat_majorant, moment_plateau\nmoment_plateau.refinements = 2",
+    )
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_count_does_not_change_bytes(self, tmp_path, workers):
@@ -361,6 +413,7 @@ gelscan.t_final = 1.0
             ("uniform", self.TRACER, tracer_files),
             ("rejecting", self.REJECTING, tracer_files),
             ("gelscan", self.GELSCAN, ("gelscan.csv", "report.txt")),
+            ("plateau", self.PLATEAU, ("series.csv", "report.txt")),
         ):
             s = parse_config(write(tmp_path, text))
             w1, wn = tmp_path / tag / "w1", tmp_path / tag / "wN"
@@ -372,7 +425,9 @@ gelscan.t_final = 1.0
         rate = float(report.split("(acceptance rate ")[1].split(")")[0])
         assert rate < 1.0
 
-    @pytest.mark.parametrize("command, text", [("run", TRACER), ("gelscan", GELSCAN)], ids=["tracer", "gelscan"])
+    @pytest.mark.parametrize(
+        "command, text", [("run", TRACER), ("gelscan", GELSCAN), ("run", PLATEAU)], ids=["tracer", "gelscan", "plateau"]
+    )
     def test_one_worker_makes_no_fork(self, tmp_path, monkeypatch, command, text):
         def no_fork():
             raise AssertionError("a process was started")

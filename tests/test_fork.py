@@ -82,22 +82,22 @@ def test_cli_names_a_dead_worker(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(
         "name = dead\nmode = gelscan\nkernel.kind = product\nrun.n_max = 32\n"
-        "gelscan.n_list = 8,16,32\ngelscan.t_final = 0.5\n"
+        "gelscan.n_list = 8,16,32\nrun.t_final = 0.5\n"
     )
     proc = run_python(
         f"""
         import os, sys
-        import smolkit.analysis as analysis
+        import smolkit.cli as cli
         from smolkit.cli import main
 
-        run_level = analysis._gel_level
+        run_level = cli._run_level
 
         def die_on_16(kernel, level):
             if level[0].n_max == 16:
                 os._exit(3)
             return run_level(kernel, level)
 
-        analysis._gel_level = die_on_16
+        cli._run_level = die_on_16
         sys.exit(main(["gelscan", {str(cfg)!r}, "--workers", "2", "--out", {str(tmp_path / "out")!r}]))
         """
     )

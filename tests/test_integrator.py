@@ -22,7 +22,6 @@ from smolkit.integrator import (
     RunConfig,
     StepSizeError,
     _Engine,
-    homogeneous_run,
     run,
 )
 from smolkit.kernels import DiffusionProfile, Kernel
@@ -51,7 +50,7 @@ class TestHomogeneousRun:
             t_final=1.0, dt=1e-3, policy=TruncationPolicy.cutoff(n_max),
             output_stride=1.0, record_fields=True,
         )
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         c = rec.fields[-1][:, 0]
         exact = constant_kernel_exact(np.arange(1, n_max + 1), 1.0)
         np.testing.assert_allclose(c[:20], exact[:20], rtol=1e-9)
@@ -62,7 +61,7 @@ class TestHomogeneousRun:
         k = Kernel.constant(0.0, n_max)
         state = MassField(Grid.point(), np.linspace(1, 2, n_max))
         cfg = RunConfig(t_final=0.5, dt=0.05, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
-        rec = homogeneous_run(state, k, cfg)
+        rec = run(state, k, None, cfg)
         np.testing.assert_array_equal(rec.fields[-1][:, 0], state.data)
 
     def test_gel_budget_multiplicative_kernel(self):
@@ -70,7 +69,7 @@ class TestHomogeneousRun:
         n_max = 256
         k = Kernel.product(1.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=5e-4, policy=TruncationPolicy.gel_reservoir(n_max), output_stride=0.1)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         total = rec.mass_with_gel
         assert np.abs(total - total[0]).max() / total[0] <= 1e-10
         assert rec.gel[-1] > 0.1
@@ -78,7 +77,7 @@ class TestHomogeneousRun:
     @pytest.mark.parametrize(
         "kernel, policy, dt",
         [
-            # The shipped gelation run at N = 512, with gelation_scan's automatic
+            # The shipped gelation run at N = 512, with gelscan's automatic
             # dt for unit monodisperse data: 0.8 * 0.5 / (2 * alpha(512, 1)).
             (Kernel.product(1.0, 512), TruncationPolicy.gel_reservoir(512), 0.4 / 1024),
             # The conserving run of the gelation dichotomy, alpha = (n*m)^0.4,
@@ -92,7 +91,7 @@ class TestHomogeneousRun:
         """FFT roundoff is absolute, so empty tail species can go negative,
         but never below -eps * max f; the gel reservoir never decreases."""
         cfg = RunConfig(t_final=1.0, dt=dt, policy=policy, output_stride=0.05, record_fields=True)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), policy.n_max), kernel, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), policy.n_max), kernel, None, cfg)
         fields = np.array(rec.fields)
         assert fields.min() >= -np.finfo(float).eps * fields.max()
         assert rec.gel[0] == 0.0 and np.all(np.diff(rec.gel) >= 0.0)
@@ -104,7 +103,7 @@ class TestHomogeneousRun:
         k = Kernel.sum_kernel(1.0, n_max)
         cfg = RunConfig(t_final=0.4, dt=0.01, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1,
                         pair_moment_exponents=(1.0,), record_fields=True)
-        rec = homogeneous_run(MassField.monodisperse(Grid.point(), n_max), k, cfg)
+        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         assert rec.pair_moments == {}
         assert len(rec.pair_moments_weighted[1.0]) == len(rec.times) == 5
         for f, yk in zip(rec.fields, rec.pair_moments_weighted[1.0]):
@@ -125,7 +124,7 @@ class TestHomogeneousRun:
         cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
                         pair_moment_exponents=(1.0,), record_fields=True)
         F = MassField.monodisperse(Grid.point(), n_max)
-        bare = homogeneous_run(F, k, cfg)
+        bare = run(F, k, None, cfg)
         with_dp = run(F, k, dp, cfg)
         np.testing.assert_array_equal(with_dp.fields[-1], bare.fields[-1])
         assert with_dp.pair_moments_weighted == bare.pair_moments_weighted
@@ -146,7 +145,7 @@ class TestHomogeneousRun:
         k = Kernel.constant(1.0, 8)
         cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(8))
         with pytest.raises(ValueError):
-            homogeneous_run(MassField(Grid.point(), np.ones(4)), k, cfg)
+            run(MassField(Grid.point(), np.ones(4)), k, None, cfg)
 
 
 @pytest.fixture
@@ -186,7 +185,7 @@ class TestStep:
         F = MassField.monodisperse(grid, n_max, amplitude=0.5)
         cfg = RunConfig(t_final=0.02, dt=0.02, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
         stepped = run(F, k, dp, cfg).fields[-1]
-        rec = homogeneous_run(MassField(Grid.point(), F.flat()[:, 0].copy()), k, cfg)
+        rec = run(MassField(Grid.point(), F.flat()[:, 0].copy()), k, None, cfg)
         np.testing.assert_allclose(stepped[:, 0], rec.fields[-1][:, 0], rtol=1e-10)
 
     def test_mass_audit_single_step(self, small_setup):

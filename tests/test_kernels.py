@@ -334,6 +334,13 @@ class TestCustomTables:
         with pytest.raises(ValueError, match="asymmetric"):
             Kernel.from_function(lambda n, m: float(n), TABLE_LIMIT + 1)
 
+    @pytest.mark.parametrize("rate", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_from_function_rejects_bad_rates_above_table_limit(self, rate):
+        """No table is kept above TABLE_LIMIT; a negative or non-finite rate
+        on the leading block is still rejected, as it is at TABLE_LIMIT."""
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Kernel.from_function(lambda n, m: rate, TABLE_LIMIT + 1)
+
     def test_rate_row_clamps_for_table_kernels(self):
         k = Kernel.from_table(np.arange(1, 10, dtype=float).reshape(3, 3) * 0 + 2.0)
         np.testing.assert_array_equal(k.rate_row(7), k.rate_row(3))
