@@ -27,7 +27,7 @@ import numpy as np
 from .field import MassField, initial_data_functionals, moment_weights
 from .integrator import RunRecord
 from .integrator import homogeneous_run  # noqa: F401 (no caller; perfbench/spans.py patches analysis.homogeneous_run)
-from .kernels import CheckResult, DiffusionProfile, check_assumption_1_1
+from .kernels import DiffusionProfile, Kernel, check_assumption_1_1
 
 __all__ = [
     "BoundReport",
@@ -171,11 +171,12 @@ def _sup_weighted_cell_moment(record: RunRecord, exponent: float) -> float:
 def check_gronwall(
     f_record: RunRecord,
     g_record: RunRecord,
+    kernel: Kernel,
     c0: float,
     A: float | None = None,
     tolerance: float = 1e-12,
 ) -> BoundReport:
-    """Stability envelope for the weighted L1 distance of two runs.
+    """Stability envelope for the weighted L1 distance of two runs with ``kernel``.
 
     With a kernel dominated by c0*n*m and both runs' per-cell second moment
     bounded by A, the distance X(t) = sum_n n * ||f_n - g_n||_L1 must stay
@@ -186,7 +187,6 @@ def check_gronwall(
         raise ValueError("both records need record_fields=True")
     if len(f_record.times) != len(g_record.times) or not np.allclose(f_record.times, g_record.times):
         raise ValueError("records must share stride times")
-    kernel = f_record.kernel
     nmax = f_record.n_max
     idx = moment_weights(1.0, nmax)
     if np.any(kernel.dense(nmax) > c0 * np.outer(idx, idx) * (1 + 1e-12)):
@@ -253,30 +253,28 @@ def check_conservation(record: RunRecord, tolerance: float = 1e-10) -> BoundRepo
 def check_moment_bound(
     records: list[RunRecord],
     a: float,
-    dp: DiffusionProfile | None = None,
+    kernel: Kernel,
+    dp: DiffusionProfile,
+    field0: MassField,
     delta: float = 0.25,
     tolerance: float = 0.05,
 ) -> BoundReport:
     """Refinement plateau of sup_t integral(X_a) and the pair dissipation integrals.
 
-    ``records`` must come from the same scenario at increasing sectional
-    ranges (e.g. N, 2N, 4N).  The boundedness claim is certified by the
-    quantities changing by less than ``tolerance`` between successive
-    refinements.  The admissibility certificate for the kernel is attached
-    as detail; when it fails, no plateau is promised and the report is
-    informative only.
+    ``records`` must come from the same scenario, run with ``kernel``, at
+    increasing sectional ranges (e.g. N, 2N, 4N); ``dp`` and ``field0`` are
+    the smallest range's diffusion profile and initial field.  The
+    boundedness claim is certified by the quantities changing by less than
+    ``tolerance`` between successive refinements.  The admissibility
+    certificate for the kernel and the initial data's functionals are
+    attached as detail; when the certificate fails, no plateau is promised
+    and the report is informative only.
     """
     if len(records) < 2:
         raise ValueError("need at least two refinements")
     records = sorted(records, key=lambda r: r.n_max)
-    cert: CheckResult | None = None
-    if dp is not None:
-        cert = check_assumption_1_1(records[0].kernel, dp, delta, records[0].n_max)
-    functionals = None
-    if records[0].fields and records[0].grid.dim:
-        grid = records[0].grid
-        F0 = MassField(grid, records[0].fields[0].reshape((records[0].n_max,) + grid.shape), validate=False)
-        functionals = initial_data_functionals(F0, a)
+    cert = check_assumption_1_1(kernel, dp, delta, records[0].n_max)
+    functionals = initial_data_functionals(field0, a) if field0.grid.dim else None
     sup_xa = []
     int_pair = []
     int_pair_w = []
@@ -299,8 +297,7 @@ def check_moment_bound(
         detail += f"; pair dissipation integral = {int_pair}"
     if int_pair_w:
         detail += f"; kernel-weighted pair integral = {int_pair_w}"
-    if cert is not None:
-        detail += f"; admissibility: {'ok' if cert.passed else 'NOT met (informative only)'}"
+    detail += f"; admissibility: {'ok' if cert.passed else 'NOT met (informative only)'}"
     if functionals is not None:
         a1, a2, a3 = functionals
         detail += f"; initial functionals A1={a1:.4g}, A2={a2:.4g}, A3={a3:.4g}"

@@ -15,15 +15,16 @@ Exit codes: 0 all monitors pass, 2 a monitor failed, 1 configuration,
 hypothesis, or runtime error.  The default output directory is
 ``$SMOLKIT_OUT/<name>`` (or ``./smolkit-out/<name>``).
 
-``execute`` hands a scenario to one handler per mode, ``_gelscan`` or
-``_solve`` (pde, homogeneous and tracer; tracer mode adds ``_tracer``), and
-writes the report lines they return.  ``build_run`` is the one place a
-solver run is constructed: the main run, the gronwall monitor's rerun on
-perturbed data, and every level of ``_ladder``, which runs the trend gates'
-refinements in forked workers: the moment plateau's (``n_max * 2**k``, same
-dt and stride) and gelscan's (each N of ``gelscan.n_list``, on
-``Grid.point()`` under the gel reservoir).  Homogeneous mode is the same run
-on ``Grid.point()``.
+``execute`` builds the scenario's one kernel (``build_kernel``, at the
+largest N any of its runs uses) and hands it to one handler per mode,
+``_gelscan`` or ``_solve`` (pde, homogeneous and tracer; tracer mode adds
+``_tracer``), which pass it to every run, monitor and tracer, then writes the
+report lines they return.  ``build_run`` is the one place a solver run is
+constructed: the main run, the gronwall monitor's rerun on perturbed data,
+and every level of ``_ladder``, which runs the trend gates' refinements in
+forked workers: the moment plateau's (``n_max * 2**k``, same dt and stride)
+and gelscan's (each N of ``gelscan.n_list``, on ``Grid.point()`` under the
+gel reservoir).  Homogeneous mode is the same run on ``Grid.point()``.
 """
 
 from __future__ import annotations
@@ -337,7 +338,15 @@ def _validate(s: Scenario, path) -> None:
 
 
 def build_kernel(s: Scenario) -> Kernel:
-    n = s.n_max
+    """The scenario's one kernel, at the largest N any of its runs uses:
+    max(``gelscan.n_list``) in gelscan mode, ``n_max * 2**refinements`` with
+    the moment plateau, ``n_max`` otherwise."""
+    if s.mode == "gelscan":
+        n = max(s.gelscan_n_list)
+    elif "moment_plateau" in s.monitors:
+        n = s.n_max * 2**s.plateau_refinements
+    else:
+        n = s.n_max
     if s.kernel_kind == "constant":
         return Kernel.constant(s.kernel_c, n)
     if s.kernel_kind == "sum":
@@ -347,10 +356,13 @@ def build_kernel(s: Scenario) -> Kernel:
     if s.kernel_kind == "two_exponent":
         return Kernel.two_exponent(s.kernel_a, s.kernel_b, n)
     if s.kernel_kind == "range_derived":
-        dp = build_diffusion(s)
+        dp = build_diffusion(dataclasses.replace(s, n_max=n))
         rp = RangeProfile(exponent=s.kernel_range_chi, scale=s.kernel_range_scale)
         return kinetic_kernel_from_range(dp, rp, s.kernel_range_dim, s.kernel_c)
-    return Kernel.from_csv(s.kernel_table, n)
+    try:
+        return Kernel.from_csv(s.kernel_table, n)
+    except ValueError as err:
+        raise ConfigError(f"kernel.table must cover exactly 1..{n}, the largest N this scenario runs: {err}") from err
 
 
 def build_diffusion(s: Scenario) -> DiffusionProfile:
@@ -362,6 +374,8 @@ def build_diffusion(s: Scenario) -> DiffusionProfile:
     if s.diffusion_kind == "bracketed_power":
         return DiffusionProfile.bracketed_power(s.diffusion_r1, s.diffusion_b1, s.diffusion_r2, s.diffusion_b2, n)
     values = np.loadtxt(s.diffusion_table, delimiter=",", ndmin=1)
+    if len(values) < n:
+        raise ConfigError(f"diffusion.table: {s.diffusion_table} has {len(values)} rows, fewer than a run's N = {n}")
     return DiffusionProfile.from_table(values[:n])
 
 
@@ -416,47 +430,43 @@ def _gelscan_config(s: Scenario, field0: MassField, kernel: Kernel) -> RunConfig
     )
 
 
-def build_run(s: Scenario, kernel: Kernel | None = None) -> tuple[MassField, Kernel, DiffusionProfile | None, RunConfig]:
-    """Initial field, kernel, diffusion profile and config of a scenario's run.
+def build_run(s: Scenario, kernel: Kernel) -> tuple[MassField, DiffusionProfile | None, RunConfig]:
+    """Initial field, diffusion profile and config of the scenario's run at ``s.n_max``.
 
-    Homogeneous and gelscan modes run on the zero-dimensional point grid,
-    which needs no diffusion profile; pde and tracer modes run on the
-    scenario's grid.  ``kernel``, if given, is used instead of building one;
-    it must cover ``s.n_max``.
+    ``kernel`` is the scenario's one kernel from :func:`build_kernel`, which
+    covers every run's N.  Homogeneous and gelscan modes run on the
+    zero-dimensional point grid, which needs no diffusion profile; pde and
+    tracer modes run on the scenario's grid, with a profile at ``s.n_max``.
     """
-    kernel = build_kernel(s) if kernel is None else kernel
     if s.mode in ("homogeneous", "gelscan"):
         grid, dp = Grid.point(), None
     else:
         grid, dp = Grid(s.grid_dim, s.grid_length, s.grid_cells), build_diffusion(s)
     field0 = build_initial_field(s, grid)
     cfg = _gelscan_config(s, field0, kernel) if s.mode == "gelscan" else build_run_config(s)
-    return field0, kernel, dp, cfg
+    return field0, dp, cfg
 
 
 def _run_level(kernel: Kernel, level: tuple[MassField, DiffusionProfile | None, RunConfig]) -> RunRecord:
-    """One ladder level's run, returned without the kernel, which the caller holds."""
     field0, dp, cfg = level
-    return dataclasses.replace(run(field0, kernel, dp, cfg), kernel=None)
+    return run(field0, kernel, dp, cfg)
 
 
-def _ladder(s: Scenario, n_values: list[int]) -> list[RunRecord]:
+def _ladder(s: Scenario, n_values: list[int], kernel: Kernel) -> list[RunRecord]:
     """The scenario rerun at each ``n_max`` in ``n_values``, without fields or majorant.
 
-    Every level is built here by :func:`build_run`, a gelscan level up to its
-    first loss coefficients, with one kernel built at the largest N.  The
-    runs then go through ``fork_map`` in up to ``s.workers`` processes, and
-    each sends back only its stride series.
+    Every level is built here by :func:`build_run` with the scenario's
+    ``kernel``, a gelscan level up to its first loss coefficients.  The runs
+    then go through ``fork_map`` in up to ``s.workers`` processes, and each
+    sends back only its stride series.
     """
-    kernel = build_kernel(dataclasses.replace(s, n_max=max(n_values)))
     levels = []
     for n_max in n_values:
-        field0, _, dp, cfg = build_run(dataclasses.replace(s, n_max=n_max), kernel)
+        field0, dp, cfg = build_run(dataclasses.replace(s, n_max=n_max), kernel)
         levels.append((field0, dp, dataclasses.replace(cfg, record_fields=False, track_majorant=False)))
     # Largest N first: it takes longest, so the others share the remaining
     # workers while it runs.
-    records = fork_map(partial(_run_level, kernel), levels[::-1], s.workers)[::-1]
-    return [dataclasses.replace(rec, kernel=kernel) for rec in records]
+    return fork_map(partial(_run_level, kernel), levels[::-1], s.workers)[::-1]
 
 
 # -- output files --------------------------------------------------------
@@ -544,25 +554,25 @@ def _out_dir(s: Scenario, override: str | None) -> Path:
 def execute(s: Scenario, out_override: str | None = None) -> int:
     """Run one scenario end to end; returns the process exit code."""
     out = _out_dir(s, out_override)
-    lines, reports = (_gelscan if s.mode == "gelscan" else _solve)(s, out)
+    lines, reports = (_gelscan if s.mode == "gelscan" else _solve)(s, build_kernel(s), out)
     report = "\n".join([f"scenario {s.name} (mode={s.mode})"] + lines) + "\n"
     (out / "report.txt").write_text(report, encoding="utf-8")
     sys.stdout.write(report)
     return 0 if all(r.passed for r in reports) else 2
 
 
-def _gelscan(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
+def _gelscan(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[BoundReport]]:
     """Gel-reservoir trend over ``gelscan.n_list``; a verdict, not a gate."""
-    verdict = gelation_scan(_ladder(s, list(s.gelscan_n_list)))
+    verdict = gelation_scan(_ladder(s, list(s.gelscan_n_list), kernel))
     rows = ["n_max,mass_ratio,gel"]
     rows += [f"{n},{_fmt(r)},{_fmt(g)}" for n, r, g in zip(verdict.n_values, verdict.mass_ratios, verdict.gel_values)]
     (out / "gelscan.csv").write_text(SERIES_SCHEMA + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     return [str(verdict)], []
 
 
-def _solve(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
+def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[BoundReport]]:
     """One solver run (pde, homogeneous or tracer mode), its files and its monitors."""
-    field0, kernel, dp, cfg = build_run(s)
+    field0, dp, cfg = build_run(s, kernel)
     rec = run(field0, kernel, dp, cfg)
     extra = {"cons_drift": conservation_drift(rec)}
     if rec.majorant is not None:
@@ -581,23 +591,25 @@ def _solve(s: Scenario, out: Path) -> tuple[list[str], list[BoundReport]]:
         reports.append(check_heat_majorant(rec, dp, s.heat_majorant_tolerance))
     if "gronwall" in s.monitors:
         perturbed = MassField(field0.grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
-        reports.append(check_gronwall(rec, run(perturbed, kernel, dp, cfg), s.gronwall_c0, s.gronwall_a_bound))
+        reports.append(check_gronwall(rec, run(perturbed, kernel, dp, cfg), kernel, s.gronwall_c0, s.gronwall_a_bound))
     if "moment_plateau" in s.monitors:
-        refinements = _ladder(s, [s.n_max * 2**k for k in range(1, s.plateau_refinements + 1)])
-        reports.append(check_moment_bound([rec] + refinements, s.plateau_a, dp, tolerance=s.plateau_tolerance))
+        records = [rec] + _ladder(s, [s.n_max * 2**k for k in range(1, s.plateau_refinements + 1)], kernel)
+        reports.append(check_moment_bound(records, s.plateau_a, kernel, dp, field0, tolerance=s.plateau_tolerance))
 
-    lines, gates = _tracer(s, rec, cfg.output_stride, out) if s.mode == "tracer" else ([], [])
+    lines, gates = _tracer(s, rec, kernel, dp, cfg.output_stride, out) if s.mode == "tracer" else ([], [])
     reports += gates
     return lines + [str(r) for r in reports] + [f"note: {event}" for event in rec.events], reports
 
 
-def _tracer(s: Scenario, rec: RunRecord, slice_dt: float, out: Path) -> tuple[list[str], list[BoundReport]]:
+def _tracer(
+    s: Scenario, rec: RunRecord, kernel: Kernel, dp: DiffusionProfile, slice_dt: float, out: Path
+) -> tuple[list[str], list[BoundReport]]:
     """Tracer ensemble against the solver's fields, one slice per stride."""
     shape = (s.n_max,) + rec.grid.shape
     fields = [MassField(rec.grid, f.reshape(shape), validate=False) for f in rec.fields]
     ens = TracerEnsemble(count=s.tracer_count, seed=s.seed, immortal=s.tracer_immortal)
     times = list(s.tracer_times) if s.tracer_times is not None else [s.t_final]
-    result = simulate(fields[:-1], rec.kernel, rec.dp, ens, slice_dt, histogram_times=times, workers=s.workers)
+    result = simulate(fields[:-1], kernel, dp, ens, slice_dt, histogram_times=times, workers=s.workers)
     m0 = float(sum(fields[0].species_integrals()))
     lines, gates = [], []
     hist_rows = ["time,mass,cell,count"]

@@ -113,7 +113,7 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Stride-sampled diagnostics of one run.
+    """Stride-sampled diagnostics of one run: its outputs only, never the kernel or profile it ran with.
 
     ``mass`` excludes the gel reservoir; ``gel`` is the reservoir itself.
     ``moments[a]``, ``pair_moments[a]`` and ``pair_moments_weighted[a]`` are
@@ -124,8 +124,6 @@ class RunRecord:
 
     n_max: int
     grid: Grid
-    kernel: Kernel
-    dp: DiffusionProfile | None
     policy: TruncationPolicy
     times: list[float] = dc_field(default_factory=list)
     mass: list[float] = dc_field(default_factory=list)
@@ -275,10 +273,7 @@ def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConf
     """
     engine = _Engine(F0, kernel, dp, cfg)
     flat, gel = F0.flat().copy(), F0.gel_reservoir
-    rec = RunRecord(
-        n_max=engine.n_max, grid=F0.grid, kernel=kernel, dp=dp, policy=cfg.policy,
-        fields=[] if cfg.record_fields else None,
-    )
+    rec = RunRecord(n_max=engine.n_max, grid=F0.grid, policy=cfg.policy, fields=[] if cfg.record_fields else None)
     u = None
     if cfg.track_majorant:
         u = engine.mass_row @ flat

@@ -139,8 +139,8 @@ def test_criterion_5_gronwall_stability_envelope():
                        output_stride=0.1, record_fields=True)
     rf = sk.run(F, kernel, dp, cfg)
     rg = sk.run(G, kernel, dp, cfg)
-    rep = sk.check_gronwall(rf, rg, c0=1.0)
-    control = sk.check_gronwall(rf, sk.run(F, kernel, dp, cfg), c0=1.0)
+    rep = sk.check_gronwall(rf, rg, kernel, c0=1.0)
+    control = sk.check_gronwall(rf, sk.run(F, kernel, dp, cfg), kernel, c0=1.0)
     report(5, "stability envelope", rep.passed and control.max_violation == 0.0,
            f"max ratio {rep.max_violation:.6f}, control distance 0")
 
@@ -153,7 +153,7 @@ def test_criterion_6_gelation_dichotomy():
     def scan(a: float) -> sk.GelVerdict:
         s = Scenario(name="dichotomy", mode="gelscan", kernel_kind="product", kernel_a=a, t_final=1.0,
                      initial_amplitude=1.0, gelscan_n_list=(128, 256, 512), workers=1)
-        return sk.gelation_scan(cli._ladder(s, list(s.gelscan_n_list)))
+        return sk.gelation_scan(cli._ladder(s, list(s.gelscan_n_list), cli.build_kernel(s)))
 
     gelling = scan(1.0)
     i0 = 1.0
@@ -171,7 +171,7 @@ def test_criterion_6_gelation_dichotomy():
 def test_criterion_7_moment_plateau():
     """sup_t integral(X_2) and the time-integrated pair moments move by
     less than 5% between sectional ranges 128 and 256."""
-    recs = []
+    recs, fields = [], []
     for n_max in (128, 256):
         kernel = sk.Kernel.from_function(lambda n, m: float(np.sqrt(n + m)), n_max)
         dp = sk.DiffusionProfile.constant(1.0, n_max)
@@ -181,7 +181,9 @@ def test_criterion_7_moment_plateau():
                            output_stride=0.1, moment_exponents=(0.0, 1.0, 2.0),
                            pair_moment_exponents=(1.0,))
         recs.append(sk.run(F, kernel, dp, cfg))
-    rep = sk.check_moment_bound(recs, 2.0, sk.DiffusionProfile.constant(1.0, 128), tolerance=0.05)
+        fields.append(F)
+    # kernel is the N = 256 one; the certificate reads its 128 x 128 block.
+    rep = sk.check_moment_bound(recs, 2.0, kernel, sk.DiffusionProfile.constant(1.0, 128), fields[0], tolerance=0.05)
     report(7, "moment plateau under refinement", rep.passed,
            f"worst relative change {rep.max_violation:.2e}")
 

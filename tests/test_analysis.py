@@ -27,7 +27,7 @@ from smolkit.analysis import (
 )
 from smolkit.cli import Scenario
 from smolkit.coagulation import RateEvaluator, TruncationPolicy
-from smolkit.field import Grid, MassField
+from smolkit.field import Grid, MassField, initial_data_functionals
 from smolkit.integrator import RunConfig, run
 from smolkit.kernels import DiffusionProfile, Kernel
 
@@ -144,23 +144,23 @@ class TestGronwall:
         G = MassField(grid, F.data * (1.0 + delta))
         cfg = RunConfig(t_final=0.5, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
                         output_stride=0.1, record_fields=True)
-        return run(F, k, dp, cfg), run(G, k, dp, cfg)
+        return run(F, k, dp, cfg), run(G, k, dp, cfg), k
 
     def test_identical_runs_give_zero_distance(self):
-        rf, _ = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rf, c0=1.0)
+        rf, _, k = self._two_runs(1e-3)
+        rep = check_gronwall(rf, rf, k, c0=1.0)
         assert rep.passed and rep.max_violation == 0.0
 
     def test_perturbed_run_stays_in_envelope(self):
-        rf, rg = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rg, c0=1.0)
+        rf, rg, k = self._two_runs(1e-3)
+        rep = check_gronwall(rf, rg, k, c0=1.0)
         assert rep.passed
         assert rep.max_violation <= 1.0 + 1e-12
 
     def test_underestimated_bound_rejected(self):
-        rf, rg = self._two_runs(1e-3)
+        rf, rg, k = self._two_runs(1e-3)
         with pytest.raises(HypothesisError, match="below the observed sup"):
-            check_gronwall(rf, rg, c0=1.0, A=1e-6)
+            check_gronwall(rf, rg, k, c0=1.0, A=1e-6)
 
     def test_kernel_outside_quadratic_envelope_rejected(self):
         n_max = 8
@@ -172,7 +172,7 @@ class TestGronwall:
                         output_stride=0.1, record_fields=True)
         rec = run(F, k, dp, cfg)
         with pytest.raises(HypothesisError, match="c0"):
-            check_gronwall(rec, rec, c0=1.0)
+            check_gronwall(rec, rec, k, c0=1.0)
 
 
 class TestConservationReport:
@@ -214,54 +214,64 @@ class TestConservationReport:
 
 
 class TestMomentPlateau:
+    """Every level runs with one kernel built at the largest range, as the CLI's ladder does."""
+
+    KERNEL = Kernel.from_function(lambda n, m: float(np.sqrt(n + m)), 32)
+
+    def _field(self, n_max, amplitude=0.5):
+        return MassField.gaussian_blob(Grid(1, 1.0, 16), n_max, amplitude=amplitude, width=0.1)
+
     def _record(self, n_max):
-        grid = Grid(1, 1.0, 16)
-        k = Kernel.from_function(lambda n, m: float(np.sqrt(n + m)), n_max)
         dp = DiffusionProfile.constant(1.0, n_max)
-        F = MassField.gaussian_blob(grid, n_max, amplitude=0.5, width=0.1)
         cfg = RunConfig(t_final=0.4, dt=0.02, policy=TruncationPolicy.cutoff(n_max),
                         output_stride=0.1, moment_exponents=(0.0, 1.0, 2.0),
                         pair_moment_exponents=(1.0,))
-        return run(F, k, dp, cfg)
+        return run(self._field(n_max), self.KERNEL, dp, cfg)
+
+    def _check(self, recs, a):
+        return check_moment_bound(recs, a, self.KERNEL, DiffusionProfile.constant(1.0, 16), self._field(16))
 
     def test_bounded_kernel_plateaus(self):
         recs = [self._record(n) for n in (16, 32)]
-        dp = DiffusionProfile.constant(1.0, 16)
-        rep = check_moment_bound(recs, 2.0, dp)
+        rep = self._check(recs, 2.0)
         assert rep.passed
         assert "admissibility: ok" in rep.detail
 
     def test_needs_two_refinements(self):
         with pytest.raises(ValueError):
-            check_moment_bound([self._record(16)], 2.0)
+            self._check([self._record(16)], 2.0)
 
     def test_missing_series_reported(self):
         recs = [self._record(16), self._record(32)]
         with pytest.raises(ValueError, match="moment series"):
-            check_moment_bound(recs, 3.0)
+            self._check(recs, 3.0)
 
     def test_unmet_admissibility_is_informative_not_fatal(self):
         """A fast-growing kernel voids the boundedness promise; the report
         carries that caveat instead of raising."""
         recs = []
+        k = Kernel.product(1.0, 32)
         for n_max in (16, 32):
-            grid = Grid(1, 1.0, 16)
-            k = Kernel.product(1.0, n_max)
             dp = DiffusionProfile.constant(1.0, n_max)
-            F = MassField.gaussian_blob(grid, n_max, amplitude=0.3, width=0.1)
             cfg = RunConfig(t_final=0.2, dt=0.005, policy=TruncationPolicy.cutoff(n_max),
                             output_stride=0.1, moment_exponents=(0.0, 1.0, 2.0),
                             pair_moment_exponents=(1.0,))
-            recs.append(run(F, k, dp, cfg))
-        rep = check_moment_bound(recs, 2.0, DiffusionProfile.constant(1.0, 16))
+            recs.append(run(self._field(n_max, 0.3), k, dp, cfg))
+        rep = check_moment_bound(recs, 2.0, k, DiffusionProfile.constant(1.0, 16), self._field(16, 0.3))
         assert "NOT met" in rep.detail
+
+    def test_initial_functionals_come_from_the_initial_field(self):
+        """The functionals are read off ``field0`` whether or not the runs recorded fields."""
+        rep = self._check([self._record(n) for n in (16, 32)], 2.0)
+        a1, a2, a3 = initial_data_functionals(self._field(16), 2.0)
+        assert rep.detail.endswith(f"; initial functionals A1={a1:.4g}, A2={a2:.4g}, A3={a3:.4g}")
 
 
 def scan(n_list, t_final=1.0, workers=1, **keys):
     """The CLI's gelscan ladder over ``n_list`` from unit monodisperse data,
     with scenario attributes ``keys``, judged by :func:`gelation_scan`."""
     s = Scenario(name="scan", mode="gelscan", t_final=t_final, gelscan_n_list=tuple(n_list), workers=workers, **keys)
-    return gelation_scan(cli._ladder(s, list(n_list)))
+    return gelation_scan(cli._ladder(s, list(n_list), cli.build_kernel(s)))
 
 
 class TestGelationScan:

@@ -58,6 +58,14 @@ def write(tmp_path, text, name="scenario.cfg"):
     return p
 
 
+def sqrt_table(tmp_path, n_top):
+    """A kernel CSV of alpha = sqrt(n+m) over the pairs of 1..n_top."""
+    p = tmp_path / f"sqrt{n_top}.csv"
+    rows = [f"{n},{m},{float(np.sqrt(n + m))!r}" for n in range(1, n_top + 1) for m in range(1, n + 1)]
+    p.write_text("n,m,alpha\n" + "\n".join(rows) + "\n")
+    return p
+
+
 class TestParseConfig:
     def test_minimal_valid(self, tmp_path):
         s = parse_config(write(tmp_path, MINIMAL))
@@ -256,7 +264,53 @@ gelscan.n_list = 16,32
         p = write(tmp_path, MINIMAL.replace("kernel.kind = constant", f"kernel.kind = table\nkernel.table = {table}"))
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {table}: pair (17,1) outside 1..16"]
+        assert err.splitlines() == [
+            f"error: kernel.table must cover exactly 1..16, the largest N this scenario runs: {table}: pair (17,1) outside 1..16"
+        ]
+
+    def test_table_kernel_plateau_runs(self, tmp_path, capsys):
+        """The main run (N = 12) and its refinement (N = 24) share one kernel,
+        so a table over exactly 1..24 serves both."""
+        p = write(tmp_path, TestDeterminism.TABLE_PLATEAU.format(table=sqrt_table(tmp_path, 24)))
+        assert main(["run", str(p), "--workers", "1", "--out", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "PASS moment_plateau_a2:" in report
+
+    def test_table_kernel_plateau_names_the_range_it_needs(self, tmp_path, capsys):
+        table = sqrt_table(tmp_path, 12)
+        p = write(tmp_path, TestDeterminism.TABLE_PLATEAU.format(table=table))
+        assert main(["run", str(p), "--workers", "1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: kernel.table must cover exactly 1..24, the largest N this scenario runs: {table}: missing rate for pair (1,13)"
+        ]
+
+    @pytest.mark.parametrize("n_max, extra, needed", [(12, "", 12), (8, "monitors = moment_plateau\n", 16)])
+    def test_short_diffusion_table_names_key_rows_and_n(self, tmp_path, capsys, n_max, extra, needed):
+        """An 8-row profile is too short for a run at N = 12, and for the
+        plateau's refinement at N = 16 of a run at N = 8."""
+        table = tmp_path / "d.csv"
+        table.write_text("\n".join(repr(1.0 / n) for n in range(1, 9)) + "\n")
+        text = PDE.replace("diffusion.kind = power_law", f"diffusion.kind = table\ndiffusion.table = {table}")
+        text = text.replace("run.n_max = 12", f"run.n_max = {n_max}").replace("monitors = conservation, heat_majorant\n", extra)
+        p = write(tmp_path, text)
+        assert main(["run", str(p), "--workers", "1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: diffusion.table: {table} has 8 rows, fewer than a run's N = {needed}"
+        ]
+
+    def test_plateau_line_does_not_depend_on_recorded_fields(self, tmp_path):
+        """The initial functionals come from the scenario's initial field,
+        so recording fields does not change the plateau line."""
+        lines = {}
+        for flag in ("true", "false"):
+            text = PDE.replace("run.record_fields = true", f"run.record_fields = {flag}").replace(
+                "monitors = conservation, heat_majorant", "monitors = moment_plateau"
+            )
+            out = tmp_path / flag
+            assert execute(parse_config(write(tmp_path, text + "workers = 1\n")), out_override=str(out)) == 0
+            lines[flag] = [line for line in (out / "report.txt").read_text().splitlines() if " moment_plateau_a2:" in line]
+        assert lines["true"] == lines["false"] and len(lines["true"]) == 1
+        assert "; initial functionals A1=" in lines["true"][0]
 
     @pytest.mark.parametrize("a", ["0.5", "0"])
     def test_plateau_exponent_below_one_is_named(self, tmp_path, capsys, a):
@@ -406,6 +460,12 @@ run.t_final = 1.0
         "monitors = conservation, heat_majorant, moment_plateau\nmoment_plateau.refinements = 2",
     )
 
+    # The plateau scenario on a table kernel: one CSV of sqrt(n+m) over
+    # 1..24 serves the main run (N = 12) and its refinement (N = 24).
+    TABLE_PLATEAU = PDE.replace("kernel.kind = sum\nkernel.c0 = 1.0", "kernel.kind = table\nkernel.table = {table}").replace(
+        "monitors = conservation, heat_majorant", "monitors = conservation, heat_majorant, moment_plateau"
+    )
+
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_count_does_not_change_bytes(self, tmp_path, workers):
         tracer_files = ("series.csv", "histogram.csv", "summary.csv", "report.txt")
@@ -414,6 +474,7 @@ run.t_final = 1.0
             ("rejecting", self.REJECTING, tracer_files),
             ("gelscan", self.GELSCAN, ("gelscan.csv", "report.txt")),
             ("plateau", self.PLATEAU, ("series.csv", "report.txt")),
+            ("table-plateau", self.TABLE_PLATEAU.format(table=sqrt_table(tmp_path, 24)), ("series.csv", "report.txt")),
         ):
             s = parse_config(write(tmp_path, text))
             w1, wn = tmp_path / tag / "w1", tmp_path / tag / "wN"
@@ -426,12 +487,15 @@ run.t_final = 1.0
         assert rate < 1.0
 
     @pytest.mark.parametrize(
-        "command, text", [("run", TRACER), ("gelscan", GELSCAN), ("run", PLATEAU)], ids=["tracer", "gelscan", "plateau"]
+        "command, text",
+        [("run", TRACER), ("gelscan", GELSCAN), ("run", PLATEAU), ("run", TABLE_PLATEAU)],
+        ids=["tracer", "gelscan", "plateau", "table-plateau"],
     )
     def test_one_worker_makes_no_fork(self, tmp_path, monkeypatch, command, text):
         def no_fork():
             raise AssertionError("a process was started")
 
+        text = text.format(table=sqrt_table(tmp_path, 24))  # only TABLE_PLATEAU has a field to fill
         monkeypatch.setattr(os, "fork", no_fork)
         out = str(tmp_path / "out")
         assert main([command, str(write(tmp_path, text)), "--workers", "1", "--out", out]) == 0
@@ -444,6 +508,45 @@ run.t_final = 1.0
         assert len(thinning) == 1
         assert "proposals" in thinning[0] and "acceptance rate" in thinning[0]
         assert "chunk-local table extensions" in thinning[0]
+
+
+class TestOneKernelPerScenario:
+    """``execute`` builds the scenario's kernel once, at the largest N any of
+    its runs uses, and every run and the tracer receive that object.  The
+    scenarios set ``workers = 1``, so the spies see every run."""
+
+    @pytest.mark.parametrize(
+        "text, n_kernel, uses",
+        [
+            (TestRefinementRuns.MONITORED, 48, 4),  # main, gronwall rerun, N = 48 and 24
+            (TestDeterminism.TRACER + "workers = 1\n", 12, 2),  # the run, then the tracer
+            (MINIMAL + "workers = 1\n", 16, 1),
+            (TestDeterminism.GELSCAN + "workers = 1\n", 64, 3),
+        ],
+        ids=["pde-plateau-gronwall", "tracer", "homogeneous", "gelscan"],
+    )
+    def test_every_run_gets_the_one_kernel(self, tmp_path, monkeypatch, text, n_kernel, uses):
+        built, used = [], []
+        build_kernel, run, simulate = cli.build_kernel, cli.run, cli.simulate
+
+        def spy_build(s):
+            built.append(build_kernel(s))
+            return built[-1]
+
+        def spy_run(field0, kernel, dp, cfg):
+            used.append(kernel)
+            return run(field0, kernel, dp, cfg)
+
+        def spy_simulate(fields, kernel, *args, **kwargs):
+            used.append(kernel)
+            return simulate(fields, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_kernel", spy_build)
+        monkeypatch.setattr(cli, "run", spy_run)
+        monkeypatch.setattr(cli, "simulate", spy_simulate)
+        assert execute(parse_config(write(tmp_path, text)), out_override=str(tmp_path / "out")) == 0
+        assert len(built) == 1 and built[0].n_max == n_kernel
+        assert len(used) == uses and all(k is built[0] for k in used)
 
 
 class TestShippedConfigs:
