@@ -18,6 +18,7 @@ from .analysis import (
     collision_budget,
     gelation_scan,
     linf_moment_exponent,
+    scope,
 )
 from .coagulation import TruncationPolicy
 from .field import (
@@ -39,8 +40,6 @@ from .kernels import (
     Kernel,
     RangeProfile,
     check_assumption_1_1,
-    check_assumption_1_2,
-    check_assumption_1_3,
     kinetic_kernel_from_range,
 )
 from .tracer import (
@@ -73,8 +72,6 @@ __all__ = [
     "TracerHistogram",
     "TruncationPolicy",
     "check_assumption_1_1",
-    "check_assumption_1_2",
-    "check_assumption_1_3",
     "check_conservation",
     "check_gronwall",
     "check_heat_majorant",
@@ -88,5 +85,6 @@ __all__ = [
     "moment",
     "potential_kernel",
     "run",
+    "scope",
     "simulate",
 ]

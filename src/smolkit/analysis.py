@@ -12,8 +12,10 @@ Gelation verdicts follow the same philosophy: mass conservation of the
 untruncated system is a limit statement, so the verdict is read off the
 trend of the gel reservoir G(T) under doubling of the sectional range.
 
-Every function here judges finished runs; none builds, runs or forks one.
-The refinement runs come from the CLI's ladder (``smolkit.cli``).
+Every function here judges finished runs, except :func:`scope`, which
+evaluates the paper's hypotheses once per spatial scenario, before its
+runs; none builds, runs or forks one.  The refinement runs come from the
+CLI's ladder (``smolkit.cli``).
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ import numpy as np
 from .field import MassField, initial_data_functionals, moment_weights
 from .integrator import RunRecord
 from .integrator import homogeneous_run  # noqa: F401 (no caller; perfbench/spans.py patches analysis.homogeneous_run)
-from .kernels import DiffusionProfile, Kernel, check_assumption_1_1
+from .kernels import CheckResult, DiffusionProfile, Kernel, check_assumption_1_1
 
 __all__ = [
     "BoundReport",
     "GelVerdict",
     "HypothesisError",
+    "Scope",
+    "scope",
     "linf_moment_exponent",
     "majorant_ratios",
     "check_heat_majorant",
@@ -57,6 +61,9 @@ MAJORANT_FLOOR = 1e-9
 GEL_FLOOR = 1e-12
 CONSERVING_FACTOR = 0.5
 GELLING_TOLERANCE = 0.10
+
+# Relative-propensity threshold of the (A1) certificate in :func:`scope`.
+A1_DELTA = 0.25
 
 
 class HypothesisError(ValueError):
@@ -124,6 +131,80 @@ def linf_moment_exponent(a: float, b1: float, b2: float, dim: int) -> float:
     return base - 0.5 * b1 * dim - b1 - 1.0
 
 
+@dataclass(frozen=True)
+class Scope:
+    """The paper's hypotheses for one spatial scenario, on masses 1..n_max.
+
+    (A1) is ``a1``, the certificate of :func:`~smolkit.kernels.check_assumption_1_1`
+    at ``A1_DELTA``.  (A2) holds when ``increasing_at``, the first n with
+    d(n+1) > d(n), is None; ``b1 >= b2`` are the tightest exponents with
+    m^(-b1) <= d(m)/d(1) <= m^(-b2) on 2..n_max.  (A3) holds when the initial
+    integral and sup over cells of X_a are finite.  ``c0 = max alpha(n,m)/(n*m)``
+    is the Gronwall growth constant, the one the gronwall envelope uses; the
+    other parts are informative and decide no exit code.
+    """
+
+    n_max: int
+    dim: int
+    a: float
+    a1: CheckResult
+    increasing_at: int | None
+    b1: float
+    b2: float
+    integral_xa: float
+    sup_xa: float
+    c0: float
+
+    @property
+    def a3(self) -> bool:
+        return math.isfinite(self.integral_xa) and math.isfinite(self.sup_xa)
+
+    @property
+    def linf_exponent(self) -> float | None:
+        """:func:`linf_moment_exponent` at (a, b1, b2, dim); None outside (A2)."""
+        return None if self.increasing_at is not None else linf_moment_exponent(self.a, self.b1, self.b2, self.dim)
+
+    def __str__(self) -> str:
+        a1 = f"ok (delta={A1_DELTA:g}, k0={self.a1.k0})"
+        if not self.a1.passed:
+            a1 = f"NOT met (delta={A1_DELTA:g}, witness {self.a1.witness})"
+        a2 = "ok (d non-increasing"
+        if self.increasing_at is not None:
+            a2 = f"NOT met (d(n+1) > d(n) first at n={self.increasing_at}"
+        linf = "n/a" if self.increasing_at is not None else f"{self.linf_exponent:.6g}"
+        return (
+            f"scope: N={self.n_max}, dim={self.dim}; A1 {a1}; A2 {a2};"
+            f" m^(-b1) <= d(m)/d(1) <= m^(-b2) on 2..{self.n_max} with b1={self.b1:.6g}, b2={self.b2:.6g});"
+            f" A3 {'ok' if self.a3 else 'NOT met'} (initial integral"
+            f" X_{self.a:g}={self.integral_xa:.6g}, sup X_{self.a:g}={self.sup_xa:.6g}); c0={self.c0:.6g};"
+            f" linf_moment_exponent={linf}"
+        )
+
+
+def scope(kernel: Kernel, dp: DiffusionProfile, field0: MassField, a: float) -> Scope:
+    """Evaluate the paper's hypotheses once, on the masses 1..N of ``field0``.
+
+    ``kernel`` and ``dp`` must cover 1..N, N >= 2; ``a`` is the moment
+    exponent whose initial data (A3) and sup-norm threshold are reported.
+    This is the one place a kernel is swept against a hypothesis.
+    """
+    n_max = field0.n_max
+    if n_max < 2:
+        raise ValueError("scope needs at least the masses 1..2")
+    d, n = dp.values[:n_max], np.arange(1, n_max + 1, dtype=float)
+    inc = np.flatnonzero(np.diff(d) > 0)
+    e = np.log(d[0] / d[1:]) / np.log(n[1:])  # d(m)/d(1) = m^(-e(m)): the bracket is the range of e
+    with np.errstate(over="ignore"):
+        xa = moment_weights(a, n_max) @ field0.flat()
+        integral_xa = float(xa.sum()) * field0.grid.cell_volume
+    a1 = check_assumption_1_1(kernel, dp, A1_DELTA, n_max)
+    c0 = float((kernel.dense(n_max) / np.outer(n, n)).max())
+    increasing_at = int(inc[0]) + 1 if inc.size else None
+    return Scope(
+        n_max, field0.grid.dim, a, a1, increasing_at, float(e.max()), float(e.min()), integral_xa, float(xa.max()), c0
+    )
+
+
 def majorant_ratios(record: RunRecord, dp: DiffusionProfile) -> np.ndarray:
     """Domination ratio ``sum_n n d(n)^(dim/2) f_n / (d(1)^(dim/2) u)``, (strides, cells).
 
@@ -171,26 +252,28 @@ def _sup_weighted_cell_moment(record: RunRecord, exponent: float) -> float:
 def check_gronwall(
     f_record: RunRecord,
     g_record: RunRecord,
-    kernel: Kernel,
-    c0: float,
+    scope: Scope,
     A: float | None = None,
     tolerance: float = 1e-12,
 ) -> BoundReport:
-    """Stability envelope for the weighted L1 distance of two runs with ``kernel``.
+    """Stability envelope for the weighted L1 distance of two runs of one scenario.
 
-    With a kernel dominated by c0*n*m and both runs' per-cell second moment
-    bounded by A, the distance X(t) = sum_n n * ||f_n - g_n||_L1 must stay
-    below exp(4*c0*A*t) * X(0).  ``A`` defaults to the observed sup; an
-    explicit A below the observed sup is a hypothesis violation and raises.
+    The kernel is dominated by c0*n*m with ``scope.c0``, the scenario's
+    growth constant.  With both runs' per-cell second moment bounded by A,
+    the distance X(t) = sum_n n * ||f_n - g_n||_L1 must stay below
+    exp(4*c0*A*t) * X(0); the detail prints that factor at the last stride.
+    ``A`` defaults to the observed sup; an explicit A below the observed sup
+    is a hypothesis violation and raises.
     """
     if f_record.fields is None or g_record.fields is None:
         raise ValueError("both records need record_fields=True")
     if len(f_record.times) != len(g_record.times) or not np.allclose(f_record.times, g_record.times):
         raise ValueError("records must share stride times")
     nmax = f_record.n_max
+    if scope.n_max < nmax:
+        raise HypothesisError(f"c0 covers the masses 1..{scope.n_max}, fewer than the runs' {nmax}")
+    c0 = scope.c0
     idx = moment_weights(1.0, nmax)
-    if np.any(kernel.dense(nmax) > c0 * np.outer(idx, idx) * (1 + 1e-12)):
-        raise HypothesisError(f"kernel exceeds c0*n*m for c0={c0:g}; the stability envelope does not apply")
     a_obs = max(_sup_weighted_cell_moment(f_record, 2.0), _sup_weighted_cell_moment(g_record, 2.0))
     if A is None:
         A = a_obs
@@ -217,7 +300,7 @@ def check_gronwall(
         max_violation=worst,
         tolerance=1.0 + tolerance,
         location=where,
-        detail=f"A={A:g}, c0={c0:g}, X(0)={x0:g}",
+        detail=f"A={A:g}, c0={c0:g}, X(0)={x0:g}, envelope exp(4*c0*A*T)=e^{4.0 * c0 * A * f_record.times[-1]:.4g}",
     )
 
 
@@ -253,27 +336,23 @@ def check_conservation(record: RunRecord, tolerance: float = 1e-10) -> BoundRepo
 def check_moment_bound(
     records: list[RunRecord],
     a: float,
-    kernel: Kernel,
-    dp: DiffusionProfile,
+    scope: Scope,
     field0: MassField,
-    delta: float = 0.25,
     tolerance: float = 0.05,
 ) -> BoundReport:
     """Refinement plateau of sup_t integral(X_a) and the pair dissipation integrals.
 
-    ``records`` must come from the same scenario, run with ``kernel``, at
-    increasing sectional ranges (e.g. N, 2N, 4N); ``dp`` and ``field0`` are
-    the smallest range's diffusion profile and initial field.  The
-    boundedness claim is certified by the quantities changing by less than
-    ``tolerance`` between successive refinements.  The admissibility
-    certificate for the kernel and the initial data's functionals are
-    attached as detail; when the certificate fails, no plateau is promised
-    and the report is informative only.
+    ``records`` must come from the same scenario at increasing sectional
+    ranges (e.g. N, 2N, 4N); ``scope`` and ``field0`` are the smallest
+    range's hypotheses and initial field.  The boundedness claim is
+    certified by the quantities changing by less than ``tolerance`` between
+    successive refinements.  The scope's (A1) certificate and the initial
+    data's functionals are attached as detail; when the certificate fails,
+    no plateau is promised and the report is informative only.
     """
     if len(records) < 2:
         raise ValueError("need at least two refinements")
     records = sorted(records, key=lambda r: r.n_max)
-    cert = check_assumption_1_1(kernel, dp, delta, records[0].n_max)
     functionals = initial_data_functionals(field0, a) if field0.grid.dim else None
     sup_xa = []
     int_pair = []
@@ -297,7 +376,7 @@ def check_moment_bound(
         detail += f"; pair dissipation integral = {int_pair}"
     if int_pair_w:
         detail += f"; kernel-weighted pair integral = {int_pair_w}"
-    detail += f"; admissibility: {'ok' if cert.passed else 'NOT met (informative only)'}"
+    detail += f"; admissibility: {'ok' if scope.a1.passed else 'NOT met (informative only)'}"
     if functionals is not None:
         a1, a2, a3 = functionals
         detail += f"; initial functionals A1={a1:.4g}, A2={a2:.4g}, A3={a3:.4g}"

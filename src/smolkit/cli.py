@@ -19,12 +19,14 @@ hypothesis, or runtime error.  The default output directory is
 largest N any of its runs uses) and hands it to one handler per mode,
 ``_gelscan`` or ``_solve`` (pde, homogeneous and tracer; tracer mode adds
 ``_tracer``), which pass it to every run, monitor and tracer, then writes the
-report lines they return.  ``build_run`` is the one place a solver run is
-constructed: the main run, the gronwall monitor's rerun on perturbed data,
-and every level of ``_ladder``, which runs the trend gates' refinements in
-forked workers: the moment plateau's (``n_max * 2**k``, same dt and stride)
-and gelscan's (each N of ``gelscan.n_list``, on ``Grid.point()`` under the
-gel reservoir).  Homogeneous mode is the same run on ``Grid.point()``.
+report lines they return; in pde and tracer modes the ``scope:`` line of
+``analysis.scope`` heads them, and the monitors that rest on it read it.
+``build_run`` is the one place a solver run is constructed: the main run,
+the gronwall rerun on perturbed data, and every level of ``_levels``, which
+``_ladder`` runs in forked workers: the moment plateau's (``n_max * 2**k``,
+same dt and stride, built before the main run) and gelscan's (each N of
+``gelscan.n_list``, on ``Grid.point()`` under the gel reservoir).
+Homogeneous mode is the same run on ``Grid.point()``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .analysis import (
     conservation_drift,
     gelation_scan,
     majorant_ratios,
+    scope,
 )
 from .coagulation import RateEvaluator, TruncationPolicy
 from .field import Grid, MassField
@@ -124,7 +127,6 @@ class Scenario:
     moments: tuple[float, ...] = (0.0, 1.0, 2.0)
     pair_moments: tuple[float, ...] = ()
     record_fields: bool = False
-    track_majorant: bool = False
     auto_halve: bool = True
 
     tracer_count: int = 10000
@@ -137,7 +139,6 @@ class Scenario:
     monitors: tuple[str, ...] = ("conservation",)
     conservation_tolerance: float = 1e-10
     heat_majorant_tolerance: float = 1e-6
-    gronwall_c0: float = 1.0
     gronwall_a_bound: float | None = None
     gronwall_delta: float = 1e-3
     plateau_a: float = 2.0
@@ -223,7 +224,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "run.moments": ("moments", _parse_floats),
     "run.pair_moments": ("pair_moments", _parse_floats),
     "run.record_fields": ("record_fields", _parse_bool),
-    "run.track_majorant": ("track_majorant", _parse_bool),
     "run.auto_halve": ("auto_halve", _parse_bool),
     "tracer.count": ("tracer_count", int),
     "tracer.slices": ("tracer_slices", int),
@@ -234,7 +234,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "monitors": ("monitors", _parse_names(MONITORS)),
     "conservation.tolerance": ("conservation_tolerance", float),
     "heat_majorant.tolerance": ("heat_majorant_tolerance", float),
-    "gronwall.c0": ("gronwall_c0", float),
     "gronwall.a_bound": ("gronwall_a_bound", float),
     "gronwall.delta": ("gronwall_delta", float),
     "moment_plateau.a": ("plateau_a", float),
@@ -330,7 +329,6 @@ def _validate(s: Scenario, path) -> None:
     if s.mode == "homogeneous":
         spatial_only = {"gronwall", "heat_majorant", "moment_plateau"} & set(s.monitors)
         _require(not spatial_only, "monitors", f"{sorted(spatial_only)} need a spatial mode (pde/tracer)", path)
-        _require(not s.track_majorant, "run.track_majorant", "needs a spatial mode", path)
     _require(s.plateau_refinements >= 1, "moment_plateau.refinements", "must be >= 1", path)
 
 
@@ -407,7 +405,7 @@ def build_run_config(s: Scenario) -> RunConfig:
         t_final=s.t_final, dt=dt, policy=TruncationPolicy(s.policy, s.n_max), splitting=s.splitting,
         output_stride=stride, moment_exponents=moments, pair_moment_exponents=pair_moments,
         record_fields=s.record_fields or s.mode == "tracer" or "gronwall" in s.monitors,
-        track_majorant=s.track_majorant or "heat_majorant" in s.monitors, auto_halve=s.auto_halve,
+        track_majorant="heat_majorant" in s.monitors, auto_halve=s.auto_halve,
     )
 
 
@@ -452,18 +450,20 @@ def _run_level(kernel: Kernel, level: tuple[MassField, DiffusionProfile | None, 
     return run(field0, kernel, dp, cfg)
 
 
-def _ladder(s: Scenario, n_values: list[int], kernel: Kernel) -> list[RunRecord]:
-    """The scenario rerun at each ``n_max`` in ``n_values``, without fields or majorant.
-
-    Every level is built here by :func:`build_run` with the scenario's
-    ``kernel``, a gelscan level up to its first loss coefficients.  The runs
-    then go through ``fork_map`` in up to ``s.workers`` processes, and each
-    sends back only its stride series.
-    """
+def _levels(s: Scenario, n_values: list[int], kernel: Kernel) -> list[tuple]:
+    """The scenario at each ``n_max`` in ``n_values``, built by :func:`build_run`
+    with the scenario's ``kernel`` (a gelscan level up to its first loss
+    coefficients), to run without fields or majorant."""
     levels = []
     for n_max in n_values:
         field0, dp, cfg = build_run(dataclasses.replace(s, n_max=n_max), kernel)
         levels.append((field0, dp, dataclasses.replace(cfg, record_fields=False, track_majorant=False)))
+    return levels
+
+
+def _ladder(s: Scenario, levels: list[tuple], kernel: Kernel) -> list[RunRecord]:
+    """Run the ``levels`` from :func:`_levels` through ``fork_map`` in up to
+    ``s.workers`` processes; each sends back only its stride series."""
     # Largest N first: it takes longest, so the others share the remaining
     # workers while it runs.
     return fork_map(partial(_run_level, kernel), levels[::-1], s.workers)[::-1]
@@ -563,7 +563,7 @@ def execute(s: Scenario, out_override: str | None = None) -> int:
 
 def _gelscan(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[BoundReport]]:
     """Gel-reservoir trend over ``gelscan.n_list``; a verdict, not a gate."""
-    verdict = gelation_scan(_ladder(s, list(s.gelscan_n_list), kernel))
+    verdict = gelation_scan(_ladder(s, _levels(s, list(s.gelscan_n_list), kernel), kernel))
     rows = ["n_max,mass_ratio,gel"]
     rows += [f"{n},{_fmt(r)},{_fmt(g)}" for n, r, g in zip(verdict.n_values, verdict.mass_ratios, verdict.gel_values)]
     (out / "gelscan.csv").write_text(SERIES_SCHEMA + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -571,8 +571,15 @@ def _gelscan(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Bo
 
 
 def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[BoundReport]]:
-    """One solver run (pde, homogeneous or tracer mode), its files and its monitors."""
+    """One solver run (pde, homogeneous or tracer mode), its files and its monitors.
+
+    The plateau's levels and the scope are built before the main run, so a
+    scenario they reject writes no file."""
     field0, dp, cfg = build_run(s, kernel)
+    refinements = range(1, s.plateau_refinements + 1) if "moment_plateau" in s.monitors else []
+    plateau = _levels(s, [s.n_max * 2**k for k in refinements], kernel)
+    # The mass, a = 1, when no moment is recorded.
+    hypotheses = scope(kernel, dp, field0, max(cfg.moment_exponents, default=1.0)) if dp is not None else None
     rec = run(field0, kernel, dp, cfg)
     extra = {"cons_drift": conservation_drift(rec)}
     if rec.majorant is not None:
@@ -591,12 +598,14 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
         reports.append(check_heat_majorant(rec, dp, s.heat_majorant_tolerance))
     if "gronwall" in s.monitors:
         perturbed = MassField(field0.grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
-        reports.append(check_gronwall(rec, run(perturbed, kernel, dp, cfg), kernel, s.gronwall_c0, s.gronwall_a_bound))
-    if "moment_plateau" in s.monitors:
-        records = [rec] + _ladder(s, [s.n_max * 2**k for k in range(1, s.plateau_refinements + 1)], kernel)
-        reports.append(check_moment_bound(records, s.plateau_a, kernel, dp, field0, tolerance=s.plateau_tolerance))
+        reports.append(check_gronwall(rec, run(perturbed, kernel, dp, cfg), hypotheses, s.gronwall_a_bound))
+    if plateau:
+        records = [rec] + _ladder(s, plateau, kernel)
+        reports.append(check_moment_bound(records, s.plateau_a, hypotheses, field0, tolerance=s.plateau_tolerance))
 
     lines, gates = _tracer(s, rec, kernel, dp, cfg.output_stride, out) if s.mode == "tracer" else ([], [])
+    if hypotheses is not None:
+        lines.insert(0, str(hypotheses))
     reports += gates
     return lines + [str(r) for r in reports] + [f"note: {event}" for event in rec.events], reports
 

@@ -3,10 +3,10 @@
 A kernel ``alpha(n, m)`` is the symmetric, nonnegative rate coefficient at
 which clusters of integer masses ``n`` and ``m`` merge.  A diffusion profile
 ``d(n)`` is the diffusivity of a mass-``n`` cluster (length^2/time),
-physically non-increasing in ``n``.  The ``check_assumption_*`` functions
-certify, by exhaustive sweep over ``1..n_max``, the admissibility conditions
-that the moment-bound and conservation monitors in :mod:`smolkit.analysis`
-rely on.  The certificates are finite-range: a pass means "verified up to
+physically non-increasing in ``n``.  ``check_assumption_1_1`` certifies, by
+exhaustive sweep over ``1..n_max``, the relative-propensity condition (A1)
+that :func:`smolkit.analysis.scope` reports with the paper's other
+hypotheses.  The certificate is finite-range: a pass means "verified up to
 n_max", never a symbolic proof.
 """
 
@@ -25,8 +25,6 @@ __all__ = [
     "CheckResult",
     "kinetic_kernel_from_range",
     "check_assumption_1_1",
-    "check_assumption_1_2",
-    "check_assumption_1_3",
 ]
 
 # Dense tables are precomputed up to this many species; beyond it the kernel
@@ -399,27 +397,12 @@ def kinetic_kernel_from_range(
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a finite-range admissibility certificate.
-
-    ``k0`` is populated by the vanishing-relative-propensity check; a
-    failed check carries the first violating witness instead.  ``detail``
-    records range-limited caveats ("certified up to n_max").
-    """
+    """Outcome of the finite-range (A1) certificate: ``k0`` when it passes,
+    else the lexicographically first violating pair as ``witness``."""
 
     passed: bool
-    n_max: int
     k0: int | None = None
     witness: tuple | None = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def _pair_ratio_table(kernel: Kernel, dp: DiffusionProfile, n_max: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1, dtype=float)
-    dsum = dp.values[:n_max, None] + dp.values[None, :n_max]
-    return kernel.dense(n_max) / ((n[:, None] + n[None, :]) * dsum)
 
 
 def check_assumption_1_1(
@@ -436,84 +419,14 @@ def check_assumption_1_1(
     if delta <= 0:
         raise ValueError("delta must be > 0")
     n_max = n_max or min(kernel.n_max, dp.n_max)
-    ratio = _pair_ratio_table(kernel, dp, n_max)
     n = np.arange(1, n_max + 1)
     s = n[:, None] + n[None, :]
-    violating = (ratio > delta) & (s <= n_max)
+    d = dp.values[:n_max]
+    violating = (kernel.dense(n_max) / (s * (d[:, None] + d[None, :])) > delta) & (s <= n_max)
     if not violating.any():
-        return CheckResult(True, n_max, k0=1, detail=f"certified up to n_max={n_max}; max d = {dp.values[:n_max].max():g}")
+        return CheckResult(True, k0=1)
     worst_s = int(s[violating].max())
     if worst_s >= n_max:
         i, j = np.argwhere(violating)[0]
-        return CheckResult(False, n_max, witness=(int(i + 1), int(j + 1)),
-                           detail="violations persist at the top of the certified range")
-    return CheckResult(True, n_max, k0=worst_s,
-                       detail=f"certified up to n_max={n_max}; max d = {dp.values[:n_max].max():g}")
-
-
-def check_assumption_1_2(
-    kernel: Kernel,
-    dp: DiffusionProfile,
-    c0: float,
-    r1: float,
-    b1: float,
-    r2: float,
-    b2: float,
-    n_max: int | None = None,
-) -> CheckResult:
-    """Certify assumption (A2): non-increasing d, linear kernel growth,
-    and the power-law bracket r1*n^(-b1) <= d(n) <= r2*n^(-b2).
-    """
-    if not (0 <= b2 <= b1):
-        raise ValueError("requires 0 <= b2 <= b1")
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("requires r1, r2 > 0")
-    n_max = n_max or min(kernel.n_max, dp.n_max)
-    d = dp.values[:n_max]
-    inc = np.argwhere(np.diff(d) > 0)
-    if inc.size:
-        n_bad = int(inc[0][0]) + 1
-        return CheckResult(False, n_max, witness=("monotonicity", n_bad))
-    nf = np.arange(1, n_max + 1, dtype=float)
-    lo, hi = r1 * nf ** (-b1), r2 * nf ** (-b2)
-    bad = np.argwhere((d < lo) | (d > hi))
-    if bad.size:
-        n_bad = int(bad[0][0]) + 1
-        return CheckResult(False, n_max, witness=("bracket", n_bad))
-    res = _check_linear_growth(kernel, c0, n_max)
-    if res is not None:
-        return CheckResult(False, n_max, witness=("growth",) + res)
-    return CheckResult(True, n_max, detail=f"certified up to n_max={n_max}")
-
-
-def check_assumption_1_3(
-    kernel: Kernel, dp: DiffusionProfile, c0: float, n_max: int | None = None
-) -> CheckResult:
-    """Certify assumption (A3): d uniformly positive and non-increasing,
-    alpha(n,m) <= c0*(n+m).
-
-    Positivity over a finite range is automatic for any valid profile; the
-    detail string flags that the certificate is range-limited.
-    """
-    n_max = n_max or min(kernel.n_max, dp.n_max)
-    d = dp.values[:n_max]
-    inc = np.argwhere(np.diff(d) > 0)
-    if inc.size:
-        return CheckResult(False, n_max, witness=("monotonicity", int(inc[0][0]) + 1))
-    res = _check_linear_growth(kernel, c0, n_max)
-    if res is not None:
-        return CheckResult(False, n_max, witness=("growth",) + res)
-    return CheckResult(
-        True, n_max,
-        detail=f"min d = {d.min():g} over 1..{n_max}; positivity certified on this range only",
-    )
-
-
-def _check_linear_growth(kernel: Kernel, c0: float, n_max: int) -> tuple | None:
-    """First pair (row-major) with alpha(n,m) > c0*(n+m), or None."""
-    n = np.arange(1, n_max + 1, dtype=float)
-    bad = kernel.dense(n_max) > c0 * (n[:, None] + n[None, :])
-    if not bad.any():
-        return None
-    i, j = np.argwhere(bad)[0]
-    return (int(i + 1), int(j + 1))
+        return CheckResult(False, witness=(int(i + 1), int(j + 1)))
+    return CheckResult(True, k0=worst_s)

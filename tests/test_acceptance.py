@@ -139,8 +139,9 @@ def test_criterion_5_gronwall_stability_envelope():
                        output_stride=0.1, record_fields=True)
     rf = sk.run(F, kernel, dp, cfg)
     rg = sk.run(G, kernel, dp, cfg)
-    rep = sk.check_gronwall(rf, rg, kernel, c0=1.0)
-    control = sk.check_gronwall(rf, sk.run(F, kernel, dp, cfg), kernel, c0=1.0)
+    scope = sk.scope(kernel, dp, F, 2.0)  # c0 = 1
+    rep = sk.check_gronwall(rf, rg, scope)
+    control = sk.check_gronwall(rf, sk.run(F, kernel, dp, cfg), scope)
     report(5, "stability envelope", rep.passed and control.max_violation == 0.0,
            f"max ratio {rep.max_violation:.6f}, control distance 0")
 
@@ -153,7 +154,8 @@ def test_criterion_6_gelation_dichotomy():
     def scan(a: float) -> sk.GelVerdict:
         s = Scenario(name="dichotomy", mode="gelscan", kernel_kind="product", kernel_a=a, t_final=1.0,
                      initial_amplitude=1.0, gelscan_n_list=(128, 256, 512), workers=1)
-        return sk.gelation_scan(cli._ladder(s, list(s.gelscan_n_list), cli.build_kernel(s)))
+        kernel = cli.build_kernel(s)
+        return sk.gelation_scan(cli._ladder(s, cli._levels(s, list(s.gelscan_n_list), kernel), kernel))
 
     gelling = scan(1.0)
     i0 = 1.0
@@ -182,8 +184,9 @@ def test_criterion_7_moment_plateau():
                            pair_moment_exponents=(1.0,))
         recs.append(sk.run(F, kernel, dp, cfg))
         fields.append(F)
-    # kernel is the N = 256 one; the certificate reads its 128 x 128 block.
-    rep = sk.check_moment_bound(recs, 2.0, kernel, sk.DiffusionProfile.constant(1.0, 128), fields[0], tolerance=0.05)
+    # kernel is the N = 256 one; the scope reads its 128 x 128 block.
+    scope = sk.scope(kernel, sk.DiffusionProfile.constant(1.0, 128), fields[0], 2.0)
+    rep = sk.check_moment_bound(recs, 2.0, scope, fields[0], tolerance=0.05)
     report(7, "moment plateau under refinement", rep.passed,
            f"worst relative change {rep.max_violation:.2e}")
 

@@ -24,6 +24,7 @@ from smolkit.analysis import (
     gelation_scan,
     linf_moment_exponent,
     majorant_ratios,
+    scope,
 )
 from smolkit.cli import Scenario
 from smolkit.coagulation import RateEvaluator, TruncationPolicy
@@ -144,35 +145,47 @@ class TestGronwall:
         G = MassField(grid, F.data * (1.0 + delta))
         cfg = RunConfig(t_final=0.5, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
                         output_stride=0.1, record_fields=True)
-        return run(F, k, dp, cfg), run(G, k, dp, cfg), k
+        return run(F, k, dp, cfg), run(G, k, dp, cfg), scope(k, dp, F, 2.0)
 
     def test_identical_runs_give_zero_distance(self):
-        rf, _, k = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rf, k, c0=1.0)
+        rf, _, sc = self._two_runs(1e-3)
+        rep = check_gronwall(rf, rf, sc)
         assert rep.passed and rep.max_violation == 0.0
 
     def test_perturbed_run_stays_in_envelope(self):
-        rf, rg, k = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rg, k, c0=1.0)
+        rf, rg, sc = self._two_runs(1e-3)
+        rep = check_gronwall(rf, rg, sc)
         assert rep.passed
         assert rep.max_violation <= 1.0 + 1e-12
 
     def test_underestimated_bound_rejected(self):
-        rf, rg, k = self._two_runs(1e-3)
+        rf, rg, sc = self._two_runs(1e-3)
         with pytest.raises(HypothesisError, match="below the observed sup"):
-            check_gronwall(rf, rg, k, c0=1.0, A=1e-6)
+            check_gronwall(rf, rg, sc, A=1e-6)
 
-    def test_kernel_outside_quadratic_envelope_rejected(self):
+    def test_c0_is_the_kernels_growth_constant(self):
+        """The sum kernel's alpha/(n*m) peaks at (1,1): c0 = 2, not a free choice."""
         n_max = 8
         grid = Grid(1, 1.0, 16)
-        k = Kernel.sum_kernel(1.0, n_max)  # alpha(1,1) = 2 > c0*1*1
+        k = Kernel.sum_kernel(1.0, n_max)
         dp = DiffusionProfile.constant(0.5, n_max)
         F = MassField.gaussian_blob(grid, n_max, amplitude=0.5, width=0.1)
         cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
                         output_stride=0.1, record_fields=True)
         rec = run(F, k, dp, cfg)
-        with pytest.raises(HypothesisError, match="c0"):
-            check_gronwall(rec, rec, k, c0=1.0)
+        sc = scope(k, dp, F, 2.0)
+        assert sc.c0 == 2.0
+        assert "c0=2," in check_gronwall(rec, rec, sc).detail
+        with pytest.raises(HypothesisError, match="c0 covers the masses 1..4"):
+            check_gronwall(rec, rec, scope(k, dp, MassField.zeros(grid, 4), 2.0))
+
+    def test_detail_prints_the_envelope_factor(self):
+        """exp(4 c0 A T) at the last stride, as an exponent of e; the verdict
+        does not read it."""
+        rf, rg, sc = self._two_runs(1e-3)
+        rep = check_gronwall(rf, rg, sc, A=3.0)
+        assert rep.detail.endswith(f", envelope exp(4*c0*A*T)=e^{4.0 * sc.c0 * 3.0 * rf.times[-1]:.4g}")
+        assert rep.detail.endswith("=e^6")
 
 
 class TestConservationReport:
@@ -229,7 +242,8 @@ class TestMomentPlateau:
         return run(self._field(n_max), self.KERNEL, dp, cfg)
 
     def _check(self, recs, a):
-        return check_moment_bound(recs, a, self.KERNEL, DiffusionProfile.constant(1.0, 16), self._field(16))
+        field0 = self._field(16)
+        return check_moment_bound(recs, a, scope(self.KERNEL, DiffusionProfile.constant(1.0, 16), field0, a), field0)
 
     def test_bounded_kernel_plateaus(self):
         recs = [self._record(n) for n in (16, 32)]
@@ -257,7 +271,8 @@ class TestMomentPlateau:
                             output_stride=0.1, moment_exponents=(0.0, 1.0, 2.0),
                             pair_moment_exponents=(1.0,))
             recs.append(run(self._field(n_max, 0.3), k, dp, cfg))
-        rep = check_moment_bound(recs, 2.0, k, DiffusionProfile.constant(1.0, 16), self._field(16, 0.3))
+        field0 = self._field(16, 0.3)
+        rep = check_moment_bound(recs, 2.0, scope(k, DiffusionProfile.constant(1.0, 16), field0, 2.0), field0)
         assert "NOT met" in rep.detail
 
     def test_initial_functionals_come_from_the_initial_field(self):
@@ -271,7 +286,8 @@ def scan(n_list, t_final=1.0, workers=1, **keys):
     """The CLI's gelscan ladder over ``n_list`` from unit monodisperse data,
     with scenario attributes ``keys``, judged by :func:`gelation_scan`."""
     s = Scenario(name="scan", mode="gelscan", t_final=t_final, gelscan_n_list=tuple(n_list), workers=workers, **keys)
-    return gelation_scan(cli._ladder(s, list(n_list), cli.build_kernel(s)))
+    kernel = cli.build_kernel(s)
+    return gelation_scan(cli._ladder(s, cli._levels(s, list(n_list), kernel), kernel))
 
 
 class TestGelationScan:

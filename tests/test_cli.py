@@ -2,10 +2,13 @@
 
 import dataclasses
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smolkit.analysis as analysis
 import smolkit.cli as cli
 from smolkit.cli import (
     ConfigError,
@@ -46,7 +49,6 @@ run.n_max = 12
 run.t_final = 0.1
 run.dt = 0.005
 run.output_stride = 0.05
-run.track_majorant = true
 run.record_fields = true
 monitors = conservation, heat_majorant
 """
@@ -161,7 +163,7 @@ class TestExecute:
         """Underestimating the second-moment bound is a hypothesis error
         (exit 1), not a monitor failure (exit 2)."""
         text = PDE.replace("monitors = conservation, heat_majorant",
-                           "monitors = gronwall\ngronwall.c0 = 2.0\ngronwall.a_bound = 1e-9")
+                           "monitors = gronwall\ngronwall.a_bound = 1e-9")
         p = write(tmp_path, text)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
 
@@ -287,7 +289,8 @@ gelscan.n_list = 16,32
     @pytest.mark.parametrize("n_max, extra, needed", [(12, "", 12), (8, "monitors = moment_plateau\n", 16)])
     def test_short_diffusion_table_names_key_rows_and_n(self, tmp_path, capsys, n_max, extra, needed):
         """An 8-row profile is too short for a run at N = 12, and for the
-        plateau's refinement at N = 16 of a run at N = 8."""
+        plateau's refinement at N = 16 of a run at N = 8.  Either is found
+        before the main run, so no file is written."""
         table = tmp_path / "d.csv"
         table.write_text("\n".join(repr(1.0 / n) for n in range(1, 9)) + "\n")
         text = PDE.replace("diffusion.kind = power_law", f"diffusion.kind = table\ndiffusion.table = {table}")
@@ -297,6 +300,7 @@ gelscan.n_list = 16,32
         assert capsys.readouterr().err.splitlines() == [
             f"error: diffusion.table: {table} has 8 rows, fewer than a run's N = {needed}"
         ]
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_plateau_line_does_not_depend_on_recorded_fields(self, tmp_path):
         """The initial functionals come from the scenario's initial field,
@@ -351,7 +355,7 @@ class TestRefinementRuns:
 
     MONITORED = PDE.replace(
         "monitors = conservation, heat_majorant",
-        "monitors = conservation, moment_plateau, gronwall\nmoment_plateau.refinements = 2\ngronwall.c0 = 2.0",
+        "monitors = conservation, moment_plateau, gronwall\nmoment_plateau.refinements = 2",
     ) + "workers = 1\n"
 
     def test_plateau_and_gronwall_pass(self, tmp_path, monkeypatch):
@@ -549,6 +553,52 @@ class TestOneKernelPerScenario:
         assert len(used) == uses and all(k is built[0] for k in used)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_scope(name):
+    """The scope of a shipped config's main run, evaluated without running it."""
+    s = parse_config(CONFIGS / name)
+    kernel = cli.build_kernel(s)
+    field0, dp, cfg = cli.build_run(s, kernel)
+    return analysis.scope(kernel, dp, field0, max(cfg.moment_exponents))
+
+
+class TestScopeLine:
+    """The hypotheses are evaluated once per spatial scenario and reported on
+    one informative line after the header; no exit code depends on it."""
+
+    def test_a1_is_swept_once_per_scenario(self, tmp_path, monkeypatch):
+        calls = []
+        real = analysis.check_assumption_1_1
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "check_assumption_1_1", spy)
+        s = parse_config(write(tmp_path, TestRefinementRuns.MONITORED))
+        assert execute(s, out_override=str(tmp_path / "out")) == 0
+        assert len(calls) == 1
+
+    def test_outside_a1_still_exits_zero(self, tmp_path):
+        """The sum kernel with d = n^(-1/2) is outside (A1) at (1, 1)."""
+        assert execute(parse_config(write(tmp_path, PDE)), out_override=str(tmp_path / "out")) == 0
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert lines[1].startswith("scope: N=12, dim=1; A1 NOT met (delta=0.25, witness (1, 1)); A2 ok")
+        assert [line for line in lines if line.startswith("scope:")] == [lines[1]]
+
+    def test_homogeneous_mode_has_no_scope(self, tmp_path):
+        assert execute(parse_config(write(tmp_path, MINIMAL)), out_override=str(tmp_path / "out")) == 0
+        assert "scope:" not in (tmp_path / "out" / "report.txt").read_text()
+
+    def test_shipped_spatial_configs(self):
+        diffusion = shipped_scope("coagulation_diffusion.cfg")
+        assert not diffusion.a1.passed and diffusion.a1.witness == (1, 1) and diffusion.c0 == 2.0
+        tracer = shipped_scope("tracer_consistency.cfg")
+        assert tracer.a1.passed and tracer.a1.k0 == 39 and tracer.n_max == 40
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize(
         "name",
@@ -565,6 +615,13 @@ class TestShippedConfigs:
         path = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
         s = parse_config(path)
         assert s.name
+
+    def test_readme_key_list_is_the_schema(self):
+        """The README's "Full key list" names every config key once, and no other."""
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Full key list", 1)[1].split("```", 2)[1]
+        keys = re.sub(r"\([^)]*\)", "", block).replace(",", " ").split()
+        assert sorted(keys) == sorted(cli.SCHEMA)
 
     def test_smallest_config_executes(self, tmp_path):
         import pathlib

@@ -14,8 +14,6 @@ from smolkit.kernels import (
     KernelRangeError,
     RangeProfile,
     check_assumption_1_1,
-    check_assumption_1_2,
-    check_assumption_1_3,
     kinetic_kernel_from_range,
 )
 
@@ -198,36 +196,6 @@ class TestAssumption11:
         with pytest.raises(ValueError):
             check_assumption_1_1(k, dp, 0.0)
 
-
-class TestAssumption12:
-    def test_linear_kernel_with_sqrt_profile_passes(self):
-        k = Kernel.sum_kernel(1.0, 64)
-        dp = DiffusionProfile.power_law(1.0, 0.5, 64)
-        assert check_assumption_1_2(k, dp, 1.0, 1.0, 0.5, 1.0, 0.5).passed
-
-    def test_product_kernel_fails_growth_at_2_3(self):
-        """nm > n+m first at (2,3) in a row-major sweep: 6 > 5."""
-        k = Kernel.product(1.0, 16)
-        dp = DiffusionProfile.constant(1.0, 16)
-        res = check_assumption_1_2(k, dp, 1.0, 1.0, 0.0, 1.0, 0.0)
-        assert not res.passed
-        assert res.witness == ("growth", 2, 3)
-
-    def test_increasing_profile_fails_monotonicity_at_one(self):
-        k = Kernel.sum_kernel(1.0, 8)
-        dp = DiffusionProfile.from_table(np.arange(1.0, 9.0))
-        res = check_assumption_1_2(k, dp, 1.0, 1.0, 0.0, 10.0, 0.0)
-        assert not res.passed
-        assert res.witness == ("monotonicity", 1)
-
-    def test_self_consistency_sum_kernel_bracketed_profile(self):
-        """A sum kernel and a bracketed profile built from the same
-        parameters must certify against those parameters."""
-        for (r1, b1, r2, b2) in [(0.5, 1.0, 2.0, 0.25), (1.0, 0.5, 1.0, 0.5), (0.1, 2.0, 3.0, 0.0)]:
-            k = Kernel.sum_kernel(3.0, 48)
-            dp = DiffusionProfile.bracketed_power(r1, b1, r2, b2, 48)
-            assert check_assumption_1_2(k, dp, 3.0, r1, b1, r2, b2).passed
-
     def test_kinetic_kernel_satisfies_assumption_1_1(self):
         """Range-derived kernel with d = 1/n, r = n^(1/3) in dim 3 grows
         sublinearly; a certificate below the top of the range must exist."""
@@ -238,32 +206,6 @@ class TestAssumption12:
         res = check_assumption_1_1(k, dp, 0.25, n_max)
         assert res.passed
         assert res.k0 == _sweep_k0(k, dp, 0.25, n_max)
-
-
-class TestAssumption13:
-    def test_constant_profile_linear_kernel_passes(self):
-        k = Kernel.sum_kernel(1.0, 32)
-        dp = DiffusionProfile.constant(1.0, 32)
-        assert check_assumption_1_3(k, dp, 1.0).passed
-
-    def test_decaying_profile_passes_with_range_note(self):
-        k = Kernel.sum_kernel(1.0, 32)
-        dp = DiffusionProfile.power_law(1.0, 1.0, 32)
-        res = check_assumption_1_3(k, dp, 1.0)
-        assert res.passed
-        assert "range" in res.detail
-
-    def test_two_exponent_fails_linear_growth(self):
-        """2*(4*4)^0.75 = 16 > 8 = c0*(4+4); the reported witness is the
-        first violating pair in a row-major sweep."""
-        k = Kernel.two_exponent(0.75, 0.75, 16)
-        dp = DiffusionProfile.constant(1.0, 16)
-        res = check_assumption_1_3(k, dp, 1.0)
-        assert not res.passed
-        assert k.eval(4, 4) == pytest.approx(16.0)  # > c0*(4+4) = 8
-        kind, n, m = res.witness
-        assert kind == "growth"
-        assert k.eval(n, m) > 1.0 * (n + m)
 
 
 class TestDiffusionProfile:

@@ -16,11 +16,8 @@ import smolkit
 
 SRC = Path(smolkit.__file__).parent
 
-EXCEPTIONS = {
-    "check_assumption_1_2",  # ROADMAP item 4's theorem-scope certificate either calls it or removes it.
-    "check_assumption_1_3",  # ROADMAP item 4's theorem-scope certificate either calls it or removes it.
-    "linf_moment_exponent",  # acceptance criterion 8 is the contract of this formula.
-}
+# Public names allowed to have no program caller; kept empty.
+EXCEPTIONS: set[str] = set()
 
 
 def _scopes(table):
