@@ -291,7 +291,7 @@ def check_gronwall(
         if x0 == 0.0:
             ratio = 0.0 if xt == 0.0 else math.inf
         else:
-            ratio = xt / (math.exp(4.0 * c0 * A * t) * x0)
+            ratio = xt / x0 * math.exp(-4.0 * c0 * A * t)  # underflows to 0, never overflows
         if ratio > worst:
             worst = ratio
             where = (t,)

@@ -374,7 +374,7 @@ def build_diffusion(s: Scenario) -> DiffusionProfile:
     values = np.loadtxt(s.diffusion_table, delimiter=",", ndmin=1)
     if len(values) < n:
         raise ConfigError(f"diffusion.table: {s.diffusion_table} has {len(values)} rows, fewer than a run's N = {n}")
-    return DiffusionProfile.from_table(values[:n])
+    return DiffusionProfile(values[:n])
 
 
 def build_initial_field(s: Scenario, grid: Grid) -> MassField:

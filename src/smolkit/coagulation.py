@@ -33,9 +33,9 @@ with the masked matrix 2 [n+m <= n_max] A^T B, which is faster there than R
 prefix sums.  FFT roundoff is absolute, of the order of eps times the norm
 of the pairs transformed (times phi(n) on the single-convolution form), so a
 species whose true gain is zero can receive a tiny gain of either sign.  It
-is not clipped, because clipping would shift the mass budget.  Tables and
-custom closures have no such structure and use the direct O(N^2) double
-sums, which also serve as the test oracle.
+is not clipped, because clipping would shift the mass budget.  Table
+kernels have no such structure and use the direct O(N^2) double sums, which
+also serve as the test oracle.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Coagulation kernels, diffusion profiles, and admissibility certificates.
 
 A kernel ``alpha(n, m)`` is the symmetric, nonnegative rate coefficient at
-which clusters of integer masses ``n`` and ``m`` merge.  A diffusion profile
-``d(n)`` is the diffusivity of a mass-``n`` cluster (length^2/time),
-physically non-increasing in ``n``.  ``check_assumption_1_1`` certifies, by
-exhaustive sweep over ``1..n_max``, the relative-propensity condition (A1)
-that :func:`smolkit.analysis.scope` reports with the paper's other
-hypotheses.  The certificate is finite-range: a pass means "verified up to
-n_max", never a symbolic proof.
+which clusters of integer masses ``n`` and ``m`` merge.  A family kernel is
+its formula, evaluated on demand; only a table kernel stores its rates.  A
+diffusion profile ``d(n)`` is the diffusivity of a mass-``n`` cluster
+(length^2/time), physically non-increasing in ``n``.
+``check_assumption_1_1`` certifies, by exhaustive sweep over ``1..n_max``,
+the relative-propensity condition (A1) that :func:`smolkit.analysis.scope`
+reports with the paper's other hypotheses.  The certificate is
+finite-range: a pass means "verified up to n_max", never a symbolic proof.
 """
 
 from __future__ import annotations
@@ -27,28 +28,20 @@ __all__ = [
     "check_assumption_1_1",
 ]
 
-# Dense tables are precomputed up to this many species; beyond it the kernel
-# closure is evaluated on demand.
-TABLE_LIMIT = 1024
-
-
 class KernelRangeError(IndexError):
     """Mass index outside 1..n_max."""
 
 
-def _check_mass_index(n: int, n_max: int) -> None:
-    if not 1 <= n <= n_max:
-        raise KernelRangeError(f"mass index {n} outside 1..{n_max}")
-
-
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric coagulation rate table/closure with growth metadata.
+    """Symmetric coagulation rates alpha(n, m) over the masses 1..n_max.
 
-    Instances are immutable after construction and safe for concurrent
-    reads.  Use the class-method constructors.  Construction without a
-    ``table`` tabulates the formula over masses 1..n_max whenever
-    ``n_max <= TABLE_LIMIT``.
+    A kernel holds one representation.  The formula families (constant,
+    sum, product, two_exponent, range_derived) are evaluated from
+    ``params`` whenever rates are asked for; only ``kind = "table"`` stores
+    ``table``.  Construction checks every rate on 1..n_max finite and
+    nonnegative.  Instances are immutable and safe for concurrent reads.
+    Use the class-method constructors.
     """
 
     kind: str
@@ -57,8 +50,11 @@ class Kernel:
     table: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.table is None:
-            object.__setattr__(self, "table", self._tabulate())
+        if (self.table is not None) != (self.kind == "table"):
+            raise ValueError("a kernel stores a table exactly when its kind is 'table'")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = self.dense()
+        _require_rates(rates)
 
     # -- constructors -------------------------------------------------
 
@@ -87,21 +83,6 @@ class Kernel:
         return cls("two_exponent", {"a": float(a), "b": float(b)}, int(n_max))
 
     @classmethod
-    def from_function(cls, fn, n_max: int) -> "Kernel":
-        """Tabulate a symmetric closure ``fn(n, m)`` over 1..n_max.
-
-        The kernel's kind is ``"custom"``.  The closure is kept for
-        evaluations beyond the table range.  Rates are checked finite,
-        nonnegative and symmetric on the leading ``min(n_max, TABLE_LIMIT)``
-        block, tabulated or not.
-        """
-        k = cls(kind="custom", params={"fn": fn}, n_max=int(n_max))
-        block = k.dense(min(k.n_max, TABLE_LIMIT))
-        _require_rates(block)
-        _require_symmetric(block)
-        return k
-
-    @classmethod
     def from_table(cls, table: np.ndarray, n_max: int | None = None) -> "Kernel":
         """Wrap an explicit (n_max, n_max) rate table.
 
@@ -117,13 +98,12 @@ class Kernel:
             raise ValueError("kernel table smaller than n_max")
         arr = arr[:n_max, :n_max].copy()
         _require_symmetric(arr)
-        _require_rates(arr)
         arr.flags.writeable = False
         return cls(kind="table", params={}, n_max=int(n_max), table=arr)
 
     @classmethod
     def from_csv(cls, path, n_max: int) -> "Kernel":
-        """Load a custom table from CSV with header ``n,m,alpha``.
+        """Load a rate table from CSV with header ``n,m,alpha``.
 
         Specifying only the lower triangle (n >= m) is sufficient; entries
         present on both sides must agree.
@@ -149,7 +129,7 @@ class Kernel:
     # -- evaluation ---------------------------------------------------
 
     def _closure(self, n, m):
-        """Evaluate the kernel formula; vectorizes over numpy inputs."""
+        """Evaluate the kernel formula; broadcasts over numpy inputs."""
         p = self.params
         if self.kind == "constant":
             return np.full(np.broadcast_shapes(np.shape(n), np.shape(m)), p["c"])
@@ -167,32 +147,10 @@ class Kernel:
             d = p["diffusion"]
             r = p["range"]
             return p["c"] * (d.value(n) + d.value(m)) * (r.value(nf) + r.value(mf)) ** (p["dim"] - 2)
-        if "fn" in p:
-            fn = p["fn"]
-            if np.ndim(n) or np.ndim(m):
-                return np.vectorize(fn, otypes=[float])(n, m)
-            return fn(n, m)
-        raise ValueError(f"kernel kind {self.kind!r} has no closure; use the table")
-
-    def _tabulate(self) -> np.ndarray | None:
-        if self.n_max > TABLE_LIMIT:
-            return None
-        idx = np.arange(1, self.n_max + 1)
-        table = np.asarray(self._closure(idx[:, None], idx[None, :]), dtype=float)
-        _require_rates(table)
-        table.flags.writeable = False
-        return table
-
-    def eval(self, n: int, m: int) -> float:
-        """Rate for the pair (n, m); range-checked against 1..n_max."""
-        _check_mass_index(n, self.n_max)
-        _check_mass_index(m, self.n_max)
-        if self.table is not None:
-            return float(self.table[n - 1, m - 1])
-        return float(self._closure(n, m))
+        raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     def dense(self, n_max: int | None = None) -> np.ndarray:
-        """Dense (n_max, n_max) rate table, computed on demand if needed."""
+        """Dense (n_max, n_max) rate table: a view of a table kernel, else evaluated."""
         n_max = n_max or self.n_max
         if n_max > self.n_max:
             raise KernelRangeError(f"requested table size {n_max} exceeds kernel n_max {self.n_max}")
@@ -208,10 +166,10 @@ class Kernel:
         ``alpha(n, m) = sum_r A[r, n-1] * B[r, m-1]``: rank 1 for constant
         and product, 2 for sum and two_exponent, 2*(dim-1) for
         range_derived.  All factors are nonnegative, so the sum has no
-        cancellation.  Tables and custom closures have no known factors
-        and return None.  Constant and sum kernels are moreover functions
-        of n+m alone (see :meth:`of_total_mass`), which lets the gain of
-        the rank-2 sum kernel be taken as a rank-1 product.
+        cancellation.  Tables have no known factors and return None.
+        Constant and sum kernels are moreover functions of n+m alone (see
+        :meth:`of_total_mass`), which lets the gain of the rank-2 sum kernel
+        be taken as a rank-1 product.
         """
         n_max = n_max or self.n_max
         if n_max > self.n_max:
@@ -260,19 +218,20 @@ class Kernel:
             return self.params["c0"] * np.arange(1, n_max + 1, dtype=float)
         return None
 
-    def rate_row(self, m: int) -> np.ndarray:
-        """Rates alpha(1..n_max, m) for a possibly out-of-range tracer mass m.
+    def rate_row(self, m) -> np.ndarray:
+        """Rates alpha(1..n_max, m) for a tracer mass m >= 1 or an array of them.
 
-        Pure tables clamp m to n_max (the tracer can outgrow the sectional
-        range after repeated mergers); closures evaluate exactly.
+        One mass gives shape (n_max,); an array of masses gives a column per
+        mass, shape (n_max, *m.shape).  Tables clamp m to n_max (the tracer
+        can outgrow the sectional range after repeated mergers); formulas
+        evaluate exactly at every m.
         """
-        if m < 1:
-            raise KernelRangeError(f"mass index {m} < 1")
-        if m <= self.n_max and self.table is not None:
-            return self.table[:, m - 1]
+        m = np.asarray(m)
+        if np.any(m < 1):
+            raise KernelRangeError(f"mass index {m.min()} < 1")
         if self.kind == "table":
-            return self.table[:, self.n_max - 1]
-        idx = np.arange(1, self.n_max + 1)
+            return self.table[:, np.minimum(m, self.n_max) - 1]
+        idx = np.arange(1, self.n_max + 1).reshape(-1, *[1] * m.ndim)
         return np.asarray(self._closure(idx, m), dtype=float)
 
 
@@ -289,14 +248,12 @@ def _require_symmetric(table: np.ndarray, rtol: float = 1e-12) -> None:
 
 @dataclass(frozen=True)
 class DiffusionProfile:
-    """Per-mass diffusivities d(1..n_max), tagged with monotonicity.
+    """Per-mass diffusivities d(1..n_max).
 
     ``values[i]`` holds d(i+1).  All entries must be positive.
     """
 
-    kind: str
     values: np.ndarray = field(repr=False)
-    non_increasing: bool
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -304,9 +261,6 @@ class DiffusionProfile:
             raise ValueError("diffusion profile needs a 1-D value table")
         if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
             raise ValueError("diffusion rates must be finite and > 0")
-        if self.non_increasing and np.any(np.diff(arr) > 0):
-            n = int(np.argwhere(np.diff(arr) > 0)[0][0]) + 1
-            raise ValueError(f"profile tagged non-increasing but d({n + 1}) > d({n})")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -315,15 +269,20 @@ class DiffusionProfile:
     def n_max(self) -> int:
         return self.values.size
 
+    @property
+    def non_increasing(self) -> bool:
+        """Whether d(n+1) <= d(n) for every n < n_max."""
+        return bool(np.all(np.diff(self.values) <= 0))
+
     @classmethod
     def constant(cls, value: float, n_max: int) -> "DiffusionProfile":
-        return cls("constant", np.full(n_max, float(value)), non_increasing=True)
+        return cls(np.full(n_max, float(value)))
 
     @classmethod
     def power_law(cls, r2: float, b2: float, n_max: int) -> "DiffusionProfile":
         """d(n) = r2 * n^(-b2), sampled on 1..n_max."""
         n = np.arange(1, n_max + 1, dtype=float)
-        return cls("power_law", r2 * n ** (-b2), non_increasing=b2 >= 0)
+        return cls(r2 * n ** (-b2))
 
     @classmethod
     def bracketed_power(cls, r1: float, b1: float, r2: float, b2: float, n_max: int) -> "DiffusionProfile":
@@ -337,15 +296,7 @@ class DiffusionProfile:
         if not (0 < r1 <= r2):
             raise ValueError("bracketed power requires 0 < r1 <= r2")
         n = np.arange(1, n_max + 1, dtype=float)
-        vals = math.sqrt(r1 * r2) * n ** (-(b1 + b2) / 2.0)
-        return cls("bracketed_power", vals, non_increasing=True)
-
-    @classmethod
-    def from_table(cls, values, non_increasing: bool | None = None) -> "DiffusionProfile":
-        arr = np.asarray(values, dtype=float)
-        if non_increasing is None:
-            non_increasing = bool(np.all(np.diff(arr) <= 0))
-        return cls("table", arr, non_increasing=non_increasing)
+        return cls(math.sqrt(r1 * r2) * n ** (-(b1 + b2) / 2.0))
 
     def value(self, n):
         """d(n), vectorized; indices beyond n_max clamp to d(n_max).

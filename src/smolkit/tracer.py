@@ -110,17 +110,10 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _rate_columns(kernel: Kernel, n_max: int, cap: int) -> np.ndarray:
     """Read-only (n_max, cap) kernel columns alpha(1..n_max, m), m = 1..cap.
 
-    Columns past the kernel's table come from :meth:`Kernel.rate_row`.
+    One :meth:`Kernel.rate_row` call: a table kernel clamps columns past its
+    range to its last one, a formula evaluates every column.
     """
-    table = kernel.table
-    if table is not None and cap <= kernel.n_max:
-        A = table[:n_max, :cap]
-    else:
-        easy = min(cap, kernel.n_max) if table is not None else 0
-        cols = [table[:n_max, :easy]] if easy else []
-        cols += [kernel.rate_row(m)[:n_max, None] for m in range(easy + 1, cap + 1)]
-        A = np.concatenate(cols, axis=1)
-    A = np.ascontiguousarray(A)
+    A = np.ascontiguousarray(kernel.rate_row(np.arange(1, cap + 1))[:n_max])
     A.flags.writeable = False
     return A
 

@@ -175,7 +175,8 @@ def test_criterion_7_moment_plateau():
     less than 5% between sectional ranges 128 and 256."""
     recs, fields = [], []
     for n_max in (128, 256):
-        kernel = sk.Kernel.from_function(lambda n, m: float(np.sqrt(n + m)), n_max)
+        n = np.arange(1.0, n_max + 1)
+        kernel = sk.Kernel.from_table(np.sqrt(n[:, None] + n[None, :]))
         dp = sk.DiffusionProfile.constant(1.0, n_max)
         grid = sk.Grid(1, 1.0, 32)
         F = sk.MassField.gaussian_blob(grid, n_max, amplitude=0.5, width=0.1)

@@ -99,7 +99,7 @@ class TestHeatMajorant:
         k = Kernel.constant(0.0, n_max)
         dp = DiffusionProfile.power_law(1.0, 0.5, n_max)
         rec = _blob_run(k, dp, n_max, grid, track_majorant=True)
-        bad = DiffusionProfile.from_table(np.linspace(1, 2, n_max))
+        bad = DiffusionProfile(np.linspace(1, 2, n_max))
         with pytest.raises(HypothesisError):
             check_heat_majorant(rec, bad)
 
@@ -187,6 +187,13 @@ class TestGronwall:
         assert rep.detail.endswith(f", envelope exp(4*c0*A*T)=e^{4.0 * sc.c0 * 3.0 * rf.times[-1]:.4g}")
         assert rep.detail.endswith("=e^6")
 
+    def test_large_bound_passes_vacuously(self):
+        """exp(4 c0 A t) overflows a float past t = 0 at A = 1e4; the envelope
+        is applied as exp(-4 c0 A t), which underflows to 0 instead."""
+        rf, rg, sc = self._two_runs(1e-3)
+        rep = check_gronwall(rf, rg, sc, A=1e4)
+        assert rep.passed and rep.max_violation == 1.0 and rep.location == (0.0,)
+
 
 class TestConservationReport:
     def test_cutoff_run_passes(self):
@@ -229,7 +236,7 @@ class TestConservationReport:
 class TestMomentPlateau:
     """Every level runs with one kernel built at the largest range, as the CLI's ladder does."""
 
-    KERNEL = Kernel.from_function(lambda n, m: float(np.sqrt(n + m)), 32)
+    KERNEL = Kernel.from_table(np.sqrt(np.add.outer(np.arange(1.0, 33), np.arange(1.0, 33))))
 
     def _field(self, n_max, amplitude=0.5):
         return MassField.gaussian_blob(Grid(1, 1.0, 16), n_max, amplitude=amplitude, width=0.1)
@@ -309,7 +316,8 @@ class TestGelationScan:
 
     def test_factorised_scan_matches_dense_oracle(self, tmp_path, monkeypatch):
         """The scan's step size and run take lambda from the evaluator, so a
-        factorised kernel never builds its dense table."""
+        factorised kernel builds no dense table after the one-off rate check
+        of its construction."""
         table = tmp_path / "product.csv"
         rows = [f"{n},{m},{float(n * m)!r}" for n in range(1, 65) for m in range(1, n + 1)]
         table.write_text("n,m,alpha\n" + "\n".join(rows) + "\n")
@@ -318,7 +326,14 @@ class TestGelationScan:
         def no_dense(self, n_max=None):
             raise AssertionError("dense table built")
 
-        monkeypatch.setattr(Kernel, "dense", no_dense)
+        build_kernel = cli.build_kernel
+
+        def build_then_forbid_dense(s):
+            kernel = build_kernel(s)
+            monkeypatch.setattr(Kernel, "dense", no_dense)
+            return kernel
+
+        monkeypatch.setattr(cli, "build_kernel", build_then_forbid_dense)
         v = scan([16, 32, 64], kernel_kind="product", kernel_a=1.0)
         np.testing.assert_allclose(v.gel_values, oracle.gel_values, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(v.mass_ratios, oracle.mass_ratios, rtol=1e-12, atol=0.0)

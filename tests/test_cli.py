@@ -167,6 +167,16 @@ class TestExecute:
         p = write(tmp_path, text)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
 
+    def test_large_gronwall_bound_passes(self, tmp_path):
+        """A second-moment bound far above the observed sup is valid: the
+        envelope exp(4 c0 A T) = e^8000 passes vacuously and the run exits 0."""
+        text = PDE.replace("monitors = conservation, heat_majorant",
+                           "monitors = gronwall\ngronwall.a_bound = 1e4")
+        p = write(tmp_path, text)
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "PASS gronwall_stability" in report
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_flag_is_validated(self, tmp_path, capsys, workers):
         """``--workers`` meets the same check as ``workers`` in the file."""

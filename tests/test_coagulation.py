@@ -214,13 +214,13 @@ class TestWeightedSum:
         phi = lambda n: float(n**1.5)
         out = weighted_sum(F, k, phi, TruncationPolicy.cutoff(n_max))
         flat = F.flat()
-        want = np.zeros(g.n_cells)
+        want, table = np.zeros(g.n_cells), k.dense()
         for c in range(g.n_cells):
             for n in range(1, n_max + 1):
                 for m in range(1, n_max + 1):
                     if n + m > n_max:
                         continue
-                    want[c] += k.eval(n, m) * (phi(n + m) - phi(n) - phi(m)) * flat[n - 1, c] * flat[m - 1, c]
+                    want[c] += table[n - 1, m - 1] * (phi(n + m) - phi(n) - phi(m)) * flat[n - 1, c] * flat[m - 1, c]
         np.testing.assert_allclose(out.reshape(-1), want, rtol=1e-12)
 
 

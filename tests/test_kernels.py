@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from smolkit.kernels import (
-    TABLE_LIMIT,
     DiffusionProfile,
     Kernel,
     KernelRangeError,
@@ -18,30 +17,30 @@ from smolkit.kernels import (
 )
 
 
-class TestEvalKernel:
+class TestFamilyValues:
     def test_sum_kernel_value(self):
         k = Kernel.sum_kernel(1.0, 16)
-        assert k.eval(2, 3) == 5.0
+        assert k.dense()[1, 2] == 5.0
 
     def test_constant_kernel_value(self):
         k = Kernel.constant(1.0, 16)
-        assert k.eval(7, 9) == 1.0
+        assert k.dense()[6, 8] == 1.0
 
     def test_two_exponent_value(self):
         """alpha(4,4) = 2 * 4^1.5 = 16 for a = b = 0.75."""
         k = Kernel.two_exponent(0.75, 0.75, 16)
-        assert k.eval(4, 4) == pytest.approx(16.0, rel=1e-14)
+        assert k.dense()[3, 3] == pytest.approx(16.0, rel=1e-14)
 
     def test_product_kernel_is_multiplicative_at_a1(self):
         k = Kernel.product(1.0, 8)
-        assert k.eval(3, 5) == 15.0
+        assert k.dense()[2, 4] == 15.0
 
     def test_out_of_range_raises(self):
         k = Kernel.constant(1.0, 8)
         with pytest.raises(KernelRangeError):
-            k.eval(0, 3)
+            k.rate_row(0)
         with pytest.raises(KernelRangeError):
-            k.eval(1, 9)
+            k.dense(9)
 
     @pytest.mark.parametrize(
         "k",
@@ -64,14 +63,14 @@ class TestKineticKernelFromRange:
         dp = DiffusionProfile.constant(1.0, 8)
         rp = RangeProfile(exponent=1.0)
         k = kinetic_kernel_from_range(dp, rp, 3, 1.0)
-        assert k.eval(1, 1) == pytest.approx(4.0)
+        assert k.dense()[0, 0] == pytest.approx(4.0)
 
     def test_ballistic_profile_value(self):
         """d(n) = 1/n, r(n) = n^(1/3), dim 3: alpha(1,8) = (1+1/8)(1+2) = 3.375."""
         dp = DiffusionProfile.power_law(1.0, 1.0, 8)
         rp = RangeProfile(exponent=1.0 / 3.0)
         k = kinetic_kernel_from_range(dp, rp, 3, 1.0)
-        assert k.eval(1, 8) == pytest.approx(3.375, rel=1e-13)
+        assert k.dense()[0, 7] == pytest.approx(3.375, rel=1e-13)
 
     def test_symmetry_sweep(self):
         dp = DiffusionProfile.power_law(1.0, 0.5, 32)
@@ -84,6 +83,12 @@ class TestKineticKernelFromRange:
         dp = DiffusionProfile.constant(1.0, 4)
         with pytest.raises(ValueError):
             kinetic_kernel_from_range(dp, RangeProfile(exponent=0.5), 2, 1.0)
+
+
+def _sqrt_table(n_max):
+    """alpha(n, m) = sqrt(n + m) on 1..n_max: no separable closed form."""
+    n = np.arange(1.0, n_max + 1)
+    return np.sqrt(n[:, None] + n[None, :])
 
 
 def _range_kernel(dim, n_max, r2=1.0, b2=0.5, exponent=1.0 / 3.0, scale=2.0, c=0.7):
@@ -129,10 +134,10 @@ class TestFactors:
         with pytest.raises(KernelRangeError):
             k.factors(33)
 
-    def test_tables_and_closures_have_no_factors(self):
+    def test_tables_have_no_factors(self):
         k = Kernel.sum_kernel(1.0, 8)
         assert Kernel.from_table(k.dense()).factors() is None
-        assert Kernel.from_function(lambda n, m: float(n + m), 8).factors() is None
+        assert Kernel.from_table(_sqrt_table(8)).factors() is None
 
 
 class TestOfTotalMass:
@@ -140,11 +145,11 @@ class TestOfTotalMass:
 
     @pytest.mark.parametrize("k", [Kernel.constant(0.7, 40), Kernel.sum_kernel(1.3, 40)], ids=["constant", "sum"])
     def test_matches_the_table_along_anti_diagonals(self, k):
-        phi = k.of_total_mass(30)
+        phi, table = k.of_total_mass(30), k.dense()
         assert phi.shape == (30,)
         for n in range(1, 30):
             for m in range(1, 31 - n):
-                assert phi[n + m - 1] == pytest.approx(k.eval(n, m), rel=2 * np.finfo(float).eps)
+                assert phi[n + m - 1] == pytest.approx(table[n - 1, m - 1], rel=2 * np.finfo(float).eps)
         with pytest.raises(KernelRangeError):
             k.of_total_mass(41)
 
@@ -157,11 +162,12 @@ class TestOfTotalMass:
 def _sweep_k0(kernel, dp, delta, n_max):
     """Independent oracle: smallest k0 with all pairs k0 < n+m <= n_max passing."""
     worst = 0
+    table = kernel.dense(n_max)
     for n in range(1, n_max + 1):
         for m in range(1, n_max + 1):
             if n + m > n_max:
                 continue
-            if kernel.eval(n, m) > delta * (n + m) * (dp.value(n) + dp.value(m)):
+            if table[n - 1, m - 1] > delta * (n + m) * (dp.value(n) + dp.value(m)):
                 worst = max(worst, n + m)
     return worst
 
@@ -170,7 +176,7 @@ class TestAssumption11:
     def test_sqrt_kernel_k0_matches_sweep(self):
         """alpha = sqrt(n+m), d = 1, delta = 0.25: the bound holds iff n+m >= 4."""
         n_max = 256
-        k = Kernel.from_function(lambda n, m: float(np.sqrt(n + m)), n_max)
+        k = Kernel.from_table(_sqrt_table(n_max))
         dp = DiffusionProfile.constant(1.0, n_max)
         res = check_assumption_1_1(k, dp, 0.25, n_max)
         assert res.passed
@@ -211,11 +217,12 @@ class TestAssumption11:
 class TestDiffusionProfile:
     def test_positive_required(self):
         with pytest.raises(ValueError):
-            DiffusionProfile.from_table([1.0, 0.0, 0.5])
+            DiffusionProfile([1.0, 0.0, 0.5])
 
-    def test_monotone_tag_enforced(self):
-        with pytest.raises(ValueError):
-            DiffusionProfile("table", np.array([1.0, 2.0]), non_increasing=True)
+    def test_non_increasing_is_read_from_the_values(self):
+        assert DiffusionProfile.power_law(1.0, 0.5, 8).non_increasing
+        assert DiffusionProfile.constant(2.0, 8).non_increasing
+        assert not DiffusionProfile([1.0, 0.5, 0.75]).non_increasing
 
     def test_bracketed_power_lies_in_bracket(self):
         r1, b1, r2, b2 = 0.5, 1.2, 2.0, 0.3
@@ -230,7 +237,7 @@ class TestDiffusionProfile:
         assert dp.value(100) == dp.value(8)
 
 
-class TestCustomTables:
+class TestTables:
     def test_from_table_rejects_asymmetric(self):
         t = np.ones((4, 4))
         t[1, 2] = 3.0
@@ -251,7 +258,7 @@ class TestCustomTables:
                 rows.append(f"{n},{m},{n * m + 0.5}")
         path.write_text("\n".join(rows) + "\n")
         k = Kernel.from_csv(path, 3)
-        assert k.eval(1, 3) == k.eval(3, 1) == 3.5
+        assert k.dense()[0, 2] == k.dense()[2, 0] == 3.5
 
     def test_csv_missing_pair_rejected(self, tmp_path):
         path = tmp_path / "k.csv"
@@ -259,45 +266,56 @@ class TestCustomTables:
         with pytest.raises(ValueError, match="missing"):
             Kernel.from_csv(path, 2)
 
-    def test_closure_kernel_is_custom_and_takes_no_kind(self):
-        """A closure kernel is always "custom": a family name would make the
-        family formulas read parameters the closure kernel does not have."""
-        k = Kernel.from_function(lambda n, m: float(n * m), 8)
-        assert k.kind == "custom" and k.eval(2, 3) == 6.0 and k.table is not None
-        with pytest.raises(TypeError):
-            Kernel.from_function(lambda n, m: float(n * m), 8, kind="sum")
-
-    def test_from_function_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            Kernel.from_function(lambda n, m: float(n), 4)
-
-    def test_from_function_rejects_asymmetric_above_table_limit(self):
-        """No table is kept above TABLE_LIMIT; the leading block is still checked."""
-        with pytest.raises(ValueError, match="asymmetric"):
-            Kernel.from_function(lambda n, m: float(n), TABLE_LIMIT + 1)
-
-    @pytest.mark.parametrize("rate", [-1.0, float("nan")], ids=["negative", "nan"])
-    def test_from_function_rejects_bad_rates_above_table_limit(self, rate):
-        """No table is kept above TABLE_LIMIT; a negative or non-finite rate
-        on the leading block is still rejected, as it is at TABLE_LIMIT."""
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            Kernel.from_function(lambda n, m: rate, TABLE_LIMIT + 1)
-
     def test_rate_row_clamps_for_table_kernels(self):
         k = Kernel.from_table(np.arange(1, 10, dtype=float).reshape(3, 3) * 0 + 2.0)
         np.testing.assert_array_equal(k.rate_row(7), k.rate_row(3))
 
+    def test_rate_row_clamps_every_mass_past_the_table_to_its_last_column(self):
+        k = Kernel.from_table(_sqrt_table(16))
+        cols = k.rate_row(np.arange(1, 41))
+        np.testing.assert_array_equal(cols[:, :16], k.dense())
+        np.testing.assert_array_equal(cols[:, 16:], np.repeat(k.dense()[:, 15:], 24, axis=1))
 
-class TestLargeRanges:
-    def test_closure_only_above_table_limit(self):
-        """Past the dense-table cutoff the kernel is closure-evaluated; a
-        dense block can still be materialized on demand."""
-        k = Kernel.sum_kernel(1.0, 2048)
+
+FAMILIES = {
+    "constant": lambda n_max: Kernel.constant(0.7, n_max),
+    "sum": lambda n_max: Kernel.sum_kernel(1.3, n_max),
+    "product": lambda n_max: Kernel.product(0.37, n_max),
+    "two_exponent": lambda n_max: Kernel.two_exponent(0.2, 0.9, n_max),
+    "range_derived": lambda n_max: _range_kernel(4, n_max),
+}
+
+
+class TestOneRepresentation:
+    """Formula families store no table; every rate is the formula's value."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rate_row_columns_match_scalar_rows_and_dense(self, family):
+        n_max = 64
+        k = FAMILIES[family](n_max)
         assert k.table is None
-        assert k.eval(2000, 48) == 2048.0
+        cols = k.rate_row(np.arange(1, 2 * n_max + 1))
+        assert cols.shape == (n_max, 2 * n_max)
+        np.testing.assert_array_equal(cols, np.stack([k.rate_row(m) for m in range(1, 2 * n_max + 1)], axis=1))
+        np.testing.assert_array_equal(cols[:, :n_max], k.dense())
+
+    def test_only_table_kernels_store_a_table(self):
+        assert Kernel.from_table(_sqrt_table(4)).table is not None
+        with pytest.raises(ValueError, match="exactly when its kind"):
+            Kernel("sum", {"c0": 1.0}, 4, table=np.ones((4, 4)))
+
+    def test_formulas_evaluate_beyond_1024_masses(self):
+        k = Kernel.sum_kernel(1.0, 2048)
+        assert k.dense()[1999, 47] == k.rate_row(48)[1999] == 2048.0
+        assert k.rate_row(4000)[0] == 4001.0
         block = k.dense(8)
         assert block.shape == (8, 8)
         assert block[0, 0] == 2.0
+
+    def test_overflowing_rates_rejected_at_every_range(self):
+        """(n m)^200 overflows at n = m = 2; no range is left unchecked."""
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Kernel.product(200.0, 2048)
 
 
 class TestRangeProfile:

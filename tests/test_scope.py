@@ -32,7 +32,7 @@ def of_profile(dp, kernel=None, a=2.0):
 
 class TestHypotheses:
     def test_increasing_profile_names_its_first_increase(self):
-        sc = of_profile(DiffusionProfile.from_table(np.arange(1.0, 9.0)), Kernel.sum_kernel(1.0, 8))
+        sc = of_profile(DiffusionProfile(np.arange(1.0, 9.0)), Kernel.sum_kernel(1.0, 8))
         assert sc.increasing_at == 1
         assert sc.linf_exponent is None
         assert "A2 NOT met (d(n+1) > d(n) first at n=1;" in str(sc)
@@ -46,7 +46,7 @@ class TestHypotheses:
         sc = of_profile(dp, kernel)
         assert not sc.a1.passed
         n, m = sc.a1.witness
-        assert kernel.eval(n, m) > A1_DELTA * (n + m) * (dp.value(n) + dp.value(m))
+        assert kernel.dense()[n - 1, m - 1] > A1_DELTA * (n + m) * (dp.value(n) + dp.value(m))
         assert f"A1 NOT met (delta=0.25, witness ({n}, {m}))" in str(sc)
 
     def test_a1_with_a2_is_linear_growth_on_the_certified_range(self):
@@ -57,9 +57,10 @@ class TestHypotheses:
         k = kinetic_kernel_from_range(dp, RangeProfile(exponent=1.0 / 3.0), 3, 1.0)
         sc = of_profile(dp, k)
         assert sc.a1.passed and sc.increasing_at is None
+        table = k.dense()
         for n in range(1, n_max + 1):
             for m in range(max(1, sc.a1.k0 + 1 - n), n_max + 1 - n):
-                assert k.eval(n, m) <= 2 * A1_DELTA * dp.value(1) * (n + m)
+                assert table[n - 1, m - 1] <= 2 * A1_DELTA * dp.value(1) * (n + m)
 
     def test_bracketed_profile_reads_its_mean_exponent(self):
         """bracketed_power is sqrt(r1 r2) n^(-(b1+b2)/2), which lies inside the
@@ -113,7 +114,7 @@ class TestProperties:
     @given(d1=st.floats(1e-3, 1e3), steps=positive_steps)
     def test_bracket_holds_and_is_tight(self, d1, steps):
         d = non_increasing(d1, steps)
-        sc = of_profile(DiffusionProfile.from_table(d))
+        sc = of_profile(DiffusionProfile(d))
         m = np.arange(1, d.size + 1, dtype=float)
         ratio = d / d[0]
         lower, upper = m ** -sc.b1, m ** -sc.b2
@@ -147,7 +148,8 @@ class TestProperties:
             "two_exponent": lambda: Kernel.two_exponent(p, q, n_max),
         }[kind]()
         sc = of_profile(DiffusionProfile.constant(1.0, n_max), k)
-        ratios = [k.eval(n, m) / (n * m) for n in range(1, n_max + 1) for m in range(1, n_max + 1)]
+        table = k.dense()
+        ratios = [table[n - 1, m - 1] / (n * m) for n in range(1, n_max + 1) for m in range(1, n_max + 1)]
         assert all(r <= sc.c0 for r in ratios)
         assert sc.c0 in ratios
 
@@ -157,5 +159,5 @@ class TestProperties:
         d = non_increasing(d1, steps)
         n = data.draw(st.integers(1, d.size - 1))
         d[n] = d[n - 1] * data.draw(st.floats(1.001, 4.0))  # d(n+1) > d(n)
-        sc = of_profile(DiffusionProfile.from_table(d))
+        sc = of_profile(DiffusionProfile(d))
         assert sc.increasing_at == n and sc.linf_exponent is None

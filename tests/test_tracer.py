@@ -37,9 +37,10 @@ def frozen_chain_law(conc, kernel, m0, t, n_top):
     enough that the lumped probability is negligible for the test.
     """
     G = np.zeros((n_top + 1, n_top + 1))
+    table = kernel.dense()
     for m in range(1, n_top + 1):
         for n in range(1, conc.size + 1):
-            rate = 2.0 * kernel.eval(n, m) * conc[n - 1]
+            rate = 2.0 * table[n - 1, m - 1] * conc[n - 1]
             if rate == 0.0:
                 continue
             target = m + n
@@ -143,7 +144,7 @@ class TestEvolveFrozen:
         grid = Grid(1, 1.0, 4)
         F = MassField.zeros(grid, 2)
         F.data[0] = c
-        k = Kernel.from_function(lambda n, m: gamma if n == m == 1 else 0.0, 2)
+        k = Kernel.from_table([[gamma, 0.0], [0.0, 0.0]])
         dp = DiffusionProfile.constant(0.1, 2)
         n = 20000
         h = one_frozen_slice(F, k, dp, t, n, seed=4)
