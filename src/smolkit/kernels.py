@@ -40,7 +40,10 @@ class Kernel:
     sum, product, two_exponent, range_derived) are evaluated from
     ``params`` whenever rates are asked for; only ``kind = "table"`` stores
     ``table``.  Construction checks every rate on 1..n_max finite and
-    nonnegative.  Instances are immutable and safe for concurrent reads.
+    nonnegative without tabulating a formula: it checks the formula's
+    nonnegative factors (see :meth:`factors`) and the sum of their maxima,
+    which bounds every rate.  Instances are immutable and safe for
+    concurrent reads.
     Use the class-method constructors.
     """
 
@@ -52,9 +55,19 @@ class Kernel:
     def __post_init__(self):
         if (self.table is not None) != (self.kind == "table"):
             raise ValueError("a kernel stores a table exactly when its kind is 'table'")
+        if self.table is not None:
+            _require_rates(self.table)
+            return
+        # A formula is checked through its factors, in O(R * n_max) memory:
+        # they are nonnegative, so sum_r max(A_r) max(B_r) bounds every rate.
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = self.dense()
-        _require_rates(rates)
+            factors = self.factors()
+            if factors is None:
+                raise ValueError(f"unknown kernel kind {self.kind!r}")
+            A, B = factors
+            bound = np.sum(A.max(axis=1) * B.max(axis=1))
+        for rates in (A, B, bound):
+            _require_rates(rates)
 
     # -- constructors -------------------------------------------------
 

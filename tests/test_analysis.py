@@ -316,8 +316,7 @@ class TestGelationScan:
 
     def test_factorised_scan_matches_dense_oracle(self, tmp_path, monkeypatch):
         """The scan's step size and run take lambda from the evaluator, so a
-        factorised kernel builds no dense table after the one-off rate check
-        of its construction."""
+        factorised kernel never builds its dense table."""
         table = tmp_path / "product.csv"
         rows = [f"{n},{m},{float(n * m)!r}" for n in range(1, 65) for m in range(1, n + 1)]
         table.write_text("n,m,alpha\n" + "\n".join(rows) + "\n")
@@ -326,14 +325,7 @@ class TestGelationScan:
         def no_dense(self, n_max=None):
             raise AssertionError("dense table built")
 
-        build_kernel = cli.build_kernel
-
-        def build_then_forbid_dense(s):
-            kernel = build_kernel(s)
-            monkeypatch.setattr(Kernel, "dense", no_dense)
-            return kernel
-
-        monkeypatch.setattr(cli, "build_kernel", build_then_forbid_dense)
+        monkeypatch.setattr(Kernel, "dense", no_dense)
         v = scan([16, 32, 64], kernel_kind="product", kernel_a=1.0)
         np.testing.assert_allclose(v.gel_values, oracle.gel_values, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(v.mass_ratios, oracle.mass_ratios, rtol=1e-12, atol=0.0)

@@ -4,6 +4,8 @@ Expected values are either direct arithmetic or independently recomputed
 in-test by exhaustive sweeps over the certified range.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,15 +268,13 @@ class TestTables:
         with pytest.raises(ValueError, match="missing"):
             Kernel.from_csv(path, 2)
 
-    def test_rate_row_clamps_for_table_kernels(self):
-        k = Kernel.from_table(np.arange(1, 10, dtype=float).reshape(3, 3) * 0 + 2.0)
-        np.testing.assert_array_equal(k.rate_row(7), k.rate_row(3))
-
-    def test_rate_row_clamps_every_mass_past_the_table_to_its_last_column(self):
-        k = Kernel.from_table(_sqrt_table(16))
+    @pytest.mark.parametrize("n_max", [3, 16])
+    def test_rate_row_clamps_every_mass_past_the_table_to_its_last_column(self, n_max):
+        k = Kernel.from_table(_sqrt_table(n_max))
         cols = k.rate_row(np.arange(1, 41))
-        np.testing.assert_array_equal(cols[:, :16], k.dense())
-        np.testing.assert_array_equal(cols[:, 16:], np.repeat(k.dense()[:, 15:], 24, axis=1))
+        np.testing.assert_array_equal(cols[:, :n_max], k.dense())
+        np.testing.assert_array_equal(cols[:, n_max:], np.repeat(k.dense()[:, -1:], 40 - n_max, axis=1))
+        np.testing.assert_array_equal(k.rate_row(40), k.rate_row(n_max))
 
 
 FAMILIES = {
@@ -313,9 +313,24 @@ class TestOneRepresentation:
         assert block[0, 0] == 2.0
 
     def test_overflowing_rates_rejected_at_every_range(self):
-        """(n m)^200 overflows at n = m = 2; no range is left unchecked."""
+        """(n m)^200 overflows once n m > 34; no range is left unchecked."""
+        Kernel.product(200.0, 5)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Kernel.product(200.0, 6)
         with pytest.raises(ValueError, match="finite and >= 0"):
             Kernel.product(200.0, 2048)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_construction_builds_no_table(self, family):
+        """Checking a formula's rates takes O(R N) memory, not an N x N table."""
+        n_max = 4096
+        tracemalloc.start()
+        try:
+            FAMILIES[family](n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_max * n_max * 8 / 100
 
 
 class TestRangeProfile:
