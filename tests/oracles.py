@@ -5,9 +5,14 @@ takes a smolkit rate evaluator and is the RK4 reaction substep written out of
 place, every stage field and slope a new array: the arithmetic that the
 integrator's buffered step must reproduce bit for bit.  ``weighted_sum`` is
 the dense pair form of sum_n phi(n) Q_n, the oracle of the pair identity.
+``advance_chunk_slice`` and ``sample_chunk_initial`` are the tracer's chunk
+stepper and initial sampler as they were before their fast paths, which
+must reproduce them bit for bit.
 """
 
 import numpy as np
+
+from smolkit import tracer
 
 
 def fine_rk4_constant_kernel(n_max, t_final, dt):
@@ -69,3 +74,95 @@ def weighted_sum(F, kernel, phi, policy):
     flat = F.flat()
     out = np.einsum("nc,nc->c", flat, B @ flat)
     return out.reshape(F.grid.shape)
+
+
+def advance_chunk_slice(
+    pos: np.ndarray,
+    mass: np.ndarray,
+    alive: np.ndarray,
+    collisions: np.ndarray,
+    rates,
+    grid,
+    dp,
+    slice_dt: float,
+    rng: np.random.Generator,
+    immortal: bool,
+):
+    """The chunk stepper that rescans the chunk on every thinning pass.
+
+    The tracer's stepper before it carried its active set between passes,
+    unchanged apart from the package names; the carried stepper must match
+    it bit for bit.  Advances all chunk trajectories across one frozen
+    slice, in place.
+
+    ``rates`` is only read; tracers past its range switch this call to a
+    private larger table (:meth:`_FrozenRates.covering`).  Returns the
+    slice's thinning counts.
+    """
+    proposals = accepted_total = extensions = 0
+    remaining = np.where(alive, slice_dt, 0.0)
+    while True:
+        active = np.flatnonzero(remaining > 0.0)
+        if active.size == 0:
+            return tracer.ThinningCounts(proposals, accepted_total, extensions)
+        m_act = mass[active]
+        wider = rates.covering(int(m_act.max()))
+        if wider is not rates:
+            rates = wider
+            extensions += 1
+        lam_bar = rates.lam_bar[m_act - 1]
+        draws = rng.exponential(size=active.size)
+        tau = np.divide(draws, lam_bar, out=np.full(active.size, np.inf), where=lam_bar > 0)
+        rem = remaining[active]
+        advance = np.minimum(tau, rem)
+        sigma = np.sqrt(2.0 * dp.values[np.minimum(m_act, dp.n_max) - 1] * advance)
+        step = rng.normal(size=(active.size, grid.dim))
+        step *= sigma[:, None]
+        step += pos[active]
+        np.remainder(step, grid.length, out=step)
+        pos[active] = step
+        remaining[active] = rem - advance
+        proposed = tau < rem
+        if not proposed.any():
+            continue
+        p_idx = active[proposed]
+        proposals += p_idx.size
+        cells = tracer._cell_index(pos[p_idx], grid)
+        u = rng.uniform(size=p_idx.size)
+        accepted = u * lam_bar[proposed] < rates.local(mass[p_idx], cells)
+        if not accepted.any():
+            continue
+        a_idx = p_idx[accepted]
+        accepted_total += a_idx.size
+        a_cells = cells[accepted]
+        w = rates.partner_weights(mass[a_idx], a_cells)
+        cum = np.cumsum(w, axis=0)
+        r = rng.uniform(size=a_idx.size) * cum[-1]
+        partner = (cum < r[None, :]).sum(axis=0).astype(np.int64) + 1
+        np.minimum(partner, rates.n_max, out=partner)
+        collisions[a_idx] += 1
+        if immortal:
+            mass[a_idx] += partner
+        else:
+            survive = rng.uniform(size=a_idx.size) < mass[a_idx] / (mass[a_idx] + partner)
+            mass[a_idx[survive]] += partner[survive]
+            died = a_idx[~survive]
+            alive[died] = False
+            remaining[died] = 0.0
+
+
+def sample_chunk_initial(
+    mass_cdf: np.ndarray, row_cum: np.ndarray, grid, n_traj: int, rng: np.random.Generator
+):
+    """The initial sampler that gathers an (n_traj, cells) prefix-sum matrix.
+
+    The tracer's sampler before it searched one mass row at a time; the
+    draws must be identical.
+    """
+    mass = np.searchsorted(mass_cdf, rng.uniform(size=n_traj)).astype(np.int64) + 1
+    cum = row_cum[mass - 1]
+    r = rng.uniform(size=n_traj) * cum[:, -1]
+    cells = (cum < r[:, None]).sum(axis=1)
+    idx = np.stack(np.unravel_index(cells, grid.shape), axis=-1).astype(float)
+    pos = (idx + rng.uniform(size=(n_traj, grid.dim))) * grid.h
+    return pos, mass

@@ -1,6 +1,7 @@
 """Config parsing, execution paths, and exit codes."""
 
 import dataclasses
+import hashlib
 import os
 import re
 from pathlib import Path
@@ -522,6 +523,47 @@ run.t_final = 1.0
         assert len(thinning) == 1
         assert "proposals" in thinning[0] and "acceptance rate" in thinning[0]
         assert "chunk-local table extensions" in thinning[0]
+
+
+class TestSnapshotFiles:
+    """``snapshots/`` is written when ``run.record_fields = true`` and only then;
+    tracer and gronwall runs keep their fields in memory either way."""
+
+    # sha256 over the names and bytes of the tracer scenario's snapshots,
+    # from the code that wrote every recorded field.
+    TRACER_SNAPSHOTS_SHA256 = "e33d5533723aee93ba3e83f79e145c5cdc3bf09dfe262731a7abb5bd9cf33f08"
+
+    @staticmethod
+    def snapshot_digest(snapdir: Path) -> str:
+        h = hashlib.sha256()
+        for p in sorted(snapdir.iterdir()):
+            h.update(p.name.encode())
+            h.update(p.read_bytes())
+        return h.hexdigest()
+
+    def test_tracer_without_record_fields_writes_none(self, tmp_path):
+        out = tmp_path / "out"
+        assert execute(parse_config(write(tmp_path, TestDeterminism.TRACER)), out_override=str(out)) == 0
+        assert (out / "histogram.csv").exists() and not (out / "snapshots").exists()
+
+    def test_tracer_with_record_fields_writes_one_per_series_row(self, tmp_path):
+        out = tmp_path / "out"
+        text = TestDeterminism.TRACER + "run.record_fields = true\n"
+        assert execute(parse_config(write(tmp_path, text)), out_override=str(out)) == 0
+        rows = (out / "series.csv").read_text().splitlines()[2:]
+        assert [p.name for p in sorted((out / "snapshots").iterdir())] == [
+            f"snapshot_{i:04d}.csv" for i in range(len(rows))
+        ]
+        assert self.snapshot_digest(out / "snapshots") == self.TRACER_SNAPSHOTS_SHA256
+
+    def test_gronwall_without_record_fields_writes_none(self, tmp_path):
+        text = PDE.replace("run.record_fields = true\n", "").replace(
+            "monitors = conservation, heat_majorant", "monitors = gronwall\ngronwall.a_bound = 1e4"
+        )
+        out = tmp_path / "out"
+        assert execute(parse_config(write(tmp_path, text)), out_override=str(out)) == 0
+        assert "PASS gronwall_stability" in (out / "report.txt").read_text()
+        assert not (out / "snapshots").exists()
 
 
 class TestOneKernelPerScenario:

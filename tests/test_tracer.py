@@ -4,6 +4,8 @@ The frozen-field mass chain is small enough to solve exactly: its generator
 is built here, independently of the package, from the transition rules
 (attempt rate 2*alpha(n,m)*f_n, survival probability m/(n+m)), and expm of
 that generator provides the expected occupation law for 3-sigma tests.
+The chunk stepper and the initial sampler are also checked bit for bit
+against the implementations they replaced, kept in ``oracles``.
 """
 
 import concurrent.futures
@@ -11,15 +13,21 @@ import hashlib
 import multiprocessing
 import os
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smolkit import _fork, tracer
+import oracles
+from smolkit import _fork, cli, tracer
 from smolkit.diffusion import heat_step_batched
 from smolkit.field import Grid, MassField, moment
+from smolkit.integrator import run
 from smolkit.kernels import DiffusionProfile, Kernel
 from smolkit.tracer import (
     ThinningCounts,
@@ -477,3 +485,218 @@ class TestDensityConsistency:
         masses = np.arange(1, 4 * n_max + 1)
         envelope = dp.value(1) ** 0.5 / (masses ** (1 - a) * dp.value(masses) ** 0.5).min()
         assert np.all(emp <= envelope * u + 3 * sigma + 1e-12)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# A Gaussian blob under the sum kernel with d(n) = 0.05 n^(-1/2) on 64
+# cells: the field varies in space, so the thinning rejects proposals.
+REJECTING_BLOB = """
+name = blob
+mode = tracer
+seed = 5
+kernel.kind = sum
+kernel.c0 = 1.0
+diffusion.kind = power_law
+diffusion.r2 = 0.05
+diffusion.b2 = 0.5
+grid.dim = 1
+grid.length = 1.0
+grid.cells = 64
+initial.kind = gaussian_blob
+initial.amplitude = 1.0
+initial.width = 0.1
+run.n_max = 40
+run.t_final = 0.5
+run.dt = 0.005
+tracer.count = 50000
+tracer.slices = 32
+"""
+
+
+def solver_timeline(path):
+    """The frozen slices, kernel, profile and slice width the CLI hands the
+    tracer for the scenario at ``path``."""
+    s = cli.parse_config(path)
+    kernel = cli.build_kernel(s)
+    field0, dp, cfg = cli.build_run(s, kernel)
+    rec = run(field0, kernel, dp, cfg)
+    shape = (s.n_max,) + rec.grid.shape
+    fields = [MassField(rec.grid, f.reshape(shape), validate=False) for f in rec.fields]
+    return fields[:-1], kernel, dp, cfg.output_stride
+
+
+def same_rng_state(a, b):
+    """Both generators made the same draws (their Philox states are small arrays)."""
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+def compare_with_rescan(fields, kernel, dp, slice_dt, seed, count=tracer.CHUNK_SIZE, immortal=False):
+    """Step one chunk through ``fields`` with the carried-set stepper and
+    with the rescanning oracle, from the same state and RNG substream, and
+    require the same state bit for bit after every slice.  Returns the
+    summed thinning counts."""
+    n_max, grid = fields[0].n_max, fields[0].grid
+    A = tracer._rate_columns(kernel, n_max, 2 * n_max)
+    rngs = [tracer._chunk_rng(seed, 0), tracer._chunk_rng(seed, 0)]
+    mass_cdf, row_cum = tracer._initial_law(fields[0])
+    pos, mass = tracer._sample_chunk_initial(mass_cdf, row_cum, grid, count, rngs[0])
+    oracles.sample_chunk_initial(mass_cdf, row_cum, grid, count, rngs[1])
+    states = [
+        (pos.copy(), mass.copy(), np.ones(count, dtype=bool), np.zeros(count, dtype=np.int64)) for _ in rngs
+    ]
+    total = ThinningCounts()
+    for F in fields:
+        rates = tracer._FrozenRates(kernel, A, F.flat())
+        new = tracer._advance_chunk_slice(*states[0], rates, grid, dp, slice_dt, rngs[0], immortal)
+        old = oracles.advance_chunk_slice(*states[1], rates, grid, dp, slice_dt, rngs[1], immortal)
+        assert new == old
+        (p0, m0, a0, c0), (p1, m1, a1, c1) = states
+        assert np.array_equal(p0.view(np.int64), p1.view(np.int64))
+        assert np.array_equal(m0, m1) and np.array_equal(a0, a1) and np.array_equal(c0, c1)
+        assert same_rng_state(*rngs)
+        total += new
+    return total
+
+
+class TestCarriedActiveSet:
+    """The chunk stepper against the rescanning stepper it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shipped_tracer_config(self, seed):
+        fields, kernel, dp, slice_dt = solver_timeline(CONFIGS / "tracer_consistency.cfg")
+        th = compare_with_rescan(fields, kernel, dp, slice_dt, seed)
+        assert th.proposals > 0 and th.acceptance_rate == 1.0
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_rejecting_blob(self, tmp_path, seed):
+        path = tmp_path / "blob.cfg"
+        path.write_text(REJECTING_BLOB, encoding="utf-8")
+        fields, kernel, dp, slice_dt = solver_timeline(path)
+        th = compare_with_rescan(fields, kernel, dp, slice_dt, seed)
+        assert 0.5 < th.acceptance_rate < 0.9
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_immortal_product_kernel_in_2d(self, seed):
+        grid = Grid(2, 1.0, 8)
+        n_max = 6
+        F = MassField.gaussian_blob(grid, n_max, amplitude=1.5, width=0.15)
+        F.data[1] = 0.2 * F.data[0]
+        k = Kernel.product(1.0, n_max)
+        dp = DiffusionProfile.power_law(0.03, 0.5, n_max)
+        th = compare_with_rescan([F] * 4, k, dp, 0.1, seed, count=3000, immortal=True)
+        assert 0.0 < th.acceptance_rate < 1.0
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_chunk_local_table_extensions(self, seed):
+        grid = Grid(1, 1.0, 4)
+        F = MassField.zeros(grid, 4)
+        F.data[:] = 1.0
+        F.data[:, 0] = 2.0
+        k = Kernel.constant(1.0, 4)
+        dp = DiffusionProfile.power_law(0.05, 0.5, 4)
+        th = compare_with_rescan([F] * 4, k, dp, 0.25, seed, count=500, immortal=True)
+        assert th.extensions > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_rate_kernel(self, seed):
+        """tau = inf for every tracer: one pass to the slice end, no proposal."""
+        grid = Grid(1, 1.0, 16)
+        F = MassField.gaussian_blob(grid, 3, amplitude=1.0, width=0.2)
+        k = Kernel.constant(0.0, 3)
+        dp = DiffusionProfile.constant(0.02, 3)
+        th = compare_with_rescan([F] * 3, k, dp, 0.1, seed, count=2000)
+        assert th == ThinningCounts()
+
+
+class TestWrap:
+    """``_wrap`` is ``np.remainder`` onto [0, L), bit for bit."""
+
+    LENGTHS = [1.0, 0.7, 3.0, 1e-3, 2.0 * np.pi, 123.456]
+
+    @staticmethod
+    def assert_remainder(x, length):
+        x = np.asarray(x, dtype=float)
+        want = np.remainder(x, length)
+        got = tracer._wrap(x.copy(), length)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x, length)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_edge_values(self, length):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, -0.0, tiny, -tiny, np.finfo(float).eps, -np.finfo(float).eps]
+        for v in (length, -length):
+            edges += [v, np.nextafter(v, 0.0), np.nextafter(v, 2.0 * v)]
+        edges += [k * length for k in range(-7, 8)]
+        edges += [np.nextafter(k * length, np.inf) for k in range(-7, 8)]
+        edges += [np.nextafter(k * length, -np.inf) for k in range(-7, 8)]
+        edges += [1e300, -1e300, 1e17 * length, -1e17 * length, np.finfo(float).max, -np.finfo(float).max]
+        self.assert_remainder(edges, length)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
+        length=st.sampled_from(LENGTHS) | st.floats(min_value=1e-6, max_value=1e6),
+    )
+    def test_any_finite_values(self, xs, length):
+        self.assert_remainder(xs, length)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(-10**6, 10**6),
+        offset=st.floats(min_value=-1.0, max_value=1.0),
+        length=st.sampled_from(LENGTHS),
+    )
+    def test_near_multiples_of_the_length(self, k, offset, length):
+        """Positions a step away from the torus: k periods off, and within
+        a few ulps of a period boundary."""
+        base = k * length
+        near = [base + offset * length, base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
+        self.assert_remainder(near, length)
+
+
+class TestInitialSampling:
+    """Cells are found by one search per mass, not an (n_traj, cells) matrix."""
+
+    @staticmethod
+    def polydisperse(grid, n_max):
+        F = MassField.gaussian_blob(grid, n_max, amplitude=2.0, width=0.2)
+        for n in range(1, n_max):
+            F.data[n] = F.data[0] / (n + 1) ** 2
+        F.data[2] = 0.0  # an empty species between populated ones
+        F.data[1].flat[::3] = 0.0  # and empty cells in a populated one
+        return F
+
+    @pytest.mark.parametrize("grid", [Grid(1, 1.0, 64), Grid(2, 1.0, 16)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_match_the_matrix_sampler(self, grid, seed):
+        F = self.polydisperse(grid, 6)
+        mass_cdf, row_cum = tracer._initial_law(F)
+        rngs = [tracer._chunk_rng(seed, 3), tracer._chunk_rng(seed, 3)]
+        pos, mass = tracer._sample_chunk_initial(mass_cdf, row_cum, grid, 5000, rngs[0])
+        want_pos, want_mass = oracles.sample_chunk_initial(mass_cdf, row_cum, grid, 5000, rngs[1])
+        assert np.array_equal(mass, want_mass) and np.array_equal(pos.view(np.int64), want_pos.view(np.int64))
+        assert set(np.unique(mass)) == {1, 2, 4, 5, 6}
+        assert same_rng_state(*rngs)
+
+    def test_memory_on_a_64_by_64_grid(self):
+        """A chunk on 4096 cells allocates a few arrays of n_traj entries; the
+        matrix sampler allocated 8192 x 4096 doubles (268 MB)."""
+        grid = Grid(2, 1.0, 64)
+        mass_cdf, row_cum = tracer._initial_law(self.polydisperse(grid, 6))
+        rng = tracer._chunk_rng(0, 0)
+        tracemalloc.start()
+        try:
+            tracer._sample_chunk_initial(mass_cdf, row_cum, grid, tracer.CHUNK_SIZE, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_negative_density_rejected(self):
+        grid = Grid(1, 1.0, 8)
+        F = MassField.zeros(grid, 2)
+        F.data[0] = 1.0
+        F.data[0, 3] = -1e-18
+        with pytest.raises(ValueError, match="negative density"):
+            initial_histogram(F, 10, seed=0)
