@@ -291,8 +291,10 @@ def _validate(s: Scenario, path) -> None:
     _require(s.dt > 0, "run.dt", "must be > 0", path)
     _require(s.t_final >= 0, "run.t_final", "must be >= 0", path)
     _require(s.output_stride is None or s.output_stride > 0, "run.output_stride", "must be > 0", path)
-    _require(len(set(s.moments)) == len(s.moments), "run.moments", "must not repeat an exponent", path)
-    _require(len(set(s.pair_moments)) == len(s.pair_moments), "run.pair_moments", "must not repeat an exponent", path)
+    for key, exponents in (("run.moments", s.moments), ("run.pair_moments", s.pair_moments)):
+        _require(len(set(exponents)) == len(exponents), key, "must not repeat an exponent", path)
+        for a in exponents:
+            _require(a >= 0, key, f"every exponent must be >= 0, got a={a:g}", path)
     _require(s.initial_amplitude >= 0, "initial.amplitude", "must be >= 0", path)
     _require(1 <= s.initial_species <= s.n_max, "initial.species", "must lie in 1..n_max", path)
     _require(s.grid_dim in (1, 2, 3), "grid.dim", "must be 1, 2 or 3", path)
@@ -316,6 +318,12 @@ def _validate(s: Scenario, path) -> None:
         _require(s.tracer_count >= 1, "tracer.count", "must be >= 1", path)
         _require(s.tracer_slices >= 1, "tracer.slices", "must be >= 1", path)
         _require(s.t_final > 0, "run.t_final", "tracer mode needs a positive horizon", path)
+        # The histogram times must be slice boundaries, within simulate's slack.
+        slice_dt = s.t_final / s.tracer_slices
+        for t in s.tracer_times or ():
+            i = round(t / slice_dt) if np.isfinite(t) else -1
+            _require(0 <= i <= s.tracer_slices and abs(i * slice_dt - t) <= 1e-9 * max(s.t_final, 1.0), "tracer.times",
+                     f"{t:g} is not in [0, run.t_final] on a multiple of run.t_final / tracer.slices", path)
     if s.mode == "gelscan":
         _require(len(s.gelscan_n_list) >= 2, "gelscan.n_list", "needs at least two ranges", path)
         _require(list(s.gelscan_n_list) == sorted(s.gelscan_n_list), "gelscan.n_list", "must increase", path)
@@ -379,9 +387,7 @@ def build_diffusion(s: Scenario) -> DiffusionProfile:
 
 def build_initial_field(s: Scenario, grid: Grid) -> MassField:
     if s.initial_kind == "monodisperse":
-        f = MassField.zeros(grid, s.n_max)
-        f.data[s.initial_species - 1] = s.initial_amplitude
-        return f
+        return MassField.monodisperse(grid, s.n_max, amplitude=s.initial_amplitude, species=s.initial_species)
     if s.initial_kind == "gaussian_blob":
         return MassField.gaussian_blob(
             grid, s.n_max, amplitude=s.initial_amplitude, width=s.initial_width,

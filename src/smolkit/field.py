@@ -121,10 +121,12 @@ class MassField:
         return cls(grid, np.zeros((n_max,) + grid.shape), validate=False)
 
     @classmethod
-    def monodisperse(cls, grid: Grid, n_max: int, amplitude: float = 1.0) -> "MassField":
-        """Uniform mass-1 field of the given density."""
+    def monodisperse(cls, grid: Grid, n_max: int, amplitude: float = 1.0, species: int = 1) -> "MassField":
+        """Uniform field of the given density in the one mass ``species``."""
+        if not 1 <= species <= n_max:
+            raise ValueError("species outside 1..n_max")
         f = cls.zeros(grid, n_max)
-        f.data[0] = amplitude
+        f.data[species - 1] = amplitude
         return f
 
     @classmethod

@@ -2,8 +2,9 @@
 
 A kernel ``alpha(n, m)`` is the symmetric, nonnegative rate coefficient at
 which clusters of integer masses ``n`` and ``m`` merge.  A family kernel is
-its formula, evaluated on demand; only a table kernel stores its rates.  A
-diffusion profile ``d(n)`` is the diffusivity of a mass-``n`` cluster
+its formula, written once as factors alpha(n, m) = sum_r A_r(n) B_r(m) and
+evaluated on demand; only a table kernel stores its rates.  A diffusion
+profile ``d(n)`` is the diffusivity of a mass-``n`` cluster
 (length^2/time), physically non-increasing in ``n``.
 ``check_assumption_1_1`` certifies, by exhaustive sweep over ``1..n_max``,
 the relative-propensity condition (A1) that :func:`smolkit.analysis.scope`
@@ -37,12 +38,12 @@ class Kernel:
     """Symmetric coagulation rates alpha(n, m) over the masses 1..n_max.
 
     A kernel holds one representation.  The formula families (constant,
-    sum, product, two_exponent, range_derived) are evaluated from
-    ``params`` whenever rates are asked for; only ``kind = "table"`` stores
-    ``table``.  Construction checks every rate on 1..n_max finite and
-    nonnegative without tabulating a formula: it checks the formula's
-    nonnegative factors (see :meth:`factors`) and the sum of their maxima,
-    which bounds every rate.  Instances are immutable and safe for
+    sum, product, two_exponent, range_derived) are their factors (see
+    :meth:`factors`), evaluated from ``params`` whenever rates are asked
+    for; only ``kind = "table"`` stores ``table``.  Construction checks
+    every rate on 1..n_max finite and nonnegative without tabulating a
+    formula: it checks the nonnegative factors and the sum of their
+    maxima, which bounds every rate.  Instances are immutable and safe for
     concurrent reads.
     Use the class-method constructors.
     """
@@ -61,10 +62,7 @@ class Kernel:
         # A formula is checked through its factors, in O(R * n_max) memory:
         # they are nonnegative, so sum_r max(A_r) max(B_r) bounds every rate.
         with np.errstate(over="ignore", invalid="ignore"):
-            factors = self.factors()
-            if factors is None:
-                raise ValueError(f"unknown kernel kind {self.kind!r}")
-            A, B = factors
+            A, B = self.factors()
             bound = np.sum(A.max(axis=1) * B.max(axis=1))
         for rates in (A, B, bound):
             _require_rates(rates)
@@ -141,36 +139,46 @@ class Kernel:
 
     # -- evaluation ---------------------------------------------------
 
-    def _closure(self, n, m):
-        """Evaluate the kernel formula; broadcasts over numpy inputs."""
+    def _factor_rows(self, n):
+        """The formula's factors (see :meth:`factors`) at any array of integer
+        masses ``n``, shape (R, *n.shape); raises for a table or an unknown kind."""
         p = self.params
+        nf = np.asarray(n, dtype=float)
+        one = np.ones(nf.shape)
         if self.kind == "constant":
-            return np.full(np.broadcast_shapes(np.shape(n), np.shape(m)), p["c"])
+            w = math.sqrt(p["c"]) * one
+            return w[None], w[None]
         if self.kind == "sum":
-            return p["c0"] * (np.asarray(n, dtype=float) + np.asarray(m, dtype=float))
+            w = p["c0"] * nf
+            return np.stack([w, one]), np.stack([one, w])
         if self.kind == "product":
-            return (np.asarray(n, dtype=float) * np.asarray(m, dtype=float)) ** p["a"]
+            w = nf ** p["a"]
+            return w[None], w[None]
         if self.kind == "two_exponent":
-            nf = np.asarray(n, dtype=float)
-            mf = np.asarray(m, dtype=float)
-            return nf ** p["a"] * mf ** p["b"] + nf ** p["b"] * mf ** p["a"]
+            na, nb = nf ** p["a"], nf ** p["b"]
+            return np.stack([na, nb]), np.stack([nb, na])
         if self.kind == "range_derived":
-            nf = np.asarray(n, dtype=float)
-            mf = np.asarray(m, dtype=float)
-            d = p["diffusion"]
-            r = p["range"]
-            return p["c"] * (d.value(n) + d.value(m)) * (r.value(nf) + r.value(mf)) ** (p["dim"] - 2)
+            # (d_n + d_m)(r_n + r_m)^q with q = dim-2, expanded binomially:
+            # each term C(q,k) d_n r_n^k r_m^(q-k) comes with its transpose.
+            q = p["dim"] - 2
+            d = p["diffusion"].value(n)
+            r = p["range"].value(nf)
+            A, B = [], []
+            for k in range(q + 1):
+                left, right = p["c"] * math.comb(q, k) * d * r**k, r ** (q - k)
+                A += [left, right]
+                B += [right, left]
+            return np.stack(A), np.stack(B)
         raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     def dense(self, n_max: int | None = None) -> np.ndarray:
-        """Dense (n_max, n_max) rate table: a view of a table kernel, else evaluated."""
+        """Dense (n_max, n_max) rate table: a view of a table kernel, else sum_r A_r (x) B_r."""
         n_max = n_max or self.n_max
         if n_max > self.n_max:
             raise KernelRangeError(f"requested table size {n_max} exceeds kernel n_max {self.n_max}")
         if self.table is not None:
             return self.table[:n_max, :n_max]
-        idx = np.arange(1, n_max + 1)
-        return np.asarray(self._closure(idx[:, None], idx[None, :]), dtype=float)
+        return _outer_sum(*self.factors(n_max))
 
     def factors(self, n_max: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
         """Closed-form separable form of the kernel over masses 1..n_max.
@@ -179,57 +187,29 @@ class Kernel:
         ``alpha(n, m) = sum_r A[r, n-1] * B[r, m-1]``: rank 1 for constant
         and product, 2 for sum and two_exponent, 2*(dim-1) for
         range_derived.  All factors are nonnegative, so the sum has no
-        cancellation.  Tables have no known factors and return None.
-        Constant and sum kernels are moreover functions of n+m alone (see
-        :meth:`of_total_mass`), which lets the gain of the rank-2 sum kernel
-        be taken as a rank-1 product.
+        cancellation.  They are each family's one formula: :meth:`dense`,
+        :meth:`rate_row` and :meth:`of_total_mass` read them too.  Tables
+        have no known factors and return None.
         """
         n_max = n_max or self.n_max
         if n_max > self.n_max:
             raise KernelRangeError(f"requested factors for {n_max} masses exceed kernel n_max {self.n_max}")
-        p = self.params
-        n = np.arange(1, n_max + 1, dtype=float)
-        one = np.ones(n_max)
-        if self.kind == "constant":
-            w = math.sqrt(p["c"]) * one
-            return w[None], w[None]
-        if self.kind == "sum":
-            w = p["c0"] * n
-            return np.stack([w, one]), np.stack([one, w])
-        if self.kind == "product":
-            w = n ** p["a"]
-            return w[None], w[None]
-        if self.kind == "two_exponent":
-            na, nb = n ** p["a"], n ** p["b"]
-            return np.stack([na, nb]), np.stack([nb, na])
-        if self.kind == "range_derived":
-            # (d_n + d_m)(r_n + r_m)^q with q = dim-2, expanded binomially:
-            # each term C(q,k) d_n r_n^k r_m^(q-k) comes with its transpose.
-            q = p["dim"] - 2
-            d = p["diffusion"].value(n.astype(np.int64))
-            r = p["range"].value(n)
-            A, B = [], []
-            for k in range(q + 1):
-                left, right = p["c"] * math.comb(q, k) * d * r**k, r ** (q - k)
-                A += [left, right]
-                B += [right, left]
-            return np.stack(A), np.stack(B)
-        return None
+        return None if self.table is not None else self._factor_rows(np.arange(1, n_max + 1))
 
     def of_total_mass(self, n_max: int | None = None) -> np.ndarray | None:
         """``phi`` of shape (n_max,) with alpha(n, m) = phi[n+m-1] for n+m <= n_max.
 
-        Defined for the families that depend on n+m alone: constant
-        (phi = c) and sum (phi(s) = c0 * s).  Other kinds return None.
+        Defined for the families that depend on n+m alone, constant and
+        sum, as phi(s) = alpha(1, s-1) off their factors; this lets the gain
+        of the rank-2 sum kernel be taken as a rank-1 product.  Other kinds
+        return None.
         """
         n_max = n_max or self.n_max
         if n_max > self.n_max:
             raise KernelRangeError(f"requested {n_max} total masses exceed kernel n_max {self.n_max}")
-        if self.kind == "constant":
-            return np.full(n_max, self.params["c"])
-        if self.kind == "sum":
-            return self.params["c0"] * np.arange(1, n_max + 1, dtype=float)
-        return None
+        if self.kind not in ("constant", "sum"):
+            return None
+        return _outer_sum(self._factor_rows(1)[0], self._factor_rows(np.arange(n_max))[1])
 
     def rate_row(self, m) -> np.ndarray:
         """Rates alpha(1..n_max, m) for a tracer mass m >= 1 or an array of them.
@@ -237,15 +217,20 @@ class Kernel:
         One mass gives shape (n_max,); an array of masses gives a column per
         mass, shape (n_max, *m.shape).  Tables clamp m to n_max (the tracer
         can outgrow the sectional range after repeated mergers); formulas
-        evaluate exactly at every m.
+        evaluate A(1..n_max)^T B(m) at every m, with range-derived d clamped
+        past its profile.
         """
         m = np.asarray(m)
         if np.any(m < 1):
             raise KernelRangeError(f"mass index {m.min()} < 1")
         if self.kind == "table":
             return self.table[:, np.minimum(m, self.n_max) - 1]
-        idx = np.arange(1, self.n_max + 1).reshape(-1, *[1] * m.ndim)
-        return np.asarray(self._closure(idx, m), dtype=float)
+        return _outer_sum(self.factors()[0], self._factor_rows(m)[1])
+
+
+def _outer_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_r A[r] (x) B[r], added in the order r = 0, 1, ..."""
+    return sum(np.multiply.outer(a, b) for a, b in zip(A, B))
 
 
 def _require_rates(table: np.ndarray) -> None:

@@ -5,6 +5,8 @@ takes a smolkit rate evaluator and is the RK4 reaction substep written out of
 place, every stage field and slope a new array: the arithmetic that the
 integrator's buffered step must reproduce bit for bit.  ``weighted_sum`` is
 the dense pair form of sum_n phi(n) Q_n, the oracle of the pair identity.
+``family_rate`` is each kernel family's defining formula, the oracle of the
+factors that ``Kernel`` evaluates instead.
 ``advance_chunk_slice`` and ``sample_chunk_initial`` are the tracer's chunk
 stepper and initial sampler as they were before their fast paths, which
 must reproduce them bit for bit.
@@ -13,6 +15,25 @@ must reproduce them bit for bit.
 import numpy as np
 
 from smolkit import tracer
+
+
+def family_rate(kind, params, n, m):
+    """alpha(n, m) of a formula family, broadcast over integer masses n and m:
+    c, c0 (n+m), (n m)^a, n^a m^b + n^b m^a, or c (d(n)+d(m)) (r(n)+r(m))^(dim-2)."""
+    nf, mf = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
+    if kind == "constant":
+        return np.full(np.broadcast_shapes(nf.shape, mf.shape), params["c"])
+    if kind == "sum":
+        return params["c0"] * (nf + mf)
+    if kind == "product":
+        return (nf * mf) ** params["a"]
+    if kind == "two_exponent":
+        a, b = params["a"], params["b"]
+        return nf**a * mf**b + nf**b * mf**a
+    if kind == "range_derived":
+        d, r = params["diffusion"], params["range"]
+        return params["c"] * (d.value(n) + d.value(m)) * (r.value(nf) + r.value(mf)) ** (params["dim"] - 2)
+    raise ValueError(f"no formula for kernel kind {kind!r}")
 
 
 def fine_rk4_constant_kernel(n_max, t_final, dt):

@@ -187,16 +187,35 @@ class TestExecute:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "line,named", [("run.moments = 200", "a=200"), ("run.pair_moments = 150", "a=150"), ("run.moments = -1", "a=-1")]
+        "line,named",
+        [("run.moments = 200", "a=200"), ("run.pair_moments = 150", "a=150"),
+         ("run.moments = 0,1,-1", "run.moments: every exponent must be >= 0, got a=-1"),
+         ("run.pair_moments = -2", "run.pair_moments: every exponent must be >= 0, got a=-2"),
+         ("run.moments = 1,nan", "run.moments: every exponent must be >= 0, got a=nan")],
     )
     def test_bad_moment_exponent_exits_one_before_the_run(self, tmp_path, capsys, line, named):
         """A weight n^a that overflows float64 at n_max = 1000, or an exponent
-        a < 0, is one line on stderr and exit 1, not a nan series."""
+        that is not >= 0, is one line on stderr and exit 1, not a nan series;
+        the latter names its key."""
         p = write(tmp_path, MINIMAL.replace("run.n_max = 16", "run.n_max = 1000") + line + "\n")
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and named in err
         assert not (tmp_path / "out" / "series.csv").exists()
+
+    @pytest.mark.parametrize("times", ["0.3", "0.25,0.75", "-0.125", "nan"])
+    def test_tracer_times_off_the_slice_boundaries_exit_one_before_the_run(self, tmp_path, capsys, times):
+        """Histogram times must be slice boundaries in [0, run.t_final], here
+        multiples of 0.5 / 4; the error names the key and no file is written."""
+        text = TestDeterminism.TRACER.replace("run.t_final = 0.1", "run.t_final = 0.5").replace("tracer.slices = 8", "tracer.slices = 4")
+        p = write(tmp_path, text + f"tracer.times = {times}\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {p}: tracer.times: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tracer_times_on_the_slice_boundaries_are_accepted(self, tmp_path):
+        text = TestDeterminism.TRACER.replace("run.t_final = 0.1", "run.t_final = 0.5").replace("tracer.slices = 8", "tracer.slices = 4")
+        assert parse_config(write(tmp_path, text + "tracer.times = 0,0.125,0.5\n")).tracer_times == (0.0, 0.125, 0.5)
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1

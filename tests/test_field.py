@@ -82,6 +82,13 @@ class TestMassField:
         with pytest.raises(ValueError, match="finite"):
             MassField(g, data)
 
+    def test_monodisperse_fills_one_species(self):
+        F = MassField.monodisperse(Grid(1, 1.0, 4), 4, amplitude=0.5, species=3)
+        assert np.all(F.data[2] == 0.5) and F.data.sum() == 2.0
+        for species in (0, 5):
+            with pytest.raises(ValueError, match="species"):
+                MassField.monodisperse(Grid(1, 1.0, 4), 4, species=species)
+
     def test_blob_warns_on_wide_support(self, caplog):
         g = Grid(1, 1.0, 16)
         with caplog.at_level("WARNING"):

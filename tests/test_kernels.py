@@ -1,7 +1,8 @@
 """Kernel families, diffusion profiles, and the admissibility certificates.
 
-Expected values are either direct arithmetic or independently recomputed
-in-test by exhaustive sweeps over the certified range.
+Expected values are direct arithmetic, the defining formulas in
+``oracles.family_rate``, or independently recomputed in-test by exhaustive
+sweeps over the certified range.
 """
 
 import tracemalloc
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import family_rate
 from smolkit.kernels import (
     DiffusionProfile,
     Kernel,
@@ -100,7 +102,8 @@ def _range_kernel(dim, n_max, r2=1.0, b2=0.5, exponent=1.0 / 3.0, scale=2.0, c=0
 
 
 class TestFactors:
-    """alpha(n,m) = sum_r A[r,n-1] B[r,m-1] against the dense table."""
+    """The factors, and every rate read off them, against the defining
+    formula in ``oracles.family_rate``."""
 
     EPS = np.finfo(float).eps
 
@@ -123,18 +126,33 @@ class TestFactors:
              "two_exponent", "two_exponent-1-0", "range-dim3", "range-dim3-ballistic", "range-dim4"],
     )
     def test_factor_identity(self, k, rank):
+        """Factors and dense() over 1..N x 1..N, rate_row() for partner
+        masses 1..2N, past the range (a range-derived d clamps there)."""
         A, B = k.factors(k.n_max)
         assert A.shape == B.shape == (rank, k.n_max)
         assert np.all(A >= 0) and np.all(B >= 0)
-        table = k.dense()
-        np.testing.assert_allclose(np.einsum("rn,rm->nm", A, B), table, rtol=4 * self.EPS, atol=0.0)
+        n, m = np.arange(1, k.n_max + 1), np.arange(1, 2 * k.n_max + 1)
+        expected = family_rate(k.kind, k.params, n[:, None], m[None, :])
+        tol = dict(rtol=4 * self.EPS, atol=0.0)
+        np.testing.assert_allclose(np.einsum("rn,rm->nm", A, B), expected[:, : k.n_max], **tol)
+        np.testing.assert_allclose(k.dense(), expected[:, : k.n_max], **tol)
+        np.testing.assert_allclose(k.rate_row(m), expected, **tol)
 
     def test_sub_range_matches_leading_block(self):
         k = Kernel.sum_kernel(1.3, 32)
         A, B = k.factors(10)
-        np.testing.assert_allclose(np.einsum("rn,rm->nm", A, B), k.dense(10), rtol=4 * self.EPS, atol=0.0)
+        n = np.arange(1, 11)
+        expected = family_rate("sum", k.params, n[:, None], n[None, :])
+        np.testing.assert_allclose(np.einsum("rn,rm->nm", A, B), expected, rtol=4 * self.EPS, atol=0.0)
+        np.testing.assert_allclose(k.dense(10), expected, rtol=4 * self.EPS, atol=0.0)
         with pytest.raises(KernelRangeError):
             k.factors(33)
+
+    def test_unit_constant_is_exact(self):
+        """c = 1 gives alpha = 1 bit for bit on every path."""
+        k = Kernel.constant(1.0, 40)
+        assert np.all(k.dense() == 1.0) and np.all(k.rate_row(np.arange(1, 81)) == 1.0)
+        assert np.all(k.of_total_mass() == 1.0)
 
     def test_tables_have_no_factors(self):
         k = Kernel.sum_kernel(1.0, 8)
@@ -147,11 +165,12 @@ class TestOfTotalMass:
 
     @pytest.mark.parametrize("k", [Kernel.constant(0.7, 40), Kernel.sum_kernel(1.3, 40)], ids=["constant", "sum"])
     def test_matches_the_table_along_anti_diagonals(self, k):
-        phi, table = k.of_total_mass(30), k.dense()
+        phi = k.of_total_mass(30)
         assert phi.shape == (30,)
         for n in range(1, 30):
             for m in range(1, 31 - n):
-                assert phi[n + m - 1] == pytest.approx(table[n - 1, m - 1], rel=2 * np.finfo(float).eps)
+                expected = family_rate(k.kind, k.params, n, m)
+                assert phi[n + m - 1] == pytest.approx(expected, rel=2 * np.finfo(float).eps)
         with pytest.raises(KernelRangeError):
             k.of_total_mass(41)
 

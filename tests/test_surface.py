@@ -22,8 +22,8 @@ import smolkit
 SRC = Path(smolkit.__file__).parent
 
 # Public names and ``Class.method`` entries allowed to have no program
-# caller: two convenience constructors that only tests use.
-EXCEPTIONS: set[str] = {"MassField.monodisperse", "TruncationPolicy.cutoff"}
+# caller: a convenience constructor that only tests use.
+EXCEPTIONS: set[str] = {"TruncationPolicy.cutoff"}
 
 
 def _scopes(table):
