@@ -26,7 +26,9 @@ the gronwall rerun on perturbed data, and every level of ``_levels``, which
 ``_ladder`` runs in forked workers: the moment plateau's (``n_max * 2**k``,
 same dt and stride, built before the main run) and gelscan's (each N of
 ``gelscan.n_list``, on ``Grid.point()`` under the gel reservoir).
-Homogeneous mode is the same run on ``Grid.point()``.
+Homogeneous mode is the same run on ``Grid.point()``.  With
+``run.record_fields``, ``_main_run`` writes the snapshots while the main run
+steps, through ``fork_sink`` to one writer process when ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -41,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import fork_map, usable_cpus
+from ._fork import fork_map, fork_sink, usable_cpus
 from .analysis import (
     BoundReport,
     HypothesisError,
@@ -407,12 +410,12 @@ def build_run_config(s: Scenario) -> RunConfig:
         # dt divides the slice width, so strides land exactly on slice boundaries.
         stride = s.t_final / s.tracer_slices
         dt = stride / max(1, int(np.ceil(stride / s.dt)))
-    # The tracer and gronwall read the fields in memory; snapshots/ is
-    # written only when the scenario sets run.record_fields (see _solve).
+    # Only the tracer and gronwall read the fields in memory; snapshots/ is
+    # written as the run goes, when the scenario sets run.record_fields (see _solve).
     return RunConfig(
         t_final=s.t_final, dt=dt, policy=TruncationPolicy(s.policy, s.n_max), splitting=s.splitting,
         output_stride=stride, moment_exponents=moments, pair_moment_exponents=pair_moments,
-        record_fields=s.record_fields or s.mode == "tracer" or "gronwall" in s.monitors,
+        record_fields=s.mode == "tracer" or "gronwall" in s.monitors,
         track_majorant="heat_majorant" in s.monitors, auto_halve=s.auto_halve,
     )
 
@@ -582,7 +585,7 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     """One solver run (pde, homogeneous or tracer mode), its files and its monitors.
 
     ``snapshots/`` holds one field per series row when ``run.record_fields``
-    is set, and is not written otherwise.
+    is set, and is not written otherwise (see :func:`_main_run`).
 
     The plateau's levels and the scope are built before the main run, so a
     scenario they reject writes no file."""
@@ -591,16 +594,11 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     plateau = _levels(s, [s.n_max * 2**k for k in refinements], kernel)
     # The mass, a = 1, when no moment is recorded.
     hypotheses = scope(kernel, dp, field0, max(cfg.moment_exponents, default=1.0)) if dp is not None else None
-    rec = run(field0, kernel, dp, cfg)
+    rec = _main_run(s, field0, kernel, dp, cfg, out) if s.record_fields else run(field0, kernel, dp, cfg)
     extra = {"cons_drift": conservation_drift(rec)}
     if rec.majorant is not None:
         extra["majorant_ratio"] = majorant_ratios(rec, dp).max(axis=1)
     write_series_csv(out / "series.csv", rec, extra)
-    if s.record_fields:
-        snapdir = out / "snapshots"
-        snapdir.mkdir(exist_ok=True)
-        for i, t in enumerate(rec.times):
-            write_field_csv(snapdir / f"snapshot_{i:04d}.csv", rec.fields[i], rec.grid, t, rec.gel[i])
 
     reports = [check_conservation(rec, s.conservation_tolerance)]
     if 0.0 in rec.moments:
@@ -619,6 +617,51 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
         lines.insert(0, str(hypotheses))
     reports += gates
     return lines + [str(r) for r in reports] + [f"note: {event}" for event in rec.events], reports
+
+
+def _write_snapshot(snapdir: Path, grid: Grid, item: tuple[int, np.ndarray, float, float]) -> None:
+    i, flat, t, gel = item
+    try:
+        write_field_csv(snapdir / f"snapshot_{i:04d}.csv", flat, grid, t, gel)
+    except OSError as err:
+        # One type for any cause, the same in a writer process and here.
+        raise OSError(f"snapshot writer: {err}") from err
+
+
+def _main_run(
+    s: Scenario, field0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig, out: Path
+) -> RunRecord:
+    """The main run, writing ``snapshots/`` while it steps.
+
+    Each recorded field goes to :func:`write_field_csv` as soon as it is
+    recorded: through ``fork_sink`` to one writer process when
+    ``s.workers > 1``, so formatting overlaps the steps, and here otherwise.
+    Snapshot 0 is held until the first stride after t = 0, so nothing is
+    forked before the run's first step: a process that stops at that
+    step, as the benchmark's set-up probe does, leaves no writer behind.
+    A run or a writer that fails leaves no ``snapshots/``: partial
+    snapshots next to an older ``series.csv`` would read as a finished run.
+    """
+    snapdir = out / "snapshots"
+    snapdir.mkdir(exist_ok=True)
+    held = []
+    try:
+        with fork_sink(partial(_write_snapshot, snapdir, field0.grid), s.workers) as put:
+
+            def on_stride(i: int, t: float, flat: np.ndarray, gel: float) -> None:
+                held.append((i, flat, t, gel))
+                if i > 0:
+                    for item in held:
+                        put(item)
+                    held.clear()
+
+            rec = run(field0, kernel, dp, cfg, on_stride=on_stride)
+            for item in held:  # t_final = 0: snapshot 0 alone
+                put(item)
+    except BaseException:
+        shutil.rmtree(snapdir, ignore_errors=True)
+        raise
+    return rec
 
 
 def _tracer(
@@ -685,7 +728,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--workers", type=int, default=None,
             help="worker processes for the tracer's chunks or the gelscan and moment-plateau levels,"
-            " at most one per chunk or level (default: the usable CPUs; outputs bit-identical for any N)",
+            " at most one per chunk or level, and with N > 1 one snapshot writer beside the run"
+            " (default: the usable CPUs; outputs bit-identical for any N)",
         )
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)

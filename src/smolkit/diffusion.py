@@ -40,6 +40,11 @@ def _laplacian_symbol(grid: Grid) -> np.ndarray:
     return sym
 
 
+def _multipliers(Ds: np.ndarray, t: float, grid: Grid) -> np.ndarray:
+    """exp(-t * D * |k|^2) on the rfftn layout, one row per diffusivity."""
+    return np.exp(-(t * Ds.reshape((-1,) + (1,) * grid.dim) * _laplacian_symbol(grid)))
+
+
 def _apply_multipliers(g: np.ndarray, mult: np.ndarray, grid: Grid) -> np.ndarray:
     spatial_axes = tuple(range(g.ndim - grid.dim, g.ndim))
     coeffs = np.fft.rfftn(g, axes=spatial_axes)
@@ -75,7 +80,9 @@ def _clip_preserving_mean(before: np.ndarray, out: np.ndarray) -> np.ndarray:
     return rows.reshape(out.shape)
 
 
-def heat_step_batched(data: np.ndarray, Ds: np.ndarray, t: float, grid: Grid) -> np.ndarray:
+def heat_step_batched(
+    data: np.ndarray, Ds: np.ndarray, t: float, grid: Grid, mult: np.ndarray | None = None
+) -> np.ndarray:
     """Advance a stack of fields, one diffusivity per leading row.
 
     ``data`` has shape (rows,) + grid.shape; a single field g is the stack
@@ -89,6 +96,10 @@ def heat_step_batched(data: np.ndarray, Ds: np.ndarray, t: float, grid: Grid) ->
     One batched transform serves all rows; rows with equal diffusivity and
     equal data produce bitwise-equal results, which the heat-majorant
     monitor relies on.
+
+    ``mult`` is the spectral multiplier exp(-t * Ds * |k|^2) of this ``Ds``
+    and ``t``, for a caller that steps with the same ones repeatedly and
+    keeps it; it is built here otherwise.
     """
     Ds = np.asarray(Ds, dtype=float)
     if np.any(Ds < 0):
@@ -98,5 +109,6 @@ def heat_step_batched(data: np.ndarray, Ds: np.ndarray, t: float, grid: Grid) ->
     data = np.asarray(data, dtype=float)
     if t == 0.0 or not Ds.any():
         return data.copy()
-    mult = np.exp(-(t * Ds.reshape((-1,) + (1,) * grid.dim) * _laplacian_symbol(grid)))
+    if mult is None:
+        mult = _multipliers(Ds, t, grid)
     return _clip_preserving_mean(data, _apply_multipliers(data, mult, grid))

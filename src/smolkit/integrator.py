@@ -6,12 +6,21 @@ substeps per species around an explicit RK4 reaction substep per cell
 the reaction substep is fourth order, the observable convergence order of a
 run is the splitting's.
 
+Between recorded strides, Strang's trailing D(dt/2) of one step and the
+leading D(dt/2) of the next compose into one heat step D(dt) (Strang, SIAM
+J. Numer. Anal. 5 (1968) 506-517), so a run takes about one heat step per
+step instead of two.  The trailing half-step is applied only where a step
+ends on a recorded stride or at t_final; a run whose stride is its dt
+therefore merges nothing.  Merging moves the recorded states by roundoff
+only.  Each heat multiplier exp(-tau D |k|^2) is built once per distinct
+duration tau in a run.
+
 The reaction substep is kept non-stiff by a loss-dominance precondition,
 ``dt * max lambda_n(x) <= 0.5`` with lambda the per-species loss
 coefficient; a violating step raises :class:`StepSizeError` naming the
 offending species and cell, and :func:`run` can halve dt automatically.
 The guard reads lambda on the field the reaction actually sees: under
-Strang the field after the first diffusion half-step, under Lie the field
+Strang the field after the leading diffusion substep, under Lie the field
 after the diffusion step.  RK4 stage 1 reuses that same lambda.
 
 Mass bookkeeping is exact by construction: every RK4 stage satisfies the
@@ -24,20 +33,23 @@ zero-dimensional ``Grid.point()``: one cell, no spatial axes, and diffusion
 reduces to the identity, so no diffusion profile is needed there.
 
 Recording contracts moment weights and pair-moment matrices that the run
-builds once, before the first step, so a bad exponent fails there.  A run
-is sequential in time with fixed-order reductions; results are
-bit-reproducible for a fixed config regardless of worker count.
+builds once, before the first step, so a bad exponent fails there; a
+caller that wants each recorded state as it comes (the CLI's snapshot
+writer) passes ``run`` an ``on_stride`` callback.  A run is sequential in
+time with fixed-order reductions; results are bit-reproducible for a fixed
+config regardless of worker count.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .coagulation import RateEvaluator, TruncationPolicy
-from .diffusion import heat_step_batched
+from .diffusion import _multipliers, heat_step_batched
 from .field import Grid, MassField, kernel_pair_weights, moment_weights, pair_weights
 from .kernels import DiffusionProfile, Kernel
 
@@ -179,6 +191,11 @@ class _Engine:
         self.pair_matrices = {a: pair_weights(a, dp, self.n_max) for a in pairs if dp is not None}
         self.kernel_pair_matrices = {a: kernel_pair_weights(a, kernel, self.n_max) for a in pairs}
         self.majorant_row = self.mass_row * self.dvals ** (grid.dim / 2.0) if cfg.track_majorant else None
+        # The diffusivity of each row the heat step advances: the species,
+        # then the majorant, which rides along at d(1).  Its multiplier is
+        # built once per distinct duration.
+        self._heat_rates = np.append(self.dvals, self.dvals[0]) if cfg.track_majorant else self.dvals
+        self._heat_multipliers: dict[float, np.ndarray] = {}
         # Work arrays of the reaction substep: the guard's lambda, the four
         # RK4 slopes, and one buffer for the stage fields and their combination.
         shape = (self.n_max, grid.n_cells)
@@ -221,28 +238,42 @@ class _Engine:
     def diffuse(self, flat: np.ndarray, u: np.ndarray | None, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
         if tau == 0.0 or not self.grid.dim:
             return flat, u
+        mult = self._heat_multipliers.get(tau)
+        if mult is None:
+            mult = self._heat_multipliers[tau] = _multipliers(self._heat_rates, tau, self.grid)
         if u is None:
-            out = heat_step_batched(flat.reshape((-1,) + self.grid.shape), self.dvals, tau, self.grid)
+            out = heat_step_batched(flat.reshape((-1,) + self.grid.shape), self._heat_rates, tau, self.grid, mult)
             return out.reshape(flat.shape), None
         # The majorant rides along as an extra row at rate d(1): it passes
         # through the same batched transform as species 1, which keeps the
         # pure-diffusion equality case exact to the last bit.
         stack = np.vstack([flat, u]).reshape((-1,) + self.grid.shape)
-        out = heat_step_batched(stack, np.append(self.dvals, self.dvals[0]), tau, self.grid)
+        out = heat_step_batched(stack, self._heat_rates, tau, self.grid, mult)
         return out[:-1].reshape(flat.shape), out[-1].reshape(-1)
 
     def step_once(
-        self, flat: np.ndarray, gel: float, u: np.ndarray | None, dt: float
-    ) -> tuple[np.ndarray, float, np.ndarray | None]:
-        """One full splitting step; pure, so a rejected step commits nothing."""
+        self, flat: np.ndarray, gel: float, u: np.ndarray | None, dt: float, carried: float, close: bool
+    ) -> tuple[np.ndarray, float, np.ndarray | None, float]:
+        """One splitting step; pure, so a rejected step commits nothing.
+
+        Under Strang the step is D(carried + dt/2) R(dt) D(dt/2), where
+        ``carried`` is the trailing half-step the previous step left open:
+        D(a) D(b) = D(a + b), so one heat step does the work of two.  With
+        ``close`` false the trailing D(dt/2) is not applied but returned, to
+        be carried into the next step; the state is then between splitting
+        steps and must not be recorded.  Lie steps D(dt) R(dt) carry nothing.
+        Returns the field, the reservoir, the majorant and the carried time.
+        """
         if self.cfg.splitting == STRANG:
-            flat, u = self.diffuse(flat, u, 0.5 * dt)
+            flat, u = self.diffuse(flat, u, carried + 0.5 * dt)
             flat, gel = self.react_rk4(flat, gel, dt)
+            if not close:
+                return flat, gel, u, 0.5 * dt
             flat, u = self.diffuse(flat, u, 0.5 * dt)
         else:
             flat, u = self.diffuse(flat, u, dt)
             flat, gel = self.react_rk4(flat, gel, dt)
-        return flat, gel, u
+        return flat, gel, u, 0.0
 
     # -- recording -----------------------------------------------------
 
@@ -266,10 +297,26 @@ class _Engine:
             rec.majorant.append(u.copy())
 
 
-def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig) -> RunRecord:
+def run(
+    F0: MassField,
+    kernel: Kernel,
+    dp: DiffusionProfile | None,
+    cfg: RunConfig,
+    on_stride: Callable[[int, float, np.ndarray, float], None] | None = None,
+) -> RunRecord:
     """Iterate the splitting to t_final, sampling diagnostics at each stride.
 
-    ``dp`` may be None only on the point grid.
+    ``dp`` may be None only on the point grid.  ``on_stride(index, t, flat,
+    gel)``, if given, is called at each recorded stride, t = 0 included,
+    with the row's index in the record and the (n_max, n_cells) state; the
+    run never changes that array afterwards, so it may be read later but
+    must not be written.
+
+    Under Strang, a step that does not end on a recorded stride or at
+    t_final leaves its trailing diffusion half-step open and the next step
+    applies it together with its own leading one (see ``_Engine.step_once``).
+    A rejected step leaves that half-step open too.  The recorded states are
+    those of the unmerged scheme up to the roundoff of D(a) D(b) = D(a + b).
     """
     engine = _Engine(F0, kernel, dp, cfg)
     flat, gel = F0.flat().copy(), F0.gel_reservoir
@@ -281,13 +328,22 @@ def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConf
     dt = cfg.dt
     halvings = 0
     t = 0.0
-    engine.record(rec, t, flat, gel, u, dt)
+    carried = 0.0
+
+    def record(t: float) -> None:
+        engine.record(rec, t, flat, gel, u, dt)
+        if on_stride is not None:
+            on_stride(len(rec.times) - 1, t, flat, gel)
+
+    record(t)
     emitted = 1
     t_end = cfg.t_final - _TIME_EPS * max(cfg.t_final, 1.0)
     while t < t_end:
         dt_step = min(dt, cfg.t_final - t)
+        t_next = t + dt_step
+        recorded = t_next + _TIME_EPS * max(dt, 1e-300) >= emitted * cfg.stride or t_next >= t_end
         try:
-            new_flat, new_gel, new_u = engine.step_once(flat, gel, u, dt_step)
+            new_flat, new_gel, new_u, new_carried = engine.step_once(flat, gel, u, dt_step, carried, recorded)
         except StepSizeError as err:
             if not cfg.auto_halve or halvings >= MAX_HALVINGS:
                 raise
@@ -299,13 +355,13 @@ def run(F0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConf
             continue
         if not np.all(np.isfinite(new_flat)):
             n_bad, c_bad = np.argwhere(~np.isfinite(new_flat))[0]
-            rec.events.append(f"aborted: non-finite density at t={t + dt_step:g}, n={n_bad + 1}, cell={c_bad}")
+            rec.events.append(f"aborted: non-finite density at t={t_next:g}, n={n_bad + 1}, cell={c_bad}")
             log.error(rec.events[-1])
             raise FloatingPointError(rec.events[-1])
-        flat, gel, u = new_flat, new_gel, new_u
-        t += dt_step
-        if t + _TIME_EPS * max(dt, 1e-300) >= emitted * cfg.stride or t >= t_end:
-            engine.record(rec, t, flat, gel, u, dt)
+        flat, gel, u, carried = new_flat, new_gel, new_u, new_carried
+        t = t_next
+        if recorded:
+            record(t)
             emitted = int(np.floor(t / cfg.stride + _TIME_EPS)) + 1
     return rec
 

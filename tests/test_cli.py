@@ -55,6 +55,14 @@ monitors = conservation, heat_majorant
 """
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every process a test starts is reaped by the time it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def write(tmp_path, text, name="scenario.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -369,9 +377,9 @@ def spy_runs(monkeypatch) -> list:
     calls = []
     real = cli.run
 
-    def spy(field0, kernel, dp, cfg):
+    def spy(field0, kernel, dp, cfg, **kwargs):
         calls.append((field0, cfg))
-        return real(field0, kernel, dp, cfg)
+        return real(field0, kernel, dp, cfg, **kwargs)
 
     monkeypatch.setattr(cli, "run", spy)
     return calls
@@ -417,6 +425,13 @@ class TestRefinementRuns:
         assert [f.n_max for f, _ in calls] == [24, 48]
         for _, cfg in calls[1:]:
             assert (cfg.dt, cfg.stride) == (base.dt, base.stride)
+
+
+def file_bytes(path: Path) -> bytes | dict[str, bytes]:
+    """A file's bytes, or a directory's as {name: bytes}."""
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes()
 
 
 class TestDeterminism:
@@ -504,6 +519,7 @@ run.t_final = 1.0
     def test_worker_count_does_not_change_bytes(self, tmp_path, workers):
         tracer_files = ("series.csv", "histogram.csv", "summary.csv", "report.txt")
         for tag, text, names in (
+            ("pde", PDE, ("series.csv", "report.txt", "snapshots")),
             ("uniform", self.TRACER, tracer_files),
             ("rejecting", self.REJECTING, tracer_files),
             ("gelscan", self.GELSCAN, ("gelscan.csv", "report.txt")),
@@ -515,15 +531,16 @@ run.t_final = 1.0
             execute(dataclasses.replace(s, workers=1), out_override=str(w1))
             execute(dataclasses.replace(s, workers=workers), out_override=str(wn))
             for name in names:
-                assert (w1 / name).read_bytes() == (wn / name).read_bytes(), (tag, name)
+                assert file_bytes(w1 / name) == file_bytes(wn / name), (tag, name)
+        assert len(list((tmp_path / "pde" / "wN" / "snapshots").iterdir())) == 3
         report = (tmp_path / "rejecting" / "w1" / "report.txt").read_text()
         rate = float(report.split("(acceptance rate ")[1].split(")")[0])
         assert rate < 1.0
 
     @pytest.mark.parametrize(
         "command, text",
-        [("run", TRACER), ("gelscan", GELSCAN), ("run", PLATEAU), ("run", TABLE_PLATEAU)],
-        ids=["tracer", "gelscan", "plateau", "table-plateau"],
+        [("run", PDE), ("run", TRACER), ("gelscan", GELSCAN), ("run", PLATEAU), ("run", TABLE_PLATEAU)],
+        ids=["pde", "tracer", "gelscan", "plateau", "table-plateau"],
     )
     def test_one_worker_makes_no_fork(self, tmp_path, monkeypatch, command, text):
         def no_fork():
@@ -585,6 +602,76 @@ class TestSnapshotFiles:
         assert not (out / "snapshots").exists()
 
 
+class TestSnapshotWriter:
+    """With ``workers > 1`` the main run's snapshots go to one forked writer
+    process as they are recorded; with one worker they are written here.
+    Either way a failed run leaves no ``snapshots/`` and no process."""
+
+    @pytest.mark.parametrize("workers, here", [(1, 3), (2, 0)])
+    def test_who_writes(self, tmp_path, monkeypatch, workers, here):
+        calls = []
+        real = cli.write_field_csv
+
+        def spy(path, *args):
+            calls.append(path.name)
+            return real(path, *args)
+
+        monkeypatch.setattr(cli, "write_field_csv", spy)
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, PDE)), "--workers", str(workers), "--out", str(out)]) == 0
+        assert len(calls) == here
+        assert [p.name for p in sorted((out / "snapshots").iterdir())] == [f"snapshot_{i:04d}.csv" for i in range(3)]
+
+    def test_nothing_is_forked_before_the_first_step(self, tmp_path, monkeypatch):
+        """A caller that stops the run at its first loss_coefficients call,
+        as the benchmark's set-up probe does, would leave no process behind."""
+        from smolkit.coagulation import RateEvaluator
+
+        seen = []
+        real = RateEvaluator.loss_coefficients
+
+        def spy(self, *args, **kwargs):
+            if not seen:
+                try:
+                    seen.append(os.waitpid(-1, os.WNOHANG))
+                except ChildProcessError:
+                    seen.append("no child")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RateEvaluator, "loss_coefficients", spy)
+        assert main(["run", str(write(tmp_path, PDE)), "--workers", "2", "--out", str(tmp_path / "out")]) == 0
+        assert seen == ["no child"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_run_failing_partway_leaves_no_snapshots(self, tmp_path, monkeypatch, capsys, workers):
+        """The 15th of 20 steps fails, after snapshots 0 and 1 were handed on."""
+        import smolkit.integrator as integrator
+
+        real, calls = integrator._Engine.react_rk4, [0]
+
+        def fail_on_15th(self, flat, gel, dt):
+            calls[0] += 1
+            if calls[0] == 15:
+                raise FloatingPointError("injected")
+            return real(self, flat, gel, dt)
+
+        monkeypatch.setattr(integrator._Engine, "react_rk4", fail_on_15th)
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, PDE)), "--workers", workers, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "runtime error: FloatingPointError: injected\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_writer_that_cannot_write_fails_the_run(self, tmp_path, capsys, workers):
+        """A directory stands where snapshot 1 should go."""
+        out = tmp_path / "out"
+        (out / "snapshots" / "snapshot_0001.csv").mkdir(parents=True)
+        assert main(["run", str(write(tmp_path, PDE)), "--workers", workers, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: OSError: snapshot writer: ") and "snapshot_0001.csv" in err
+        assert list(out.iterdir()) == []
+
+
 class TestOneKernelPerScenario:
     """``execute`` builds the scenario's kernel once, at the largest N any of
     its runs uses, and every run and the tracer receive that object.  The
@@ -608,9 +695,9 @@ class TestOneKernelPerScenario:
             built.append(build_kernel(s))
             return built[-1]
 
-        def spy_run(field0, kernel, dp, cfg):
+        def spy_run(field0, kernel, dp, cfg, **kwargs):
             used.append(kernel)
-            return run(field0, kernel, dp, cfg)
+            return run(field0, kernel, dp, cfg, **kwargs)
 
         def spy_simulate(fields, kernel, *args, **kwargs):
             used.append(kernel)

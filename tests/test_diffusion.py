@@ -7,6 +7,7 @@ from smolkit.diffusion import (
     _apply_multipliers,
     _clip_preserving_mean,
     _laplacian_symbol,
+    _multipliers,
     heat_step_batched,
 )
 from smolkit.field import Grid
@@ -138,6 +139,15 @@ class TestBatched:
         data = np.stack([row, row])
         out = heat_step_batched(data, np.array([0.3, 0.3]), 0.01, grid)
         np.testing.assert_array_equal(out[0], out[1])
+
+    def test_kept_multiplier_gives_the_same_bits(self):
+        """A caller that keeps the multiplier of a duration gets the step
+        that building it here gives, to the last bit."""
+        grid = Grid(2, 1.0, 16)
+        data = np.random.default_rng(6).random((3,) + grid.shape)
+        ds = np.array([1.0, 0.5, 0.25])
+        kept = _multipliers(ds, 0.01, grid)
+        np.testing.assert_array_equal(heat_step_batched(data, ds, 0.01, grid, kept), heat_step_batched(data, ds, 0.01, grid))
 
 
 def clip_reference(before, out):

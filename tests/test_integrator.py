@@ -492,6 +492,152 @@ class TestBufferedReactionStep:
         assert peak <= limit * flat.nbytes, peak / flat.nbytes
 
 
+class TestMergedHalfSteps:
+    """Under Strang, a step that ends off the recorded strides carries its
+    trailing D(dt/2) into the next step's leading one, D(dt/2 + dt/2) =
+    D(dt).  A run whose stride is its dt records every step, so it merges
+    nothing: it is the unmerged scheme bit for bit, and the oracle here.
+
+    Stated before measuring: the merge moves the recorded moments and
+    fields by at most MERGE_RTOL relative; the unmerged and merged schemes
+    were measured to agree to 1.15e-15 on the shipped spatial run."""
+
+    MERGE_RTOL = 1e-12
+
+    @staticmethod
+    def common_rows(rec, oracle):
+        """(row in rec, row in oracle) at the times both recorded; both runs
+        accumulate t the same way, so the times compare exactly."""
+        at = {t: j for j, t in enumerate(oracle.times)}
+        rows = [(i, at[t]) for i, t in enumerate(rec.times) if t in at]
+        assert len(rows) == len(rec.times)
+        return rows
+
+    def assert_matches_oracle(self, rec, oracle):
+        rows = self.common_rows(rec, oracle)
+        for a, series in rec.moments.items():
+            for i, j in rows:
+                assert series[i] == pytest.approx(oracle.moments[a][j], rel=self.MERGE_RTOL, abs=0.0)
+        for i, j in rows:
+            scale = np.abs(oracle.fields[j]).max()
+            np.testing.assert_allclose(rec.fields[i], oracle.fields[j], rtol=0, atol=self.MERGE_RTOL * scale)
+        assert rec.events == oracle.events
+
+    def test_common_rows_match_the_unmerged_scheme(self, small_setup):
+        grid, k, dp, F = small_setup
+        cfg = RunConfig(t_final=0.5, dt=0.005, policy=TruncationPolicy.cutoff(F.n_max), record_fields=True)
+        rec = run(F, k, dp, cfg)
+        oracle = run(F, k, dp, dataclasses.replace(cfg, output_stride=cfg.dt))
+        assert len(rec.times) == 21 and len(oracle.times) == 101
+        self.assert_matches_oracle(rec, oracle)
+
+    def test_halving_run_matches_and_logs_the_same_events(self, small_setup):
+        """dt = 0.5 is halved four times at t = 0; the oracle's stride is the
+        dt the run settles on, so it still records every accepted step."""
+        grid, k, dp, F = small_setup
+        cfg = RunConfig(t_final=1.0, dt=0.5, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.25,
+                        record_fields=True)
+        rec = run(F, k, dp, cfg)
+        assert len(rec.events) == 4 and rec.dt_series[-1] == 0.5 / 16
+        oracle = run(F, k, dp, dataclasses.replace(cfg, output_stride=rec.dt_series[-1]))
+        self.assert_matches_oracle(rec, oracle)
+
+    def test_rejected_step_keeps_the_carried_half_step(self, small_setup, monkeypatch):
+        """A step rejected after two merged steps halves dt; the half-step
+        the second one carried is still applied, so the run stays on the
+        oracle (a lost D(dt/2) moves X0 by about 1e-3 relative)."""
+        grid, k, dp, F = small_setup
+        real, calls = _Engine.react_rk4, [0]
+
+        def reject_third(self, flat, gel, dt):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise StepSizeError(dt, 1.0 / dt, 1, 0)
+            return real(self, flat, gel, dt)
+
+        monkeypatch.setattr(_Engine, "react_rk4", reject_third)
+        cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.05,
+                        record_fields=True)
+        rec = run(F, k, dp, cfg)
+        calls[0] = 0
+        oracle = run(F, k, dp, dataclasses.replace(cfg, output_stride=0.005))
+        assert len(rec.events) == 1 and rec.events[0].startswith("t=0.02: halved dt to 0.005")
+        self.assert_matches_oracle(rec, oracle)
+
+    def test_one_heat_step_per_step_plus_one_per_stride(self, small_setup, monkeypatch):
+        """20 steps over 2 strides: 20 leading and 2 trailing heat steps,
+        where the unmerged scheme takes 40; one multiplier per duration."""
+        import smolkit.integrator as integrator
+
+        grid, k, dp, F = small_setup
+        durations, built = [], []
+        heat, multipliers = integrator.heat_step_batched, integrator._multipliers
+
+        def spy_heat(data, Ds, t, *args):
+            durations.append(t)
+            return heat(data, Ds, t, *args)
+
+        def spy_multipliers(Ds, t, grid):
+            built.append(t)
+            return multipliers(Ds, t, grid)
+
+        monkeypatch.setattr(integrator, "heat_step_batched", spy_heat)
+        monkeypatch.setattr(integrator, "_multipliers", spy_multipliers)
+        run(F, k, dp, RunConfig(t_final=0.1, dt=0.005, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.05))
+        assert len(durations) == 22
+        # dt/2 and dt, and the last step's, whose length t_final - t is rounded
+        assert sorted(built) == sorted(set(durations)) and len(built) <= 4
+
+    def test_lie_and_point_grid_are_unchanged(self, small_setup):
+        """Lie carries nothing, and the point grid has no diffusion: the
+        stride does not change a bit of either."""
+        grid, k, dp, F = small_setup
+        cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.1,
+                        record_fields=True, splitting="lie")
+        for F0, d in ((F, dp), (MassField(Grid.point(), F.flat()[:, 0].copy()), None)):
+            rec = run(F0, k, d, cfg)
+            oracle = run(F0, k, d, dataclasses.replace(cfg, output_stride=cfg.dt))
+            for i, j in self.common_rows(rec, oracle):
+                assert np.array_equal(rec.fields[i], oracle.fields[j])
+            if d is None:
+                strang = run(F0, k, d, dataclasses.replace(cfg, splitting="strang"))
+                assert all(np.array_equal(a, b) for a, b in zip(strang.fields, rec.fields))
+
+    def test_majorant_equality_case_stays_exact(self):
+        """Pure diffusion of species 1 alone: the weighted moment is
+        d(1)^(dim/2) times the majorant to the last bit, merged or not."""
+        grid, n_max = Grid(1, 1.0, 64), 8
+        F = MassField.gaussian_blob(grid, n_max, amplitude=1.0, width=0.1)
+        dp = DiffusionProfile.power_law(1.0, 0.5, n_max)
+        cfg = RunConfig(t_final=0.2, dt=2e-3, policy=TruncationPolicy.cutoff(n_max), output_stride=0.05,
+                        track_majorant=True)
+        rec = run(F, Kernel.constant(0.0, n_max), dp, cfg)
+        assert len(rec.majorant) == 5
+        for xh, u in zip(rec.weighted_mass_moment, rec.majorant):
+            assert np.array_equal(xh, dp.value(1) ** 0.5 * u)
+
+    def test_order_ratio_does_not_move(self, small_setup):
+        """Criterion 9's ratio (the error against a dt/8 reference, at dt
+        and dt/2) is the same with every step recorded and with one stride:
+        within 1e-6 relative, stated before measuring."""
+        grid, k, dp, F = small_setup
+        T = 0.2
+
+        def ratio(merge):
+            def final(dt):
+                cfg = RunConfig(t_final=T, dt=dt, policy=TruncationPolicy.cutoff(F.n_max),
+                                output_stride=T if merge else dt, record_fields=True)
+                return run(F, k, dp, cfg).fields[-1]
+
+            coarse = T / 16
+            ref = final(coarse / 8)
+            return np.abs(final(coarse) - ref).max() / np.abs(final(coarse / 2) - ref).max()
+
+        merged, unmerged = ratio(True), ratio(False)
+        assert merged >= 3.5
+        assert merged == pytest.approx(unmerged, rel=1e-6)
+
+
 class TestRunConfig:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
