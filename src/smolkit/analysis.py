@@ -242,16 +242,11 @@ def check_heat_majorant(record: RunRecord, dp: DiffusionProfile, tolerance: floa
     )
 
 
-def _sup_weighted_cell_moment(record: RunRecord, exponent: float) -> float:
-    if record.fields is None:
-        raise ValueError("record was not run with record_fields=True")
-    w = moment_weights(exponent, record.n_max)
-    return max(float((w @ f).max()) for f in record.fields)
-
-
 def check_gronwall(
     f_record: RunRecord,
+    f_fields: list[np.ndarray],
     g_record: RunRecord,
+    g_fields: list[np.ndarray],
     scope: Scope,
     A: float | None = None,
     tolerance: float = 1e-12,
@@ -263,18 +258,19 @@ def check_gronwall(
     the distance X(t) = sum_n n * ||f_n - g_n||_L1 must stay below
     exp(4*c0*A*t) * X(0); the detail prints that factor at the last stride.
     ``A`` defaults to the observed sup; an explicit A below the observed sup
-    is a hypothesis violation and raises.
+    is a hypothesis violation and raises.  ``f_fields`` and ``g_fields`` are
+    the runs' states per stride, as ``run`` hands them to ``on_stride``.
     """
-    if f_record.fields is None or g_record.fields is None:
-        raise ValueError("both records need record_fields=True")
+    if len(f_fields) != len(f_record.times) or len(g_fields) != len(g_record.times):
+        raise ValueError("each run needs one field per stride")
     if len(f_record.times) != len(g_record.times) or not np.allclose(f_record.times, g_record.times):
         raise ValueError("records must share stride times")
     nmax = f_record.n_max
     if scope.n_max < nmax:
         raise HypothesisError(f"c0 covers the masses 1..{scope.n_max}, fewer than the runs' {nmax}")
     c0 = scope.c0
-    idx = moment_weights(1.0, nmax)
-    a_obs = max(_sup_weighted_cell_moment(f_record, 2.0), _sup_weighted_cell_moment(g_record, 2.0))
+    idx, second = moment_weights(1.0, nmax), moment_weights(2.0, nmax)
+    a_obs = max(float((second @ f).max()) for f in (*f_fields, *g_fields))
     if A is None:
         A = a_obs
     elif A < a_obs * (1 - 1e-12):
@@ -283,11 +279,11 @@ def check_gronwall(
             "the stability envelope hypothesis fails"
         )
     vol = f_record.grid.cell_volume
-    x0 = float((idx @ np.abs(f_record.fields[0] - g_record.fields[0])).sum()) * vol
+    x0 = float((idx @ np.abs(f_fields[0] - g_fields[0])).sum()) * vol
     worst = 0.0
     where = None
     for i, t in enumerate(f_record.times):
-        xt = float((idx @ np.abs(f_record.fields[i] - g_record.fields[i])).sum()) * vol
+        xt = float((idx @ np.abs(f_fields[i] - g_fields[i])).sum()) * vol
         if x0 == 0.0:
             ratio = 0.0 if xt == 0.0 else math.inf
         else:

@@ -26,9 +26,9 @@ the gronwall rerun on perturbed data, and every level of ``_levels``, which
 ``_ladder`` runs in forked workers: the moment plateau's (``n_max * 2**k``,
 same dt and stride, built before the main run) and gelscan's (each N of
 ``gelscan.n_list``, on ``Grid.point()`` under the gel reservoir).
-Homogeneous mode is the same run on ``Grid.point()``.  With
-``run.record_fields``, ``_main_run`` writes the snapshots while the main run
-steps, through ``fork_sink`` to one writer process when ``workers > 1``.
+Homogeneous mode is the same run on ``Grid.point()``.  The main run's
+``on_stride`` keeps its fields for the tracer and gronwall, and feeds
+``_snapshot_sink``, which writes them with ``run.record_fields``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import dataclasses
 import os
 import shutil
 import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -410,12 +412,9 @@ def build_run_config(s: Scenario) -> RunConfig:
         # dt divides the slice width, so strides land exactly on slice boundaries.
         stride = s.t_final / s.tracer_slices
         dt = stride / max(1, int(np.ceil(stride / s.dt)))
-    # Only the tracer and gronwall read the fields in memory; snapshots/ is
-    # written as the run goes, when the scenario sets run.record_fields (see _solve).
     return RunConfig(
         t_final=s.t_final, dt=dt, policy=TruncationPolicy(s.policy, s.n_max), splitting=s.splitting,
         output_stride=stride, moment_exponents=moments, pair_moment_exponents=pair_moments,
-        record_fields=s.mode == "tracer" or "gronwall" in s.monitors,
         track_majorant="heat_majorant" in s.monitors, auto_halve=s.auto_halve,
     )
 
@@ -464,11 +463,11 @@ def _run_level(kernel: Kernel, level: tuple[MassField, DiffusionProfile | None, 
 def _levels(s: Scenario, n_values: list[int], kernel: Kernel) -> list[tuple]:
     """The scenario at each ``n_max`` in ``n_values``, built by :func:`build_run`
     with the scenario's ``kernel`` (a gelscan level up to its first loss
-    coefficients), to run without fields or majorant."""
+    coefficients), to run without majorant."""
     levels = []
     for n_max in n_values:
         field0, dp, cfg = build_run(dataclasses.replace(s, n_max=n_max), kernel)
-        levels.append((field0, dp, dataclasses.replace(cfg, record_fields=False, track_majorant=False)))
+        levels.append((field0, dp, dataclasses.replace(cfg, track_majorant=False)))
     return levels
 
 
@@ -585,7 +584,7 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     """One solver run (pde, homogeneous or tracer mode), its files and its monitors.
 
     ``snapshots/`` holds one field per series row when ``run.record_fields``
-    is set, and is not written otherwise (see :func:`_main_run`).
+    is set, and is not written otherwise (see :func:`_snapshot_sink`).
 
     The plateau's levels and the scope are built before the main run, so a
     scenario they reject writes no file."""
@@ -594,7 +593,15 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     plateau = _levels(s, [s.n_max * 2**k for k in refinements], kernel)
     # The mass, a = 1, when no moment is recorded.
     hypotheses = scope(kernel, dp, field0, max(cfg.moment_exponents, default=1.0)) if dp is not None else None
-    rec = _main_run(s, field0, kernel, dp, cfg, out) if s.record_fields else run(field0, kernel, dp, cfg)
+    fields = [] if s.mode == "tracer" or "gronwall" in s.monitors else None
+    with _snapshot_sink(s, field0.grid, out) as snapshot:
+
+        def on_stride(i: int, t: float, flat: np.ndarray, gel: float) -> None:
+            snapshot(i, t, flat, gel)
+            if fields is not None:
+                fields.append(flat)
+
+        rec = run(field0, kernel, dp, cfg, on_stride=on_stride)
     extra = {"cons_drift": conservation_drift(rec)}
     if rec.majorant is not None:
         extra["majorant_ratio"] = majorant_ratios(rec, dp).max(axis=1)
@@ -607,12 +614,14 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
         reports.append(check_heat_majorant(rec, dp, s.heat_majorant_tolerance))
     if "gronwall" in s.monitors:
         perturbed = MassField(field0.grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
-        reports.append(check_gronwall(rec, run(perturbed, kernel, dp, cfg), hypotheses, s.gronwall_a_bound))
+        g_fields = []
+        g_rec = run(perturbed, kernel, dp, cfg, on_stride=lambda i, t, flat, gel: g_fields.append(flat))
+        reports.append(check_gronwall(rec, fields, g_rec, g_fields, hypotheses, s.gronwall_a_bound))
     if plateau:
         records = [rec] + _ladder(s, plateau, kernel)
         reports.append(check_moment_bound(records, s.plateau_a, hypotheses, field0, tolerance=s.plateau_tolerance))
 
-    lines, gates = _tracer(s, rec, kernel, dp, cfg.output_stride, out) if s.mode == "tracer" else ([], [])
+    lines, gates = _tracer(s, rec.grid, fields, kernel, dp, cfg.output_stride, out) if s.mode == "tracer" else ([], [])
     if hypotheses is not None:
         lines.insert(0, str(hypotheses))
     reports += gates
@@ -628,10 +637,9 @@ def _write_snapshot(snapdir: Path, grid: Grid, item: tuple[int, np.ndarray, floa
         raise OSError(f"snapshot writer: {err}") from err
 
 
-def _main_run(
-    s: Scenario, field0: MassField, kernel: Kernel, dp: DiffusionProfile | None, cfg: RunConfig, out: Path
-) -> RunRecord:
-    """The main run, writing ``snapshots/`` while it steps.
+@contextmanager
+def _snapshot_sink(s: Scenario, grid: Grid, out: Path) -> Iterator[Callable[[int, float, np.ndarray, float], None]]:
+    """The main run's ``on_stride`` into ``snapshots/``; a no-op without ``run.record_fields``.
 
     Each recorded field goes to :func:`write_field_csv` as soon as it is
     recorded: through ``fork_sink`` to one writer process when
@@ -642,34 +650,33 @@ def _main_run(
     A run or a writer that fails leaves no ``snapshots/``: partial
     snapshots next to an older ``series.csv`` would read as a finished run.
     """
+    if not s.record_fields:
+        yield lambda i, t, flat, gel: None
+        return
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
     held = []
     try:
-        with fork_sink(partial(_write_snapshot, snapdir, field0.grid), s.workers) as put:
+        with fork_sink(partial(_write_snapshot, snapdir, grid), s.workers) as put:
 
             def on_stride(i: int, t: float, flat: np.ndarray, gel: float) -> None:
                 held.append((i, flat, t, gel))
-                if i > 0:
-                    for item in held:
-                        put(item)
-                    held.clear()
+                while i > 0 and held:
+                    put(held.pop(0))
 
-            rec = run(field0, kernel, dp, cfg, on_stride=on_stride)
+            yield on_stride
             for item in held:  # t_final = 0: snapshot 0 alone
                 put(item)
     except BaseException:
         shutil.rmtree(snapdir, ignore_errors=True)
         raise
-    return rec
 
 
 def _tracer(
-    s: Scenario, rec: RunRecord, kernel: Kernel, dp: DiffusionProfile, slice_dt: float, out: Path
+    s: Scenario, grid: Grid, flats: list[np.ndarray], kernel: Kernel, dp: DiffusionProfile, slice_dt: float, out: Path
 ) -> tuple[list[str], list[BoundReport]]:
     """Tracer ensemble against the solver's fields, one slice per stride."""
-    shape = (s.n_max,) + rec.grid.shape
-    fields = [MassField(rec.grid, f.reshape(shape), validate=False) for f in rec.fields]
+    fields = [MassField(grid, f.reshape((s.n_max,) + grid.shape), validate=False) for f in flats]
     ens = TracerEnsemble(count=s.tracer_count, seed=s.seed, immortal=s.tracer_immortal)
     times = list(s.tracer_times) if s.tracer_times is not None else [s.t_final]
     result = simulate(fields[:-1], kernel, dp, ens, slice_dt, histogram_times=times, workers=s.workers)

@@ -34,8 +34,8 @@ reduces to the identity, so no diffusion profile is needed there.
 
 Recording contracts moment weights and pair-moment matrices that the run
 builds once, before the first step, so a bad exponent fails there; a
-caller that wants each recorded state as it comes (the CLI's snapshot
-writer) passes ``run`` an ``on_stride`` callback.  A run is sequential in
+recorded state leaves a run only through its ``on_stride`` callback (the
+CLI's snapshot writer, tracer and gronwall check).  A run is sequential in
 time with fixed-order reductions; results are bit-reproducible for a fixed
 config regardless of worker count.
 """
@@ -101,7 +101,6 @@ class RunConfig:
     output_stride: float | None = None
     moment_exponents: tuple[float, ...] = (0.0, 1.0, 2.0)
     pair_moment_exponents: tuple[float, ...] = ()
-    record_fields: bool = False
     track_majorant: bool = False
     auto_halve: bool = True
 
@@ -129,9 +128,9 @@ class RunRecord:
 
     ``mass`` excludes the gel reservoir; ``gel`` is the reservoir itself.
     ``moments[a]``, ``pair_moments[a]`` and ``pair_moments_weighted[a]`` are
-    the spatial integrals of X_a, Y_a and Yk_a per stride.  Field snapshots,
-    the weighted moment sum_n n d(n)^(dim/2) f_n, and its heat majorant are
-    stored per stride when requested.
+    the spatial integrals of X_a, Y_a and Yk_a per stride.  The weighted
+    moment sum_n n d(n)^(dim/2) f_n and its heat majorant are stored per
+    stride when requested; the fields are not (see :func:`run`).
     """
 
     n_max: int
@@ -143,7 +142,6 @@ class RunRecord:
     moments: dict[float, list[float]] = dc_field(default_factory=dict)
     pair_moments: dict[float, list[float]] = dc_field(default_factory=dict)
     pair_moments_weighted: dict[float, list[float]] = dc_field(default_factory=dict)
-    fields: list[np.ndarray] | None = None
     weighted_mass_moment: list[np.ndarray] | None = None
     majorant: list[np.ndarray] | None = None
     dt_series: list[float] = dc_field(default_factory=list)
@@ -290,8 +288,6 @@ class _Engine:
             for a, B in matrices.items():
                 y = np.einsum("nc,nc->c", flat, B @ flat)
                 series.setdefault(a, []).append(float(y.sum()) * self.cell_volume)
-        if rec.fields is not None:
-            rec.fields.append(flat.copy())
         if u is not None:
             rec.weighted_mass_moment.append(self.majorant_row @ flat)
             rec.majorant.append(u.copy())
@@ -308,9 +304,9 @@ def run(
 
     ``dp`` may be None only on the point grid.  ``on_stride(index, t, flat,
     gel)``, if given, is called at each recorded stride, t = 0 included,
-    with the row's index in the record and the (n_max, n_cells) state; the
-    run never changes that array afterwards, so it may be read later but
-    must not be written.
+    with the row's index in the record and the (n_max, n_cells) state, the
+    only way a state leaves the run; the run never changes that array
+    afterwards, so it may be kept without a copy but must not be written.
 
     Under Strang, a step that does not end on a recorded stride or at
     t_final leaves its trailing diffusion half-step open and the next step
@@ -320,7 +316,7 @@ def run(
     """
     engine = _Engine(F0, kernel, dp, cfg)
     flat, gel = F0.flat().copy(), F0.gel_reservoir
-    rec = RunRecord(n_max=engine.n_max, grid=F0.grid, policy=cfg.policy, fields=[] if cfg.record_fields else None)
+    rec = RunRecord(n_max=engine.n_max, grid=F0.grid, policy=cfg.policy)
     u = None
     if cfg.track_majorant:
         u = engine.mass_row @ flat

@@ -10,11 +10,22 @@ factors that ``Kernel`` evaluates instead.
 ``advance_chunk_slice`` and ``sample_chunk_initial`` are the tracer's chunk
 stepper and initial sampler as they were before their fast paths, which
 must reproduce them bit for bit.
+``run_keeping_fields`` is ``integrator.run`` with the recorded states kept,
+which leave a run only through its ``on_stride`` callback.
 """
 
 import numpy as np
 
 from smolkit import tracer
+from smolkit.integrator import run
+
+
+def run_keeping_fields(F0, kernel, dp, cfg):
+    """``run(F0, kernel, dp, cfg)`` and its (n_max, n_cells) state at every
+    recorded stride, as ``on_stride`` hands them out: ``(record, fields)``."""
+    fields = []
+    rec = run(F0, kernel, dp, cfg, on_stride=lambda i, t, flat, gel: fields.append(flat))
+    return rec, fields
 
 
 def family_rate(kind, params, n, m):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import smolkit as sk
-from oracles import fine_rk4_constant_kernel, weighted_sum
+from oracles import fine_rk4_constant_kernel, run_keeping_fields, weighted_sum
 import smolkit.cli as cli
 from smolkit.cli import Scenario, execute, parse_config
 
@@ -58,11 +58,11 @@ def test_criterion_1_constant_kernel_exact_solution():
 
     kernel = sk.Kernel.constant(1.0, n_max)
     cfg = sk.RunConfig(t_final=1.0, dt=1e-3, policy=sk.TruncationPolicy.cutoff(n_max),
-                       output_stride=1.0, record_fields=True)
+                       output_stride=1.0)
     t0 = time.perf_counter()
-    rec = sk.run(sk.MassField.monodisperse(sk.Grid.point(), n_max), kernel, None, cfg)
+    _, fields = run_keeping_fields(sk.MassField.monodisperse(sk.Grid.point(), n_max), kernel, None, cfg)
     elapsed = time.perf_counter() - t0
-    c = rec.fields[-1][:, 0]
+    c = fields[-1][:, 0]
     err = float((np.abs(c[:20] - exact[:20]) / exact[:20]).max())
     report(1, "constant-kernel closed form", err < 1e-4 and elapsed < 1.0,
            f"max rel err {err:.2e}, runtime {elapsed:.2f} s")
@@ -114,9 +114,9 @@ def test_criterion_4_tracer_density_consistency():
     F0 = sk.MassField.monodisperse(grid, n_max, amplitude=1.0)
     slice_dt = t_final / slices
     cfg = sk.RunConfig(t_final=t_final, dt=slice_dt / 2, policy=sk.TruncationPolicy.cutoff(n_max),
-                       output_stride=slice_dt, record_fields=True)
-    rec = sk.run(F0, kernel, dp, cfg)
-    fields = [sk.MassField(grid, f.reshape((n_max,) + grid.shape), validate=False) for f in rec.fields]
+                       output_stride=slice_dt)
+    _, flats = run_keeping_fields(F0, kernel, dp, cfg)
+    fields = [sk.MassField(grid, f.reshape((n_max,) + grid.shape), validate=False) for f in flats]
     ens = sk.TracerEnsemble(count=200000, seed=20260810)
     out = sk.simulate(fields[:-1], kernel, dp, ens, slice_dt, histogram_times=[t_final])
     m0 = float(sum(F0.species_integrals()))
@@ -136,12 +136,12 @@ def test_criterion_5_gronwall_stability_envelope():
     F = sk.MassField.gaussian_blob(grid, n_max, amplitude=1.0, width=0.1)
     G = sk.MassField(grid, F.data * (1.0 + 1e-3))
     cfg = sk.RunConfig(t_final=1.0, dt=0.01, policy=sk.TruncationPolicy.cutoff(n_max),
-                       output_stride=0.1, record_fields=True)
-    rf = sk.run(F, kernel, dp, cfg)
-    rg = sk.run(G, kernel, dp, cfg)
+                       output_stride=0.1)
+    rf = run_keeping_fields(F, kernel, dp, cfg)
+    rg = run_keeping_fields(G, kernel, dp, cfg)
     scope = sk.scope(kernel, dp, F, 2.0)  # c0 = 1
-    rep = sk.check_gronwall(rf, rg, scope)
-    control = sk.check_gronwall(rf, sk.run(F, kernel, dp, cfg), scope)
+    rep = sk.check_gronwall(*rf, *rg, scope)
+    control = sk.check_gronwall(*rf, *run_keeping_fields(F, kernel, dp, cfg), scope)
     report(5, "stability envelope", rep.passed and control.max_violation == 0.0,
            f"max ratio {rep.max_violation:.6f}, control distance 0")
 
@@ -255,8 +255,8 @@ def test_criterion_9_identity_suite(tmp_path):
 
     def final(dt):
         cfg = sk.RunConfig(t_final=T, dt=dt, policy=sk.TruncationPolicy.cutoff(n_max),
-                           output_stride=T, record_fields=True)
-        return sk.run(F2, kernel2, dp, cfg).fields[-1]
+                           output_stride=T)
+        return run_keeping_fields(F2, kernel2, dp, cfg)[1][-1]
 
     coarse = T / 16
     ref = final(coarse / 8)

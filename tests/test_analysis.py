@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import smolkit.cli as cli
+from oracles import run_keeping_fields
 from smolkit.analysis import (
     collision_budget,
     BoundReport,
@@ -136,6 +137,8 @@ class TestHeatMajorant:
 
 
 class TestGronwall:
+    """Each run is a (record, fields) pair of :func:`run_keeping_fields`."""
+
     def _two_runs(self, delta):
         n_max = 8
         grid = Grid(1, 1.0, 16)
@@ -144,24 +147,29 @@ class TestGronwall:
         F = MassField.gaussian_blob(grid, n_max, amplitude=1.0, width=0.1)
         G = MassField(grid, F.data * (1.0 + delta))
         cfg = RunConfig(t_final=0.5, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
-                        output_stride=0.1, record_fields=True)
-        return run(F, k, dp, cfg), run(G, k, dp, cfg), scope(k, dp, F, 2.0)
+                        output_stride=0.1)
+        return run_keeping_fields(F, k, dp, cfg), run_keeping_fields(G, k, dp, cfg), scope(k, dp, F, 2.0)
 
     def test_identical_runs_give_zero_distance(self):
         rf, _, sc = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rf, sc)
+        rep = check_gronwall(*rf, *rf, sc)
         assert rep.passed and rep.max_violation == 0.0
 
     def test_perturbed_run_stays_in_envelope(self):
         rf, rg, sc = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rg, sc)
+        rep = check_gronwall(*rf, *rg, sc)
         assert rep.passed
         assert rep.max_violation <= 1.0 + 1e-12
 
     def test_underestimated_bound_rejected(self):
         rf, rg, sc = self._two_runs(1e-3)
         with pytest.raises(HypothesisError, match="below the observed sup"):
-            check_gronwall(rf, rg, sc, A=1e-6)
+            check_gronwall(*rf, *rg, sc, A=1e-6)
+
+    def test_needs_one_field_per_stride(self):
+        (rec, fields), rg, sc = self._two_runs(1e-3)
+        with pytest.raises(ValueError, match="one field per stride"):
+            check_gronwall(rec, fields[:-1], *rg, sc)
 
     def test_c0_is_the_kernels_growth_constant(self):
         """The sum kernel's alpha/(n*m) peaks at (1,1): c0 = 2, not a free choice."""
@@ -171,27 +179,27 @@ class TestGronwall:
         dp = DiffusionProfile.constant(0.5, n_max)
         F = MassField.gaussian_blob(grid, n_max, amplitude=0.5, width=0.1)
         cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
-                        output_stride=0.1, record_fields=True)
-        rec = run(F, k, dp, cfg)
+                        output_stride=0.1)
+        rf = run_keeping_fields(F, k, dp, cfg)
         sc = scope(k, dp, F, 2.0)
         assert sc.c0 == 2.0
-        assert "c0=2," in check_gronwall(rec, rec, sc).detail
+        assert "c0=2," in check_gronwall(*rf, *rf, sc).detail
         with pytest.raises(HypothesisError, match="c0 covers the masses 1..4"):
-            check_gronwall(rec, rec, scope(k, dp, MassField.zeros(grid, 4), 2.0))
+            check_gronwall(*rf, *rf, scope(k, dp, MassField.zeros(grid, 4), 2.0))
 
     def test_detail_prints_the_envelope_factor(self):
         """exp(4 c0 A T) at the last stride, as an exponent of e; the verdict
         does not read it."""
         rf, rg, sc = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rg, sc, A=3.0)
-        assert rep.detail.endswith(f", envelope exp(4*c0*A*T)=e^{4.0 * sc.c0 * 3.0 * rf.times[-1]:.4g}")
+        rep = check_gronwall(*rf, *rg, sc, A=3.0)
+        assert rep.detail.endswith(f", envelope exp(4*c0*A*T)=e^{4.0 * sc.c0 * 3.0 * rf[0].times[-1]:.4g}")
         assert rep.detail.endswith("=e^6")
 
     def test_large_bound_passes_vacuously(self):
         """exp(4 c0 A t) overflows a float past t = 0 at A = 1e4; the envelope
         is applied as exp(-4 c0 A t), which underflows to 0 instead."""
         rf, rg, sc = self._two_runs(1e-3)
-        rep = check_gronwall(rf, rg, sc, A=1e4)
+        rep = check_gronwall(*rf, *rg, sc, A=1e4)
         assert rep.passed and rep.max_violation == 1.0 and rep.location == (0.0,)
 
 

@@ -409,7 +409,7 @@ class TestRefinementRuns:
         np.testing.assert_array_equal(perturbed.data, base.data * (1.0 + s.gronwall_delta))
         assert calls[1][1] is calls[0][1]
         for _, cfg in calls[2:]:
-            assert not cfg.record_fields and not cfg.track_majorant
+            assert not cfg.track_majorant
             assert cfg.moment_exponents == calls[0][1].moment_exponents
 
     def test_tracer_refinements_share_dt_and_stride(self, tmp_path, monkeypatch):

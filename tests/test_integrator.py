@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fine_rk4_constant_kernel, rk4_reaction_step
+from oracles import fine_rk4_constant_kernel, rk4_reaction_step, run_keeping_fields
 from smolkit.coagulation import RateEvaluator, TruncationPolicy
 from smolkit.diffusion import heat_step_batched
 from smolkit.field import Grid, MassField
@@ -48,10 +48,10 @@ class TestHomogeneousRun:
         k = Kernel.constant(1.0, n_max)
         cfg = RunConfig(
             t_final=1.0, dt=1e-3, policy=TruncationPolicy.cutoff(n_max),
-            output_stride=1.0, record_fields=True,
+            output_stride=1.0,
         )
-        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
-        c = rec.fields[-1][:, 0]
+        _, fields = run_keeping_fields(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
+        c = fields[-1][:, 0]
         exact = constant_kernel_exact(np.arange(1, n_max + 1), 1.0)
         np.testing.assert_allclose(c[:20], exact[:20], rtol=1e-9)
         assert sum(c) == pytest.approx(0.5, rel=1e-9)
@@ -60,9 +60,9 @@ class TestHomogeneousRun:
         n_max = 8
         k = Kernel.constant(0.0, n_max)
         state = MassField(Grid.point(), np.linspace(1, 2, n_max))
-        cfg = RunConfig(t_final=0.5, dt=0.05, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
-        rec = run(state, k, None, cfg)
-        np.testing.assert_array_equal(rec.fields[-1][:, 0], state.data)
+        cfg = RunConfig(t_final=0.5, dt=0.05, policy=TruncationPolicy.cutoff(n_max))
+        _, fields = run_keeping_fields(state, k, None, cfg)
+        np.testing.assert_array_equal(fields[-1][:, 0], state.data)
 
     def test_gel_budget_multiplicative_kernel(self):
         """alpha = n*m with the reservoir: I(t) + G(t) stays put to 1e-10."""
@@ -90,9 +90,9 @@ class TestHomogeneousRun:
     def test_fft_gain_negativity_stays_at_roundoff(self, kernel, policy, dt):
         """FFT roundoff is absolute, so empty tail species can go negative,
         but never below -eps * max f; the gel reservoir never decreases."""
-        cfg = RunConfig(t_final=1.0, dt=dt, policy=policy, output_stride=0.05, record_fields=True)
-        rec = run(MassField.monodisperse(Grid.point(), policy.n_max), kernel, None, cfg)
-        fields = np.array(rec.fields)
+        cfg = RunConfig(t_final=1.0, dt=dt, policy=policy, output_stride=0.05)
+        rec, fields = run_keeping_fields(MassField.monodisperse(Grid.point(), policy.n_max), kernel, None, cfg)
+        fields = np.array(fields)
         assert fields.min() >= -np.finfo(float).eps * fields.max()
         assert rec.gel[0] == 0.0 and np.all(np.diff(rec.gel) >= 0.0)
 
@@ -102,11 +102,11 @@ class TestHomogeneousRun:
         n_max = 12
         k = Kernel.sum_kernel(1.0, n_max)
         cfg = RunConfig(t_final=0.4, dt=0.01, policy=TruncationPolicy.cutoff(n_max), output_stride=0.1,
-                        pair_moment_exponents=(1.0,), record_fields=True)
-        rec = run(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
+                        pair_moment_exponents=(1.0,))
+        rec, fields = run_keeping_fields(MassField.monodisperse(Grid.point(), n_max), k, None, cfg)
         assert rec.pair_moments == {}
-        assert len(rec.pair_moments_weighted[1.0]) == len(rec.times) == 5
-        for f, yk in zip(rec.fields, rec.pair_moments_weighted[1.0]):
+        assert len(rec.pair_moments_weighted[1.0]) == len(rec.times) == len(fields) == 5
+        for f, yk in zip(fields, rec.pair_moments_weighted[1.0]):
             c, table = f[:, 0], k.dense()
             expect = sum(
                 (n * m + m * n) * table[n - 1, m - 1] * c[n - 1] * c[m - 1]
@@ -122,13 +122,13 @@ class TestHomogeneousRun:
         k = Kernel.sum_kernel(1.0, n_max)
         dp = DiffusionProfile.power_law(1.0, 0.5, n_max)
         cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
-                        pair_moment_exponents=(1.0,), record_fields=True)
+                        pair_moment_exponents=(1.0,))
         F = MassField.monodisperse(Grid.point(), n_max)
-        bare = run(F, k, None, cfg)
-        with_dp = run(F, k, dp, cfg)
-        np.testing.assert_array_equal(with_dp.fields[-1], bare.fields[-1])
+        bare, bare_fields = run_keeping_fields(F, k, None, cfg)
+        with_dp, dp_fields = run_keeping_fields(F, k, dp, cfg)
+        np.testing.assert_array_equal(dp_fields[-1], bare_fields[-1])
         assert with_dp.pair_moments_weighted == bare.pair_moments_weighted
-        c = bare.fields[-1][:, 0]
+        c = bare_fields[-1][:, 0]
         n = np.arange(1, n_max + 1, dtype=float)
         d = dp.values[:n_max]
         B = np.outer(n, n) * (n[:, None] + n[None, :]) * (d[:, None] + d[None, :])
@@ -159,8 +159,8 @@ def small_setup():
 
 
 def one_step(F, kernel, dp, cfg):
-    """The record of a run over exactly one step of cfg.dt, fields kept."""
-    return run(F, kernel, dp, dataclasses.replace(cfg, t_final=cfg.dt, record_fields=True))
+    """The record and fields of a run over exactly one step of cfg.dt."""
+    return run_keeping_fields(F, kernel, dp, dataclasses.replace(cfg, t_final=cfg.dt))
 
 
 class TestStep:
@@ -169,7 +169,7 @@ class TestStep:
         n_max = F.n_max
         k0 = Kernel.constant(0.0, n_max)
         cfg = RunConfig(t_final=1.0, dt=0.02, policy=TruncationPolicy.cutoff(n_max))
-        out = one_step(F, k0, dp, cfg).fields[-1].reshape(F.data.shape)
+        out = one_step(F, k0, dp, cfg)[1][-1].reshape(F.data.shape)
         for n in range(n_max):
             d = [dp.value(n + 1)]
             expect = heat_step_batched(heat_step_batched(F.data[n][None], d, 0.01, grid), d, 0.01, grid)[0]
@@ -183,15 +183,15 @@ class TestStep:
         k = Kernel.sum_kernel(1.0, n_max)
         dp = DiffusionProfile(np.full(n_max, 1e-300))
         F = MassField.monodisperse(grid, n_max, amplitude=0.5)
-        cfg = RunConfig(t_final=0.02, dt=0.02, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
-        stepped = run(F, k, dp, cfg).fields[-1]
-        rec = run(MassField(Grid.point(), F.flat()[:, 0].copy()), k, None, cfg)
-        np.testing.assert_allclose(stepped[:, 0], rec.fields[-1][:, 0], rtol=1e-10)
+        cfg = RunConfig(t_final=0.02, dt=0.02, policy=TruncationPolicy.cutoff(n_max))
+        stepped = run_keeping_fields(F, k, dp, cfg)[1][-1]
+        _, fields = run_keeping_fields(MassField(Grid.point(), F.flat()[:, 0].copy()), k, None, cfg)
+        np.testing.assert_allclose(stepped[:, 0], fields[-1][:, 0], rtol=1e-10)
 
     def test_mass_audit_single_step(self, small_setup):
         grid, k, dp, F = small_setup
         cfg = RunConfig(t_final=1.0, dt=0.01, policy=TruncationPolicy.gel_reservoir(F.n_max))
-        total = one_step(F, k, dp, cfg).mass_with_gel
+        total = one_step(F, k, dp, cfg)[0].mass_with_gel
         before, after = total[0], total[-1]
         assert abs(after - before) / before <= 1e-11
 
@@ -272,9 +272,9 @@ class TestRun:
         k = Kernel.constant(1.0, n_max)
         dp = DiffusionProfile.constant(0.3, n_max)
         F = MassField.monodisperse(grid, n_max, amplitude=1.0)
-        cfg = RunConfig(t_final=0.3, dt=0.01, policy=TruncationPolicy.cutoff(n_max), record_fields=True)
-        rec = run(F, k, dp, cfg)
-        for f in rec.fields:
+        cfg = RunConfig(t_final=0.3, dt=0.01, policy=TruncationPolicy.cutoff(n_max))
+        _, fields = run_keeping_fields(F, k, dp, cfg)
+        for f in fields:
             assert np.ptp(f, axis=1).max() <= 1e-13
 
     @pytest.mark.parametrize("kind,tol", [("cutoff", 1e-10), ("gel_reservoir", 1e-10)])
@@ -323,8 +323,8 @@ class TestRun:
 
         def final(dt):
             cfg = RunConfig(t_final=T, dt=dt, policy=TruncationPolicy.cutoff(F.n_max),
-                            output_stride=T, record_fields=True)
-            return run(F, k, dp, cfg).fields[-1]
+                            output_stride=T)
+            return run_keeping_fields(F, k, dp, cfg)[1][-1]
 
         coarse = T / 16
         ref = final(coarse / 8)
@@ -338,8 +338,8 @@ class TestRun:
 
         def final(dt):
             cfg = RunConfig(t_final=T, dt=dt, policy=TruncationPolicy.cutoff(F.n_max),
-                            output_stride=T, record_fields=True, splitting="lie")
-            return run(F, k, dp, cfg).fields[-1]
+                            output_stride=T, splitting="lie")
+            return run_keeping_fields(F, k, dp, cfg)[1][-1]
 
         ref = final(T / 128)
         e_coarse = np.abs(final(T / 8) - ref).max()
@@ -357,9 +357,9 @@ class TestRun:
         dp = DiffusionProfile.power_law(rng.uniform(0.1, 1.0), rng.uniform(0, 1), n_max)
         F = MassField(grid, rng.random((n_max,) + grid.shape))
         cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(n_max),
-                        output_stride=0.05, record_fields=True)
-        rec = run(F, k, dp, cfg)
-        for f in rec.fields:
+                        output_stride=0.05)
+        _, fields = run_keeping_fields(F, k, dp, cfg)
+        for f in fields:
             assert f.min() >= 0.0
 
     def test_nan_detection_aborts(self, small_setup, monkeypatch):
@@ -513,34 +513,35 @@ class TestMergedHalfSteps:
         assert len(rows) == len(rec.times)
         return rows
 
-    def assert_matches_oracle(self, rec, oracle):
+    def assert_matches_oracle(self, run_and_fields, oracle_and_fields):
+        """Each pair is a (record, fields) of :func:`run_keeping_fields`."""
+        (rec, fields), (oracle, oracle_fields) = run_and_fields, oracle_and_fields
         rows = self.common_rows(rec, oracle)
         for a, series in rec.moments.items():
             for i, j in rows:
                 assert series[i] == pytest.approx(oracle.moments[a][j], rel=self.MERGE_RTOL, abs=0.0)
         for i, j in rows:
-            scale = np.abs(oracle.fields[j]).max()
-            np.testing.assert_allclose(rec.fields[i], oracle.fields[j], rtol=0, atol=self.MERGE_RTOL * scale)
+            scale = np.abs(oracle_fields[j]).max()
+            np.testing.assert_allclose(fields[i], oracle_fields[j], rtol=0, atol=self.MERGE_RTOL * scale)
         assert rec.events == oracle.events
 
     def test_common_rows_match_the_unmerged_scheme(self, small_setup):
         grid, k, dp, F = small_setup
-        cfg = RunConfig(t_final=0.5, dt=0.005, policy=TruncationPolicy.cutoff(F.n_max), record_fields=True)
-        rec = run(F, k, dp, cfg)
-        oracle = run(F, k, dp, dataclasses.replace(cfg, output_stride=cfg.dt))
-        assert len(rec.times) == 21 and len(oracle.times) == 101
+        cfg = RunConfig(t_final=0.5, dt=0.005, policy=TruncationPolicy.cutoff(F.n_max))
+        rec = run_keeping_fields(F, k, dp, cfg)
+        oracle = run_keeping_fields(F, k, dp, dataclasses.replace(cfg, output_stride=cfg.dt))
+        assert len(rec[0].times) == 21 and len(oracle[0].times) == 101
         self.assert_matches_oracle(rec, oracle)
 
     def test_halving_run_matches_and_logs_the_same_events(self, small_setup):
         """dt = 0.5 is halved four times at t = 0; the oracle's stride is the
         dt the run settles on, so it still records every accepted step."""
         grid, k, dp, F = small_setup
-        cfg = RunConfig(t_final=1.0, dt=0.5, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.25,
-                        record_fields=True)
-        rec = run(F, k, dp, cfg)
+        cfg = RunConfig(t_final=1.0, dt=0.5, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.25)
+        rec, fields = run_keeping_fields(F, k, dp, cfg)
         assert len(rec.events) == 4 and rec.dt_series[-1] == 0.5 / 16
-        oracle = run(F, k, dp, dataclasses.replace(cfg, output_stride=rec.dt_series[-1]))
-        self.assert_matches_oracle(rec, oracle)
+        oracle = run_keeping_fields(F, k, dp, dataclasses.replace(cfg, output_stride=rec.dt_series[-1]))
+        self.assert_matches_oracle((rec, fields), oracle)
 
     def test_rejected_step_keeps_the_carried_half_step(self, small_setup, monkeypatch):
         """A step rejected after two merged steps halves dt; the half-step
@@ -556,13 +557,12 @@ class TestMergedHalfSteps:
             return real(self, flat, gel, dt)
 
         monkeypatch.setattr(_Engine, "react_rk4", reject_third)
-        cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.05,
-                        record_fields=True)
-        rec = run(F, k, dp, cfg)
+        cfg = RunConfig(t_final=0.1, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.05)
+        rec, fields = run_keeping_fields(F, k, dp, cfg)
         calls[0] = 0
-        oracle = run(F, k, dp, dataclasses.replace(cfg, output_stride=0.005))
+        oracle = run_keeping_fields(F, k, dp, dataclasses.replace(cfg, output_stride=0.005))
         assert len(rec.events) == 1 and rec.events[0].startswith("t=0.02: halved dt to 0.005")
-        self.assert_matches_oracle(rec, oracle)
+        self.assert_matches_oracle((rec, fields), oracle)
 
     def test_one_heat_step_per_step_plus_one_per_stride(self, small_setup, monkeypatch):
         """20 steps over 2 strides: 20 leading and 2 trailing heat steps,
@@ -593,15 +593,16 @@ class TestMergedHalfSteps:
         stride does not change a bit of either."""
         grid, k, dp, F = small_setup
         cfg = RunConfig(t_final=0.2, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.1,
-                        record_fields=True, splitting="lie")
+                        splitting="lie")
         for F0, d in ((F, dp), (MassField(Grid.point(), F.flat()[:, 0].copy()), None)):
-            rec = run(F0, k, d, cfg)
-            oracle = run(F0, k, d, dataclasses.replace(cfg, output_stride=cfg.dt))
+            rec, fields = run_keeping_fields(F0, k, d, cfg)
+            oracle, oracle_fields = run_keeping_fields(F0, k, d, dataclasses.replace(cfg, output_stride=cfg.dt))
             for i, j in self.common_rows(rec, oracle):
-                assert np.array_equal(rec.fields[i], oracle.fields[j])
+                assert np.array_equal(fields[i], oracle_fields[j])
             if d is None:
-                strang = run(F0, k, d, dataclasses.replace(cfg, splitting="strang"))
-                assert all(np.array_equal(a, b) for a, b in zip(strang.fields, rec.fields))
+                _, strang = run_keeping_fields(F0, k, d, dataclasses.replace(cfg, splitting="strang"))
+                assert len(strang) == len(fields)
+                assert all(np.array_equal(a, b) for a, b in zip(strang, fields))
 
     def test_majorant_equality_case_stays_exact(self):
         """Pure diffusion of species 1 alone: the weighted moment is
@@ -626,8 +627,8 @@ class TestMergedHalfSteps:
         def ratio(merge):
             def final(dt):
                 cfg = RunConfig(t_final=T, dt=dt, policy=TruncationPolicy.cutoff(F.n_max),
-                                output_stride=T if merge else dt, record_fields=True)
-                return run(F, k, dp, cfg).fields[-1]
+                                output_stride=T if merge else dt)
+                return run_keeping_fields(F, k, dp, cfg)[1][-1]
 
             coarse = T / 16
             ref = final(coarse / 8)

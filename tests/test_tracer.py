@@ -27,7 +27,6 @@ import oracles
 from smolkit import _fork, cli, tracer
 from smolkit.diffusion import heat_step_batched
 from smolkit.field import Grid, MassField, moment
-from smolkit.integrator import run
 from smolkit.kernels import DiffusionProfile, Kernel
 from smolkit.tracer import (
     ThinningCounts,
@@ -520,9 +519,9 @@ def solver_timeline(path):
     s = cli.parse_config(path)
     kernel = cli.build_kernel(s)
     field0, dp, cfg = cli.build_run(s, kernel)
-    rec = run(field0, kernel, dp, cfg)
+    rec, flats = oracles.run_keeping_fields(field0, kernel, dp, cfg)
     shape = (s.n_max,) + rec.grid.shape
-    fields = [MassField(rec.grid, f.reshape(shape), validate=False) for f in rec.fields]
+    fields = [MassField(rec.grid, f.reshape(shape), validate=False) for f in flats]
     return fields[:-1], kernel, dp, cfg.output_stride
 
 
