@@ -301,6 +301,8 @@ def _validate(s: Scenario, path) -> None:
         for a in exponents:
             _require(a >= 0, key, f"every exponent must be >= 0, got a={a:g}", path)
     _require(s.initial_amplitude >= 0, "initial.amplitude", "must be >= 0", path)
+    width = s.initial_width
+    _require(width is None or width > 0, "initial.width", f"must be > 0, got {width}", path)
     _require(1 <= s.initial_species <= s.n_max, "initial.species", "must lie in 1..n_max", path)
     _require(s.grid_dim in (1, 2, 3), "grid.dim", "must be 1, 2 or 3", path)
     _require(s.grid_length > 0, "grid.length", "must be > 0", path)
@@ -343,6 +345,13 @@ def _validate(s: Scenario, path) -> None:
         spatial_only = {"gronwall", "heat_majorant", "moment_plateau"} & set(s.monitors)
         _require(not spatial_only, "monitors", f"{sorted(spatial_only)} need a spatial mode (pde/tracer)", path)
     _require(s.plateau_refinements >= 1, "moment_plateau.refinements", "must be >= 1", path)
+    for key, tol in (
+        ("conservation.tolerance", s.conservation_tolerance), ("heat_majorant.tolerance", s.heat_majorant_tolerance),
+        ("moment_plateau.tolerance", s.plateau_tolerance), ("tracer.tv_tolerance", s.tracer_tv_tolerance),
+        ("tracer.z_tolerance", s.tracer_z_tolerance),
+    ):
+        # A gate passes when its violation is <= tol: below 0, or nan, it never can.
+        _require(tol is None or tol >= 0, key, f"must be >= 0, got {tol}", path)
 
 
 # -- building model objects from a scenario -----------------------------

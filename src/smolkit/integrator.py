@@ -323,7 +323,10 @@ def run(
         rec.weighted_mass_moment, rec.majorant = [], []
     dt = cfg.dt
     halvings = 0
-    t = 0.0
+    # t is t_dt + steps * dt, counted from the last change of dt, so that
+    # no roundoff of summed steps enters the times or the last step.
+    t = t_dt = 0.0
+    steps = 0
     carried = 0.0
 
     def record(t: float) -> None:
@@ -335,8 +338,11 @@ def run(
     emitted = 1
     t_end = cfg.t_final - _TIME_EPS * max(cfg.t_final, 1.0)
     while t < t_end:
-        dt_step = min(dt, cfg.t_final - t)
-        t_next = t + dt_step
+        # The last step ends on t_final; it is dt exactly when what is left
+        # is dt up to roundoff.
+        left = cfg.t_final - t
+        dt_step = dt if left >= dt * (1.0 - _TIME_EPS) else left
+        t_next = cfg.t_final if left <= dt * (1.0 + _TIME_EPS) else t_dt + (steps + 1) * dt
         recorded = t_next + _TIME_EPS * max(dt, 1e-300) >= emitted * cfg.stride or t_next >= t_end
         try:
             new_flat, new_gel, new_u, new_carried = engine.step_once(flat, gel, u, dt_step, carried, recorded)
@@ -345,6 +351,7 @@ def run(
                 raise
             dt /= 2.0
             halvings += 1
+            t_dt, steps = t, 0
             msg = f"t={t:g}: halved dt to {dt:g} ({err})"
             rec.events.append(msg)
             log.info(msg)
@@ -355,7 +362,7 @@ def run(
             log.error(rec.events[-1])
             raise FloatingPointError(rec.events[-1])
         flat, gel, u, carried = new_flat, new_gel, new_u, new_carried
-        t = t_next
+        t, steps = t_next, steps + 1
         if recorded:
             record(t)
             emitted = int(np.floor(t / cfg.stride + _TIME_EPS)) + 1

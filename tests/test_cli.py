@@ -221,6 +221,23 @@ class TestExecute:
         assert f"error: {p}: tracer.times: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("initial.width", v) for v in ("0", "-0.1", "nan")]
+        + [(key, v) for key in ("conservation.tolerance", "heat_majorant.tolerance", "moment_plateau.tolerance",
+                                "tracer.tv_tolerance", "tracer.z_tolerance") for v in ("-1", "nan")],
+    )
+    def test_bad_width_or_tolerance_exits_one_before_any_file(self, tmp_path, capsys, key, value):
+        """A zero width would run an empty field through every gate, a negative
+        one would run as its absolute value, and a gate with a negative or nan
+        tolerance can never pass: each is an error naming its key."""
+        text = "".join(line + "\n" for line in PDE.splitlines() if not line.startswith(f"{key} ="))
+        p = write(tmp_path, text + f"{key} = {value}\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"error: {p}: {key}: must be " in err
+        assert not (tmp_path / "out").exists()
+
     def test_tracer_times_on_the_slice_boundaries_are_accepted(self, tmp_path):
         text = TestDeterminism.TRACER.replace("run.t_final = 0.1", "run.t_final = 0.5").replace("tracer.slices = 8", "tracer.slices = 4")
         assert parse_config(write(tmp_path, text + "tracer.times = 0,0.125,0.5\n")).tracer_times == (0.0, 0.125, 0.5)
@@ -566,8 +583,9 @@ class TestSnapshotFiles:
     tracer and gronwall runs keep their fields in memory either way."""
 
     # sha256 over the names and bytes of the tracer scenario's snapshots,
-    # from the code that wrote every recorded field.
-    TRACER_SNAPSHOTS_SHA256 = "e33d5533723aee93ba3e83f79e145c5cdc3bf09dfe262731a7abb5bd9cf33f08"
+    # from the code that wrote every recorded field, with t counted in
+    # steps of dt and a last step of exactly dt.
+    TRACER_SNAPSHOTS_SHA256 = "a2ee7b5de9b9c4384e5a7234c0f8814f7f9b2b9422aa85040592c963f099b41f"
 
     @staticmethod
     def snapshot_digest(snapdir: Path) -> str:

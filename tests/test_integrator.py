@@ -507,7 +507,7 @@ class TestMergedHalfSteps:
     @staticmethod
     def common_rows(rec, oracle):
         """(row in rec, row in oracle) at the times both recorded; both runs
-        accumulate t the same way, so the times compare exactly."""
+        count t in steps of the same dt, so the times compare exactly."""
         at = {t: j for j, t in enumerate(oracle.times)}
         rows = [(i, at[t]) for i, t in enumerate(rec.times) if t in at]
         assert len(rows) == len(rec.times)
@@ -570,8 +570,8 @@ class TestMergedHalfSteps:
         import smolkit.integrator as integrator
 
         grid, k, dp, F = small_setup
-        durations, built = [], []
-        heat, multipliers = integrator.heat_step_batched, integrator._multipliers
+        durations, built, steps = [], [], []
+        heat, multipliers, react = integrator.heat_step_batched, integrator._multipliers, _Engine.react_rk4
 
         def spy_heat(data, Ds, t, *args):
             durations.append(t)
@@ -581,12 +581,41 @@ class TestMergedHalfSteps:
             built.append(t)
             return multipliers(Ds, t, grid)
 
+        def spy_react(self, flat, gel, dt):
+            steps.append(dt)
+            return react(self, flat, gel, dt)
+
         monkeypatch.setattr(integrator, "heat_step_batched", spy_heat)
         monkeypatch.setattr(integrator, "_multipliers", spy_multipliers)
-        run(F, k, dp, RunConfig(t_final=0.1, dt=0.005, policy=TruncationPolicy.cutoff(F.n_max), output_stride=0.05))
+        monkeypatch.setattr(_Engine, "react_rk4", spy_react)
+        rec = run(F, k, dp, RunConfig(t_final=0.1, dt=0.005, policy=TruncationPolicy.cutoff(F.n_max),
+                                      output_stride=0.05))
         assert len(durations) == 22
-        # dt/2 and dt, and the last step's, whose length t_final - t is rounded
-        assert sorted(built) == sorted(set(durations)) and len(built) <= 4
+        # dt/2 and dt: t is counted in steps, so the last step is dt too
+        assert sorted(built) == sorted(set(durations)) == [0.0025, 0.005]
+        assert steps == [0.005] * 20 and rec.dt_series[-1] == steps[-1]
+        assert rec.times == [0.0, 0.05, 0.1]
+
+    def test_times_are_counted_from_the_last_dt_change(self, small_setup, monkeypatch):
+        """After dt halves at t = 0.02, t is 0.02 + k * 0.005, not a running
+        sum; the run ends on t_final with a step of exactly dt."""
+        grid, k, dp, F = small_setup
+        real, calls = _Engine.react_rk4, [0]
+        steps = []
+
+        def reject_third(self, flat, gel, dt):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise StepSizeError(dt, 1.0 / dt, 1, 0)
+            steps.append(dt)
+            return real(self, flat, gel, dt)
+
+        monkeypatch.setattr(_Engine, "react_rk4", reject_third)
+        rec = run(F, k, dp, RunConfig(t_final=0.3, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max),
+                                      output_stride=0.005))
+        assert steps == [0.01, 0.01] + [0.005] * 56
+        assert rec.times == [0.0, 0.01, 0.02] + [0.02 + j * 0.005 for j in range(1, 56)] + [0.3]
+        assert rec.dt_series[-1] == steps[-1]
 
     def test_lie_and_point_grid_are_unchanged(self, small_setup):
         """Lie carries nothing, and the point grid has no diffusion: the
@@ -637,6 +666,42 @@ class TestMergedHalfSteps:
         merged, unmerged = ratio(True), ratio(False)
         assert merged >= 3.5
         assert merged == pytest.approx(unmerged, rel=1e-6)
+
+
+class TestOnStride:
+    """``run`` hands each recorded state to ``on_stride`` and never writes
+    that array afterwards, so a caller may keep it without a copy (the
+    CLI's snapshot writer, tracer and gronwall check do)."""
+
+    CASES = {
+        # dt = 0.005 under a stride of 0.05: nine of ten steps carry their half-step
+        "strang-merged": dict(t_final=0.2, dt=0.005, output_stride=0.05),
+        "strang-merged-majorant": dict(t_final=0.2, dt=0.005, output_stride=0.05, track_majorant=True),
+        "lie": dict(t_final=0.2, dt=0.01, output_stride=0.05, splitting="lie"),
+        "point-grid": dict(t_final=0.2, dt=0.01, output_stride=0.05),
+        # dt = 0.5 is halved four times at t = 0
+        "halving": dict(t_final=1.0, dt=0.5, output_stride=0.25),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_handed_out_arrays_are_never_written(self, small_setup, case):
+        grid, k, dp, F = small_setup
+        if case == "point-grid":
+            F, dp = MassField(Grid.point(), F.flat()[:, 0].copy()), None
+        cfg = RunConfig(policy=TruncationPolicy.cutoff(F.n_max), **self.CASES[case])
+        handed, copies, calls = [], [], []
+
+        def on_stride(i, t, flat, gel):
+            calls.append((i, t, gel))
+            handed.append(flat)
+            copies.append(flat.copy())
+
+        rec = run(F, k, dp, cfg, on_stride=on_stride)
+        if case == "halving":
+            assert len(rec.events) == 4
+        assert calls == list(zip(range(len(rec.times)), rec.times, rec.gel))
+        for a, c in zip(handed, copies):
+            assert a.shape == (F.n_max, F.grid.n_cells) and a.tobytes() == c.tobytes()
 
 
 class TestRunConfig:
