@@ -258,9 +258,13 @@ def check_gronwall(
     the distance X(t) = sum_n n * ||f_n - g_n||_L1 must stay below
     exp(4*c0*A*t) * X(0); the detail prints that factor at the last stride.
     ``A`` defaults to the observed sup; an explicit A below the observed sup
-    is a hypothesis violation and raises.  ``f_fields`` and ``g_fields`` are
-    the runs' states per stride, as ``run`` hands them to ``on_stride``.
+    is a hypothesis violation and raises, and a non-finite A, against which
+    the envelope would pass vacuously, is a ``ValueError``.  ``f_fields``
+    and ``g_fields`` are the runs' states per stride, as ``run`` hands them
+    to ``on_stride``.
     """
+    if A is not None and not math.isfinite(A):
+        raise ValueError(f"the second-moment bound A must be finite, got {A}")
     if len(f_fields) != len(f_record.times) or len(g_fields) != len(g_record.times):
         raise ValueError("each run needs one field per stride")
     if len(f_record.times) != len(g_record.times) or not np.allclose(f_record.times, g_record.times):

@@ -75,7 +75,7 @@ FIELD_SCHEMA = "# smolkit-field v1"
 
 MODES = ("pde", "homogeneous", "tracer", "gelscan")
 KERNEL_KINDS = ("constant", "sum", "product", "two_exponent", "range_derived", "table")
-DIFFUSION_KINDS = ("constant", "power_law", "bracketed_power", "table")
+DIFFUSION_KINDS = ("constant", "power_law", "table")
 INITIAL_KINDS = ("monodisperse", "gaussian_blob", "table")
 MONITORS = ("conservation", "heat_majorant", "gronwall", "moment_plateau")
 
@@ -106,8 +106,6 @@ class Scenario:
 
     diffusion_kind: str = "constant"
     diffusion_value: float = 1.0
-    diffusion_r1: float = 1.0
-    diffusion_b1: float = 0.0
     diffusion_r2: float = 1.0
     diffusion_b2: float = 0.0
     diffusion_table: str | None = None
@@ -206,8 +204,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "kernel.range_dim": ("kernel_range_dim", int),
     "diffusion.kind": ("diffusion_kind", _parse_choice(DIFFUSION_KINDS)),
     "diffusion.value": ("diffusion_value", float),
-    "diffusion.r1": ("diffusion_r1", float),
-    "diffusion.b1": ("diffusion_b1", float),
     "diffusion.r2": ("diffusion_r2", float),
     "diffusion.b2": ("diffusion_b2", float),
     "diffusion.table": ("diffusion_table", str),
@@ -339,6 +335,9 @@ def _validate(s: Scenario, path) -> None:
         _require(s.initial_species <= min(s.gelscan_n_list), "initial.species", "must lie in 1..min(gelscan.n_list)", path)
     if "gronwall" in s.monitors:
         _require(s.gronwall_delta > 0, "gronwall.delta", "must be > 0", path)
+    bound = s.gronwall_a_bound
+    # Against a nan or infinite bound the envelope would pass vacuously.
+    _require(bound is None or 0 <= bound < np.inf, "gronwall.a_bound", f"must be finite and >= 0, got {bound}", path)
     if "moment_plateau" in s.monitors:
         _require(s.plateau_a >= 1, "moment_plateau.a", "must be >= 1 (the pair moments take the exponent a - 1)", path)
     if s.mode == "homogeneous":
@@ -391,8 +390,6 @@ def build_diffusion(s: Scenario) -> DiffusionProfile:
         return DiffusionProfile.constant(s.diffusion_value, n)
     if s.diffusion_kind == "power_law":
         return DiffusionProfile.power_law(s.diffusion_r2, s.diffusion_b2, n)
-    if s.diffusion_kind == "bracketed_power":
-        return DiffusionProfile.bracketed_power(s.diffusion_r1, s.diffusion_b1, s.diffusion_r2, s.diffusion_b2, n)
     values = np.loadtxt(s.diffusion_table, delimiter=",", ndmin=1)
     if len(values) < n:
         raise ConfigError(f"diffusion.table: {s.diffusion_table} has {len(values)} rows, fewer than a run's N = {n}")

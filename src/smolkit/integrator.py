@@ -131,6 +131,8 @@ class RunRecord:
     the spatial integrals of X_a, Y_a and Yk_a per stride.  The weighted
     moment sum_n n d(n)^(dim/2) f_n and its heat majorant are stored per
     stride when requested; the fields are not (see :func:`run`).
+    ``dt_series`` holds the length of the step that ended each row, the
+    configured dt in row 0.
     """
 
     n_max: int
@@ -329,12 +331,12 @@ def run(
     steps = 0
     carried = 0.0
 
-    def record(t: float) -> None:
-        engine.record(rec, t, flat, gel, u, dt)
+    def record(t: float, dt_taken: float) -> None:
+        engine.record(rec, t, flat, gel, u, dt_taken)
         if on_stride is not None:
             on_stride(len(rec.times) - 1, t, flat, gel)
 
-    record(t)
+    record(t, dt)
     emitted = 1
     t_end = cfg.t_final - _TIME_EPS * max(cfg.t_final, 1.0)
     while t < t_end:
@@ -364,7 +366,7 @@ def run(
         flat, gel, u, carried = new_flat, new_gel, new_u, new_carried
         t, steps = t_next, steps + 1
         if recorded:
-            record(t)
+            record(t, dt_step)
             emitted = int(np.floor(t / cfg.stride + _TIME_EPS)) + 1
     return rec
 

@@ -282,20 +282,6 @@ class DiffusionProfile:
         n = np.arange(1, n_max + 1, dtype=float)
         return cls(r2 * n ** (-b2))
 
-    @classmethod
-    def bracketed_power(cls, r1: float, b1: float, r2: float, b2: float, n_max: int) -> "DiffusionProfile":
-        """Geometric-mean power law between r1*n^(-b1) and r2*n^(-b2).
-
-        d(n) = sqrt(r1*r2) * n^(-(b1+b2)/2) sits inside the bracket for all
-        n >= 1 whenever r1 <= r2 and b2 <= b1.
-        """
-        if not (0 <= b2 <= b1):
-            raise ValueError("bracketed power requires 0 <= b2 <= b1")
-        if not (0 < r1 <= r2):
-            raise ValueError("bracketed power requires 0 < r1 <= r2")
-        n = np.arange(1, n_max + 1, dtype=float)
-        return cls(math.sqrt(r1 * r2) * n ** (-(b1 + b2) / 2.0))
-
     def value(self, n):
         """d(n), vectorized; indices beyond n_max clamp to d(n_max).
 

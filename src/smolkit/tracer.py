@@ -63,7 +63,8 @@ __all__ = [
 ]
 
 # Trajectories per RNG substream; fixed so that results do not depend on the
-# worker count used to schedule the chunks.
+# worker count used to schedule the chunks.  Any other value draws other
+# trajectories; :func:`simulate` reads it at each call.
 CHUNK_SIZE = 8192
 
 # z-scores are only reported for bins whose expected count is at least this
@@ -89,11 +90,14 @@ class TracerHistogram:
 
 @dataclass
 class TracerEnsemble:
-    """Ensemble description plus, after simulation, its histograms."""
+    """Ensemble description plus, after simulation, its histograms.
+
+    The ``count`` trajectories are simulated in chunks of ``CHUNK_SIZE``,
+    each on its own RNG substream of ``seed``.
+    """
 
     count: int
     seed: int
-    chunk_size: int = CHUNK_SIZE
     immortal: bool = False
     histograms: list[TracerHistogram] = dc_field(default_factory=list)
     collision_counts: np.ndarray | None = None
@@ -429,13 +433,13 @@ def simulate(
         slice_dt=slice_dt,
         seed=ensemble.seed,
         count=ensemble.count,
-        chunk_size=ensemble.chunk_size,
+        chunk_size=CHUNK_SIZE,
         immortal=ensemble.immortal,
         mass_cdf=mass_cdf,
         row_cum=row_cum,
         n_max=n_max,
     )
-    n_chunks = (ensemble.count + ensemble.chunk_size - 1) // ensemble.chunk_size
+    n_chunks = (ensemble.count + task.chunk_size - 1) // task.chunk_size
     results = fork_map(partial(_run_chunk, task), range(n_chunks), workers)
 
     merged: list[TracerHistogram] = []
@@ -452,7 +456,6 @@ def simulate(
     out = TracerEnsemble(
         count=ensemble.count,
         seed=ensemble.seed,
-        chunk_size=ensemble.chunk_size,
         immortal=ensemble.immortal,
         histograms=merged,
         collision_counts=coll,

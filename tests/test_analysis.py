@@ -5,6 +5,7 @@ substitution; continuity at the branch boundary and linear growth in the
 controlled moment order are structural identities of the formula.
 """
 
+import math
 import os
 import sys
 
@@ -165,6 +166,14 @@ class TestGronwall:
         rf, rg, sc = self._two_runs(1e-3)
         with pytest.raises(HypothesisError, match="below the observed sup"):
             check_gronwall(*rf, *rg, sc, A=1e-6)
+
+    @pytest.mark.parametrize("A", [math.nan, math.inf])
+    def test_non_finite_bound_rejected(self, A):
+        """Against a nan or infinite A every envelope ratio is nan or 0, so the
+        gate would pass whatever the runs do."""
+        rf, rg, sc = self._two_runs(1e-3)
+        with pytest.raises(ValueError, match="must be finite"):
+            check_gronwall(*rf, *rg, sc, A=A)
 
     def test_needs_one_field_per_stride(self):
         (rec, fields), rg, sc = self._two_runs(1e-3)

@@ -225,12 +225,14 @@ class TestExecute:
         "key,value",
         [("initial.width", v) for v in ("0", "-0.1", "nan")]
         + [(key, v) for key in ("conservation.tolerance", "heat_majorant.tolerance", "moment_plateau.tolerance",
-                                "tracer.tv_tolerance", "tracer.z_tolerance") for v in ("-1", "nan")],
+                                "tracer.tv_tolerance", "tracer.z_tolerance") for v in ("-1", "nan")]
+        + [("gronwall.a_bound", v) for v in ("nan", "inf", "-1")],
     )
     def test_bad_width_or_tolerance_exits_one_before_any_file(self, tmp_path, capsys, key, value):
         """A zero width would run an empty field through every gate, a negative
-        one would run as its absolute value, and a gate with a negative or nan
-        tolerance can never pass: each is an error naming its key."""
+        one would run as its absolute value, a gate with a negative or nan
+        tolerance can never pass, and a nan or infinite Gronwall bound passes
+        vacuously: each is an error naming its key."""
         text = "".join(line + "\n" for line in PDE.splitlines() if not line.startswith(f"{key} ="))
         p = write(tmp_path, text + f"{key} = {value}\n")
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1

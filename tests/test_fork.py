@@ -105,6 +105,36 @@ def test_cli_names_a_dead_worker(tmp_path):
     assert "runtime error: BrokenProcessPool" in proc.stderr
 
 
+def test_cli_names_a_dead_snapshot_writer(tmp_path):
+    """A snapshot writer that dies fails the run like any other worker,
+    and leaves no ``snapshots/`` and no child behind."""
+    cfg = tmp_path / "pde.cfg"
+    cfg.write_text(
+        "name = dead\nmode = pde\nkernel.kind = sum\ndiffusion.kind = power_law\ndiffusion.r2 = 1.0\n"
+        "diffusion.b2 = 0.5\ngrid.dim = 1\ngrid.cells = 8\ninitial.kind = gaussian_blob\nrun.n_max = 8\n"
+        "run.t_final = 0.1\nrun.dt = 0.005\nrun.output_stride = 0.05\nrun.record_fields = true\n"
+    )
+    out = tmp_path / "out"
+    proc = run_python(
+        f"""
+        import os, sys
+        import smolkit.cli as cli
+        from smolkit.cli import main
+
+        cli._write_snapshot = lambda *args: os._exit(3)
+        code = main(["run", {str(cfg)!r}, "--workers", "2", "--out", {str(out)!r}])
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            sys.exit(code)
+        sys.exit("a child was left")
+        """
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "runtime error: BrokenProcessPool" in proc.stderr
+    assert not (out / "snapshots").exists()
+
+
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -174,7 +204,7 @@ def test_dead_sink_process_raises_instead_of_hanging():
         """
     )
     assert proc.returncode != 0
-    assert "RuntimeError: sink process exited with code 3 before replying" in proc.stderr
+    assert "BrokenProcessPool" in proc.stderr
 
 
 def test_importing_the_cli_loads_no_multiprocessing():

@@ -617,6 +617,14 @@ class TestMergedHalfSteps:
         assert rec.times == [0.0, 0.01, 0.02] + [0.02 + j * 0.005 for j in range(1, 56)] + [0.3]
         assert rec.dt_series[-1] == steps[-1]
 
+    def test_dt_series_records_the_step_taken(self, small_setup):
+        """Over 0.1 at dt = 0.03 the last step is what is left, 0.1 - 0.09,
+        and the last row records that step, not the dt in force."""
+        _, k, _, F = small_setup
+        F0 = MassField(Grid.point(), F.flat()[:, 0].copy())
+        rec = run(F0, k, None, RunConfig(t_final=0.1, dt=0.03, policy=TruncationPolicy.cutoff(F.n_max)))
+        assert rec.dt_series == [0.03] * 4 + [0.1 - 0.09]
+
     def test_lie_and_point_grid_are_unchanged(self, small_setup):
         """Lie carries nothing, and the point grid has no diffusion: the
         stride does not change a bit of either."""

@@ -245,9 +245,11 @@ class TestDiffusionProfile:
         assert DiffusionProfile.constant(2.0, 8).non_increasing
         assert not DiffusionProfile([1.0, 0.5, 0.75]).non_increasing
 
-    def test_bracketed_power_lies_in_bracket(self):
+    def test_geometric_mean_power_law_lies_in_bracket(self):
+        """sqrt(r1 r2) n^(-(b1+b2)/2) lies between r1 n^(-b1) and r2 n^(-b2)
+        for r1 <= r2 and b2 <= b1."""
         r1, b1, r2, b2 = 0.5, 1.2, 2.0, 0.3
-        dp = DiffusionProfile.bracketed_power(r1, b1, r2, b2, 64)
+        dp = DiffusionProfile.power_law(np.sqrt(r1 * r2), (b1 + b2) / 2, 64)
         n = np.arange(1, 65, dtype=float)
         assert np.all(dp.values >= r1 * n**-b1 - 1e-15)
         assert np.all(dp.values <= r2 * n**-b2 + 1e-15)

@@ -62,11 +62,11 @@ class TestHypotheses:
             for m in range(max(1, sc.a1.k0 + 1 - n), n_max + 1 - n):
                 assert table[n - 1, m - 1] <= 2 * A1_DELTA * dp.value(1) * (n + m)
 
-    def test_bracketed_profile_reads_its_mean_exponent(self):
-        """bracketed_power is sqrt(r1 r2) n^(-(b1+b2)/2), which lies inside the
-        bracket it was built from."""
+    def test_geometric_mean_profile_reads_its_mean_exponent(self):
+        """The power law sqrt(r1 r2) n^(-(b1+b2)/2) has b1 = b2 = (b1+b2)/2,
+        inside the bracket it was built from."""
         for r1, b1, r2, b2 in [(0.5, 1.0, 2.0, 0.25), (1.0, 0.5, 1.0, 0.5), (0.1, 2.0, 3.0, 0.0)]:
-            sc = of_profile(DiffusionProfile.bracketed_power(r1, b1, r2, b2, 48))
+            sc = of_profile(DiffusionProfile.power_law(np.sqrt(r1 * r2), (b1 + b2) / 2, 48))
             assert sc.b1 == pytest.approx((b1 + b2) / 2, abs=1e-12)
             assert sc.b2 == pytest.approx((b1 + b2) / 2, abs=1e-12)
             assert b2 - 1e-12 <= sc.b2 <= sc.b1 <= b1 + 1e-12

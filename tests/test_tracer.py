@@ -286,19 +286,20 @@ class TestSharedRateTables:
     GROWTH_SHA256 = "1a53492c24ca601c083f05d6b5a8f91ba7616e8dbdfaf5bfb2483a420a8a3d03"
 
     @staticmethod
-    def growth_scenario(workers):
+    def growth_scenario(monkeypatch, workers):
         """n_max = 4 with immortal tracers: masses pass 2*n_max within a slice."""
+        monkeypatch.setattr(tracer, "CHUNK_SIZE", 500)
         grid = Grid(1, 1.0, 4)
         F = MassField.zeros(grid, 4)
         F.data[:] = 1.0
         F.data[:, 0] = 2.0
         k = Kernel.constant(1.0, 4)
         dp = DiffusionProfile.power_law(0.05, 0.5, 4)
-        ens = TracerEnsemble(count=3000, seed=21, chunk_size=500, immortal=True)
+        ens = TracerEnsemble(count=3000, seed=21, immortal=True)
         return simulate([F] * 4, k, dp, ens, 0.25, histogram_times=[0.25, 0.5, 1.0], workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_growth_histograms_match_per_chunk_rebuilds(self, workers):
+    def test_growth_histograms_match_per_chunk_rebuilds(self, monkeypatch, workers):
         # Chunks run in worker processes, where a write to a shared table
         # would stay private to one worker and no switch interval applies;
         # the short interval still interleaves any threads of this process
@@ -306,7 +307,7 @@ class TestSharedRateTables:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            out = self.growth_scenario(workers)
+            out = self.growth_scenario(monkeypatch, workers)
         finally:
             sys.setswitchinterval(interval)
         assert out.histograms[-1].overflow.sum() > 0
@@ -338,7 +339,7 @@ class TestSharedRateTables:
         # In-process, so the recording also sees the chunk-local tables
         # (worker processes build theirs where this process cannot see them).
         built = self.record_tables(monkeypatch)
-        out = self.growth_scenario(workers=1)
+        out = self.growth_scenario(monkeypatch, workers=1)
         shared = [t for t in built if t.cap == 8]
         local = [t for t in built if t.cap > 8]
         assert len(shared) == 4  # one per slice, not one per (chunk, slice)
@@ -347,7 +348,7 @@ class TestSharedRateTables:
 
     def test_worker_processes_leave_shared_tables_unchanged(self, monkeypatch):
         built = self.record_tables(monkeypatch)
-        out = self.growth_scenario(workers=2)
+        out = self.growth_scenario(monkeypatch, workers=2)
         assert len([t for t in built if t.cap == 8]) == 4
         self.assert_unchanged(built)
         assert ensemble_digest(out) == self.GROWTH_SHA256
@@ -374,38 +375,40 @@ class TestSharedRateTables:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         monkeypatch.setattr(_fork, "_INSTALLED", None)
         monkeypatch.setattr(os, "fork", self.no_fork)
-        out = self.three_chunks(workers=10_000)
+        out = self.three_chunks(monkeypatch, workers=10_000)
         assert seen == [3]
-        assert ensemble_digest(out) == ensemble_digest(self.three_chunks(workers=1))
+        assert ensemble_digest(out) == ensemble_digest(self.three_chunks(monkeypatch, workers=1))
 
     def test_without_fork_chunks_run_in_process(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(os, "fork", self.no_fork)
-        out = self.three_chunks(workers=8)
-        assert ensemble_digest(out) == ensemble_digest(self.three_chunks(workers=1))
+        out = self.three_chunks(monkeypatch, workers=8)
+        assert ensemble_digest(out) == ensemble_digest(self.three_chunks(monkeypatch, workers=1))
 
     @staticmethod
     def no_fork():
         raise AssertionError("a process was started")
 
     @staticmethod
-    def three_chunks(workers):
+    def three_chunks(monkeypatch, workers):
+        monkeypatch.setattr(tracer, "CHUNK_SIZE", 100)
         grid = Grid(1, 1.0, 4)
         F = MassField.zeros(grid, 4)
         F.data[:] = 1.0
         k = Kernel.constant(1.0, 4)
         dp = DiffusionProfile.constant(0.05, 4)
-        ens = TracerEnsemble(count=250, seed=3, chunk_size=100)
+        ens = TracerEnsemble(count=250, seed=3)
         return simulate([F] * 2, k, dp, ens, 0.1, workers=workers)
 
-    def test_thinning_counts_do_not_depend_on_workers(self):
+    def test_thinning_counts_do_not_depend_on_workers(self, monkeypatch):
+        monkeypatch.setattr(tracer, "CHUNK_SIZE", 1000)
         grid = Grid(1, 1.0, 16)
         n_max = 6
         F = MassField.gaussian_blob(grid, n_max, amplitude=2.0, width=0.1)
         k = Kernel.sum_kernel(0.5, n_max)
         dp = DiffusionProfile.constant(0.02, n_max)
         outs = [
-            simulate([F] * 5, k, dp, TracerEnsemble(count=5000, seed=13, chunk_size=1000), 0.1, workers=w)
+            simulate([F] * 5, k, dp, TracerEnsemble(count=5000, seed=13), 0.1, workers=w)
             for w in (1, 2)
         ]
         assert outs[0].thinning == outs[1].thinning
