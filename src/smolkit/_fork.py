@@ -62,9 +62,9 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     """``[fn(item) for item in items]``, in up to ``workers`` forked processes.
 
     With ``workers > 1`` and more than one item, the items run in
-    ``min(workers, len(items))`` worker processes forked from this one, each
-    taking the next item in order as it becomes free; results come back in
-    item order.  Otherwise, and where ``fork`` is unavailable, the items run
+    ``min(workers, len(items), usable_cpus())`` worker processes forked from
+    this one, each taking the next item in order as it becomes free; results
+    come back in item order.  Otherwise, and where ``fork`` is unavailable, the items run
     here, one after another.  Results are therefore the same for any
     ``workers`` as long as ``fn`` reads only its item and state it shares
     read-only.
@@ -76,7 +76,7 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     the map waiting; an exception ``fn`` raises is re-raised here.
     """
     items = list(items)
-    processes = min(workers, len(items))
+    processes = min(workers, len(items), usable_cpus())
     if processes <= 1 or (pool := _forked_pool(processes, lambda i: fn(items[i]))) is None:
         return [fn(item) for item in items]
     with pool:

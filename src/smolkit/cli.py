@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import shutil
 import sys
@@ -84,72 +85,81 @@ class ConfigError(ValueError):
     """Malformed scenario file; message carries key path and line."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Fully validated description of one smolkit invocation."""
+# -- config keys ----------------------------------------------------------
+#
+# Each config key is one ``Scenario`` field, declared once by ``_key``: its
+# name in the file, default, parser and domain.  A domain raises ValueError
+# for a value outside it and never sees None, the "not set" of an optional
+# key.  Every number is finite.
 
-    name: str = ""
-    mode: str = ""
-    seed: int = 0
-    workers: int = dataclasses.field(default_factory=usable_cpus)
-    out_dir: str | None = None
 
-    kernel_kind: str = "constant"
-    kernel_c: float = 1.0
-    kernel_c0: float = 1.0
-    kernel_a: float = 1.0
-    kernel_b: float = 1.0
-    kernel_table: str | None = None
-    kernel_range_chi: float = 1.0 / 3.0
-    kernel_range_scale: float = 1.0
-    kernel_range_dim: int = 3
+def _key(key: str, default, parse, domain=None):
+    """The ``Scenario`` field of config key ``key``; a callable default is a factory."""
+    meta = {"key": key, "parse": parse, "domain": domain}
+    if callable(default):
+        return dataclasses.field(default_factory=default, metadata=meta)
+    return dataclasses.field(default=default, metadata=meta)
 
-    diffusion_kind: str = "constant"
-    diffusion_value: float = 1.0
-    diffusion_r2: float = 1.0
-    diffusion_b2: float = 0.0
-    diffusion_table: str | None = None
 
-    grid_dim: int = 1
-    grid_length: float = 1.0
-    grid_cells: int = 64
+def _real(lo: float | None = None, above: bool = False):
+    """Domain: a finite float, >= ``lo`` (> ``lo`` with ``above``) when given."""
+    rule = "finite" if lo is None else f"finite and {'>' if above else '>='} {lo:g}"
 
-    initial_kind: str = "monodisperse"
-    initial_amplitude: float = 1.0
-    initial_species: int = 1
-    initial_width: float | None = None
-    initial_center: tuple[float, ...] | None = None
-    initial_table: str | None = None
+    def check(x: float) -> None:
+        if not math.isfinite(x) or lo is not None and (x <= lo if above else x < lo):
+            raise ValueError(f"must be {rule}, got {x:g}")
 
-    n_max: int = 64
-    t_final: float = 1.0
-    dt: float = 1e-2
-    policy: str = "cutoff"
-    splitting: str = "strang"
-    output_stride: float | None = None
-    moments: tuple[float, ...] = (0.0, 1.0, 2.0)
-    pair_moments: tuple[float, ...] = ()
-    record_fields: bool = False
-    auto_halve: bool = True
+    return check
 
-    tracer_count: int = 10000
-    tracer_slices: int = 64
-    tracer_times: tuple[float, ...] | None = None
-    tracer_immortal: bool = False
-    tracer_tv_tolerance: float | None = None
-    tracer_z_tolerance: float | None = None
 
-    monitors: tuple[str, ...] = ("conservation",)
-    conservation_tolerance: float = 1e-10
-    heat_majorant_tolerance: float = 1e-6
-    gronwall_a_bound: float | None = None
-    gronwall_delta: float = 1e-3
-    plateau_a: float = 2.0
-    plateau_tolerance: float = 0.05
-    plateau_refinements: int = 1
+def _count(lo: int, hi: int | None = None):
+    """Domain: an integer in ``lo..hi``, or >= ``lo`` without ``hi``."""
+    rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
 
-    gelscan_n_list: tuple[int, ...] = (64, 128, 256)
-    gelscan_dt: float | None = None
+    def check(n: int) -> None:
+        if n < lo or hi is not None and n > hi:
+            raise ValueError(f"must be {rule}, got {n}")
+
+    return check
+
+
+def _choice(*options: str):
+    def check(s: str) -> None:
+        if s not in options:
+            raise ValueError(f"must be one of {', '.join(options)}; got {s!r}")
+
+    return check
+
+
+def _each(check, distinct: bool = False):
+    """Domain of a list: each value in ``check``'s, and none twice with ``distinct``."""
+
+    def inner(values: tuple) -> None:
+        for v in values:
+            try:
+                check(v)
+            except ValueError as err:
+                raise ValueError(f"each value {err}") from None
+        if distinct and len(set(values)) != len(values):
+            raise ValueError("must not repeat a value")
+
+    return inner
+
+
+def _required(s: str) -> None:
+    if not s:
+        raise ValueError("is required")
+
+
+def _power_of_two(m: int) -> None:
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"must be a power of two >= 2, got {m}")
+
+
+def _ranges(ns: tuple[int, ...]) -> None:
+    _each(_count(1))(ns)
+    if len(ns) < 2 or list(ns) != sorted(set(ns)):
+        raise ValueError(f"must be at least two increasing ranges, got {','.join(map(str, ns))}")
 
 
 def _parse_bool(s: str) -> bool:
@@ -158,91 +168,87 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected true or false, got {s!r}")
 
 
-def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(",") if x.strip())
+def _split(parse):
+    return lambda s: tuple(parse(x.strip()) for x in s.split(",") if x.strip())
 
 
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(",") if x.strip())
+_FLOATS, _TOLERANCE = _split(float), _real(0)
 
 
-def _parse_choice(options: tuple[str, ...]):
-    def inner(s: str) -> str:
-        if s not in options:
-            raise ValueError(f"expected one of {', '.join(options)}; got {s!r}")
-        return s
+@dataclass(frozen=True)
+class Scenario:
+    """Fully validated description of one smolkit invocation, one field per config key."""
 
-    return inner
+    name: str = _key("name", "", str, _required)
+    mode: str = _key("mode", "", str, _choice(*MODES))
+    seed: int = _key("seed", 0, int, _count(0))
+    workers: int = _key("workers", usable_cpus, int, _count(1))
+    out_dir: str | None = _key("out.dir", None, str)
+
+    kernel_kind: str = _key("kernel.kind", "constant", str, _choice(*KERNEL_KINDS))
+    kernel_c: float = _key("kernel.c", 1.0, float, _real(0))
+    kernel_c0: float = _key("kernel.c0", 1.0, float, _real(0))
+    kernel_a: float = _key("kernel.a", 1.0, float, _real())
+    kernel_b: float = _key("kernel.b", 1.0, float, _real())
+    kernel_table: str | None = _key("kernel.table", None, str)
+    kernel_range_chi: float = _key("kernel.range_chi", 1.0 / 3.0, float, _real(0))
+    kernel_range_scale: float = _key("kernel.range_scale", 1.0, float, _real(0, above=True))
+    kernel_range_dim: int = _key("kernel.range_dim", 3, int, _count(3))
+
+    diffusion_kind: str = _key("diffusion.kind", "constant", str, _choice(*DIFFUSION_KINDS))
+    diffusion_value: float = _key("diffusion.value", 1.0, float, _real(0, above=True))
+    diffusion_r2: float = _key("diffusion.r2", 1.0, float, _real(0, above=True))
+    diffusion_b2: float = _key("diffusion.b2", 0.0, float, _real())
+    diffusion_table: str | None = _key("diffusion.table", None, str)
+
+    grid_dim: int = _key("grid.dim", 1, int, _count(1, 3))
+    grid_length: float = _key("grid.length", 1.0, float, _real(0, above=True))
+    grid_cells: int = _key("grid.cells", 64, int, _power_of_two)
+
+    initial_kind: str = _key("initial.kind", "monodisperse", str, _choice(*INITIAL_KINDS))
+    initial_amplitude: float = _key("initial.amplitude", 1.0, float, _real(0))
+    initial_species: int = _key("initial.species", 1, int, _count(1))
+    initial_width: float | None = _key("initial.width", None, float, _real(0, above=True))
+    initial_center: tuple[float, ...] | None = _key("initial.center", None, _FLOATS, _each(_real()))
+    initial_table: str | None = _key("initial.table", None, str)
+
+    n_max: int = _key("run.n_max", 64, int, _count(2))
+    t_final: float = _key("run.t_final", 1.0, float, _real(0, above=True))
+    dt: float = _key("run.dt", 1e-2, float, _real(0, above=True))
+    policy: str = _key("run.policy", "cutoff", str, _choice("cutoff", "gel_reservoir"))
+    splitting: str = _key("run.splitting", "strang", str, _choice("strang", "lie"))
+    output_stride: float | None = _key("run.output_stride", None, float, _real(0, above=True))
+    moments: tuple[float, ...] = _key("run.moments", (0.0, 1.0, 2.0), _FLOATS, _each(_real(0), distinct=True))
+    pair_moments: tuple[float, ...] = _key("run.pair_moments", (), _FLOATS, _each(_real(0), distinct=True))
+    record_fields: bool = _key("run.record_fields", False, _parse_bool)
+    auto_halve: bool = _key("run.auto_halve", True, _parse_bool)
+
+    tracer_count: int = _key("tracer.count", 10000, int, _count(1))
+    tracer_slices: int = _key("tracer.slices", 64, int, _count(1))
+    tracer_times: tuple[float, ...] | None = _key("tracer.times", None, _FLOATS, _each(_real(0)))
+    tracer_immortal: bool = _key("tracer.immortal", False, _parse_bool)
+    # A gate passes when its violation is <= its tolerance: below 0, or nan,
+    # it never can, and at inf it always does.
+    tracer_tv_tolerance: float | None = _key("tracer.tv_tolerance", None, float, _TOLERANCE)
+    tracer_z_tolerance: float | None = _key("tracer.z_tolerance", None, float, _TOLERANCE)
+
+    monitors: tuple[str, ...] = _key("monitors", ("conservation",), _split(str), _each(_choice(*MONITORS)))
+    conservation_tolerance: float = _key("conservation.tolerance", 1e-10, float, _TOLERANCE)
+    heat_majorant_tolerance: float = _key("heat_majorant.tolerance", 1e-6, float, _TOLERANCE)
+    # Against a nan or infinite bound the Gronwall envelope would pass vacuously.
+    gronwall_a_bound: float | None = _key("gronwall.a_bound", None, float, _real(0))
+    gronwall_delta: float = _key("gronwall.delta", 1e-3, float, _real(0, above=True))
+    # The plateau's pair moments take the exponent a - 1.
+    plateau_a: float = _key("moment_plateau.a", 2.0, float, _real(1))
+    plateau_tolerance: float = _key("moment_plateau.tolerance", 0.05, float, _TOLERANCE)
+    plateau_refinements: int = _key("moment_plateau.refinements", 1, int, _count(1))
+
+    gelscan_n_list: tuple[int, ...] = _key("gelscan.n_list", (64, 128, 256), _split(int), _ranges)
+    gelscan_dt: float | None = _key("gelscan.dt", None, float, _real(0, above=True))
 
 
-def _parse_names(options: tuple[str, ...]):
-    def inner(s: str) -> tuple[str, ...]:
-        vals = tuple(x.strip() for x in s.split(",") if x.strip())
-        for v in vals:
-            if v not in options:
-                raise ValueError(f"unknown monitor {v!r}; options: {', '.join(options)}")
-        return vals
-
-    return inner
-
-
-# key in file -> (Scenario attribute, parser)
-SCHEMA: dict[str, tuple[str, object]] = {
-    "name": ("name", str),
-    "mode": ("mode", _parse_choice(MODES)),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
-    "out.dir": ("out_dir", str),
-    "kernel.kind": ("kernel_kind", _parse_choice(KERNEL_KINDS)),
-    "kernel.c": ("kernel_c", float),
-    "kernel.c0": ("kernel_c0", float),
-    "kernel.a": ("kernel_a", float),
-    "kernel.b": ("kernel_b", float),
-    "kernel.table": ("kernel_table", str),
-    "kernel.range_chi": ("kernel_range_chi", float),
-    "kernel.range_scale": ("kernel_range_scale", float),
-    "kernel.range_dim": ("kernel_range_dim", int),
-    "diffusion.kind": ("diffusion_kind", _parse_choice(DIFFUSION_KINDS)),
-    "diffusion.value": ("diffusion_value", float),
-    "diffusion.r2": ("diffusion_r2", float),
-    "diffusion.b2": ("diffusion_b2", float),
-    "diffusion.table": ("diffusion_table", str),
-    "grid.dim": ("grid_dim", int),
-    "grid.length": ("grid_length", float),
-    "grid.cells": ("grid_cells", int),
-    "initial.kind": ("initial_kind", _parse_choice(INITIAL_KINDS)),
-    "initial.amplitude": ("initial_amplitude", float),
-    "initial.species": ("initial_species", int),
-    "initial.width": ("initial_width", float),
-    "initial.center": ("initial_center", _parse_floats),
-    "initial.table": ("initial_table", str),
-    "run.n_max": ("n_max", int),
-    "run.t_final": ("t_final", float),
-    "run.dt": ("dt", float),
-    "run.policy": ("policy", _parse_choice(("cutoff", "gel_reservoir"))),
-    "run.splitting": ("splitting", _parse_choice(("strang", "lie"))),
-    "run.output_stride": ("output_stride", float),
-    "run.moments": ("moments", _parse_floats),
-    "run.pair_moments": ("pair_moments", _parse_floats),
-    "run.record_fields": ("record_fields", _parse_bool),
-    "run.auto_halve": ("auto_halve", _parse_bool),
-    "tracer.count": ("tracer_count", int),
-    "tracer.slices": ("tracer_slices", int),
-    "tracer.times": ("tracer_times", _parse_floats),
-    "tracer.immortal": ("tracer_immortal", _parse_bool),
-    "tracer.tv_tolerance": ("tracer_tv_tolerance", float),
-    "tracer.z_tolerance": ("tracer_z_tolerance", float),
-    "monitors": ("monitors", _parse_names(MONITORS)),
-    "conservation.tolerance": ("conservation_tolerance", float),
-    "heat_majorant.tolerance": ("heat_majorant_tolerance", float),
-    "gronwall.a_bound": ("gronwall_a_bound", float),
-    "gronwall.delta": ("gronwall_delta", float),
-    "moment_plateau.a": ("plateau_a", float),
-    "moment_plateau.tolerance": ("plateau_tolerance", float),
-    "moment_plateau.refinements": ("plateau_refinements", int),
-    "gelscan.n_list": ("gelscan_n_list", _parse_ints),
-    "gelscan.dt": ("gelscan_dt", float),
-}
+# file key -> its ``Scenario`` field
+SCHEMA: dict[str, dataclasses.Field] = {f.metadata["key"]: f for f in dataclasses.fields(Scenario)}
 
 
 def parse_config(path) -> Scenario:
@@ -262,20 +268,27 @@ def parse_config(path) -> Scenario:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        attr, parser = SCHEMA[key]
-        try:
-            values[attr] = parser(value)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {err}") from err
+        field = SCHEMA[key]
+        values[field.name] = _checked(field, field.metadata["parse"], value.strip(), f"{path}:{lineno}")
     scenario = Scenario(**values)
     _validate(scenario, path)
     return scenario
+
+
+def _checked(field: dataclasses.Field, parse, value, where: str):
+    """``parse(value)``, checked against ``field``'s domain; a ConfigError at ``where`` names the key."""
+    try:
+        value = parse(value)
+        if value is not None and field.metadata["domain"] is not None:
+            field.metadata["domain"](value)
+        return value
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"{where}: {field.metadata['key']}: {err}") from err
 
 
 def _require(cond: bool, key: str, message: str, path) -> None:
@@ -284,73 +297,37 @@ def _require(cond: bool, key: str, message: str, path) -> None:
 
 
 def _validate(s: Scenario, path) -> None:
-    _require(bool(s.name), "name", "scenario name is required", path)
-    _require(s.mode in MODES, "mode", f"mode is required (one of {', '.join(MODES)})", path)
-    _require(s.seed >= 0, "seed", "must be >= 0", path)
-    _require(s.workers >= 1, "workers", "must be >= 1", path)
-    _require(s.n_max >= 2, "run.n_max", "must be >= 2", path)
-    _require(s.dt > 0, "run.dt", "must be > 0", path)
-    _require(s.t_final >= 0, "run.t_final", "must be >= 0", path)
-    _require(s.output_stride is None or s.output_stride > 0, "run.output_stride", "must be > 0", path)
-    for key, exponents in (("run.moments", s.moments), ("run.pair_moments", s.pair_moments)):
-        _require(len(set(exponents)) == len(exponents), key, "must not repeat an exponent", path)
-        for a in exponents:
-            _require(a >= 0, key, f"every exponent must be >= 0, got a={a:g}", path)
-    _require(s.initial_amplitude >= 0, "initial.amplitude", "must be >= 0", path)
-    width = s.initial_width
-    _require(width is None or width > 0, "initial.width", f"must be > 0, got {width}", path)
-    _require(1 <= s.initial_species <= s.n_max, "initial.species", "must lie in 1..n_max", path)
-    _require(s.grid_dim in (1, 2, 3), "grid.dim", "must be 1, 2 or 3", path)
-    _require(s.grid_length > 0, "grid.length", "must be > 0", path)
-    m = s.grid_cells
-    _require(m >= 2 and (m & (m - 1)) == 0, "grid.cells", "must be a power of two >= 2", path)
-    if s.kernel_kind == "table":
-        _require(s.kernel_table is not None, "kernel.table", "required for kernel.kind = table", path)
-        _require(Path(s.kernel_table).exists(), "kernel.table", f"file not found: {s.kernel_table}", path)
-    if s.kernel_kind == "range_derived":
-        _require(s.kernel_range_dim >= 3, "kernel.range_dim", "must be >= 3", path)
-    if s.diffusion_kind == "table":
-        _require(s.diffusion_table is not None, "diffusion.table", "required for diffusion.kind = table", path)
-        _require(Path(s.diffusion_table).exists(), "diffusion.table", f"file not found: {s.diffusion_table}", path)
-    if s.initial_kind == "table":
-        _require(s.initial_table is not None, "initial.table", "required for initial.kind = table", path)
-        _require(Path(s.initial_table).exists(), "initial.table", f"file not found: {s.initial_table}", path)
+    """Every field against its domain, for keys the file left unset and for
+    the command's overrides, then the rules that join keys."""
+    for field in dataclasses.fields(s):
+        _checked(field, lambda v: v, getattr(s, field.name), str(path))
+    for key, kind, table in (
+        ("kernel.table", s.kernel_kind, s.kernel_table), ("diffusion.table", s.diffusion_kind, s.diffusion_table),
+        ("initial.table", s.initial_kind, s.initial_table),
+    ):
+        if kind == "table":
+            _require(table is not None, key, f"required for {key.split('.')[0]}.kind = table", path)
+            _require(Path(table).exists(), key, f"file not found: {table}", path)
     if s.initial_center is not None:
         _require(len(s.initial_center) == s.grid_dim, "initial.center", "needs one value per grid dimension", path)
+    if s.mode == "gelscan":
+        top, name = min(s.gelscan_n_list), "min(gelscan.n_list)"
+    else:
+        top, name = s.n_max, "run.n_max"
+    _require(s.initial_species <= top, "initial.species", f"must lie in 1..{name}", path)
     if s.mode == "tracer":
-        _require(s.tracer_count >= 1, "tracer.count", "must be >= 1", path)
-        _require(s.tracer_slices >= 1, "tracer.slices", "must be >= 1", path)
-        _require(s.t_final > 0, "run.t_final", "tracer mode needs a positive horizon", path)
         # The histogram times must be slice boundaries, within simulate's slack.
         slice_dt = s.t_final / s.tracer_slices
         for t in s.tracer_times or ():
-            i = round(t / slice_dt) if np.isfinite(t) else -1
-            _require(0 <= i <= s.tracer_slices and abs(i * slice_dt - t) <= 1e-9 * max(s.t_final, 1.0), "tracer.times",
+            i = round(t / slice_dt)
+            _require(i <= s.tracer_slices and abs(i * slice_dt - t) <= 1e-9 * max(s.t_final, 1.0), "tracer.times",
                      f"{t:g} is not in [0, run.t_final] on a multiple of run.t_final / tracer.slices", path)
-    if s.mode == "gelscan":
-        _require(len(s.gelscan_n_list) >= 2, "gelscan.n_list", "needs at least two ranges", path)
-        _require(list(s.gelscan_n_list) == sorted(s.gelscan_n_list), "gelscan.n_list", "must increase", path)
-        _require(min(s.gelscan_n_list) >= 1, "gelscan.n_list", "every range must be >= 1", path)
-        _require(s.gelscan_dt is None or s.gelscan_dt > 0, "gelscan.dt", "must be > 0", path)
-        _require(s.initial_species <= min(s.gelscan_n_list), "initial.species", "must lie in 1..min(gelscan.n_list)", path)
-    if "gronwall" in s.monitors:
-        _require(s.gronwall_delta > 0, "gronwall.delta", "must be > 0", path)
-    bound = s.gronwall_a_bound
-    # Against a nan or infinite bound the envelope would pass vacuously.
-    _require(bound is None or 0 <= bound < np.inf, "gronwall.a_bound", f"must be finite and >= 0, got {bound}", path)
-    if "moment_plateau" in s.monitors:
-        _require(s.plateau_a >= 1, "moment_plateau.a", "must be >= 1 (the pair moments take the exponent a - 1)", path)
     if s.mode == "homogeneous":
         spatial_only = {"gronwall", "heat_majorant", "moment_plateau"} & set(s.monitors)
         _require(not spatial_only, "monitors", f"{sorted(spatial_only)} need a spatial mode (pde/tracer)", path)
-    _require(s.plateau_refinements >= 1, "moment_plateau.refinements", "must be >= 1", path)
-    for key, tol in (
-        ("conservation.tolerance", s.conservation_tolerance), ("heat_majorant.tolerance", s.heat_majorant_tolerance),
-        ("moment_plateau.tolerance", s.plateau_tolerance), ("tracer.tv_tolerance", s.tracer_tv_tolerance),
-        ("tracer.z_tolerance", s.tracer_z_tolerance),
-    ):
-        # A gate passes when its violation is <= tol: below 0, or nan, it never can.
-        _require(tol is None or tol >= 0, key, f"must be >= 0, got {tol}", path)
+    if "heat_majorant" in s.monitors and s.diffusion_kind == "power_law":
+        _require(s.diffusion_b2 >= 0, "diffusion.b2", "must be >= 0 with heat_majorant, whose majorant needs a"
+                 " non-increasing profile", path)
 
 
 # -- building model objects from a scenario -----------------------------
@@ -436,12 +413,8 @@ def _gelscan_config(s: Scenario, field0: MassField, kernel: Kernel) -> RunConfig
     elif lam0 > 0:
         dt = 0.8 * STABILITY_LIMIT / lam0
     else:
-        # No reaction at all; any positive step will do, also at t_final = 0.
-        dt = T / 100.0 if T > 0 else 1.0
-    return RunConfig(
-        t_final=T, dt=min(dt, T) if T > 0 else dt, policy=policy,
-        output_stride=T / 4.0 if T > 0 else None, moment_exponents=(0.0, 1.0),
-    )
+        dt = T / 100.0  # no reaction at all; any positive step will do
+    return RunConfig(t_final=T, dt=min(dt, T), policy=policy, output_stride=T / 4.0, moment_exponents=(0.0, 1.0))
 
 
 def build_run(s: Scenario, kernel: Kernel) -> tuple[MassField, DiffusionProfile | None, RunConfig]:
@@ -650,9 +623,10 @@ def _snapshot_sink(s: Scenario, grid: Grid, out: Path) -> Iterator[Callable[[int
     Each recorded field goes to :func:`write_field_csv` as soon as it is
     recorded: through ``fork_sink`` to one writer process when
     ``s.workers > 1``, so formatting overlaps the steps, and here otherwise.
-    Snapshot 0 is held until the first stride after t = 0, so nothing is
-    forked before the run's first step: a process that stops at that
-    step, as the benchmark's set-up probe does, leaves no writer behind.
+    Snapshot 0 is held until the first stride after t = 0, which
+    ``run.t_final > 0`` guarantees, so nothing is forked before the run's
+    first step: a process that stops at that step, as the benchmark's
+    set-up probe does, leaves no writer behind.
     A run or a writer that fails leaves no ``snapshots/``: partial
     snapshots next to an older ``series.csv`` would read as a finished run.
     """
@@ -671,8 +645,6 @@ def _snapshot_sink(s: Scenario, grid: Grid, out: Path) -> Iterator[Callable[[int
                     put(held.pop(0))
 
             yield on_stride
-            for item in held:  # t_final = 0: snapshot 0 alone
-                put(item)
     except BaseException:
         shutil.rmtree(snapdir, ignore_errors=True)
         raise
@@ -741,7 +713,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--workers", type=int, default=None,
             help="worker processes for the tracer's chunks or the gelscan and moment-plateau levels,"
-            " at most one per chunk or level, and with N > 1 one snapshot writer beside the run"
+            " at most one per chunk or level and one per usable CPU, and with N > 1 one snapshot writer beside the run"
             " (default: the usable CPUs; outputs bit-identical for any N)",
         )
         p.add_argument("--out", default=None, help="output directory")
@@ -749,7 +721,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = parse_config(args.config)
         # The command and flags override the file, so check the result again
-        # (``smolkit gelscan`` also checks the gelscan keys).
+        # (``smolkit gelscan`` also checks the rules of gelscan mode).
         overrides = {"mode": "gelscan"} if args.command == "gelscan" else {}
         if args.workers is not None:
             overrides["workers"] = args.workers

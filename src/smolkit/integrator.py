@@ -105,14 +105,15 @@ class RunConfig:
     auto_halve: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.t_final < 0:
-            raise ValueError("t_final must be >= 0")
+        # Each comparison is False for nan, so a nan passes none of them.
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.splitting not in (STRANG, LIE):
             raise ValueError(f"unknown splitting {self.splitting!r}")
-        if self.output_stride is not None and self.output_stride <= 0:
-            raise ValueError("output stride must be > 0")
+        if self.output_stride is not None and not self.output_stride > 0:
+            raise ValueError(f"output_stride must be > 0, got {self.output_stride}")
         for name in ("moment_exponents", "pair_moment_exponents"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"repeated exponent in {name}: each series would be recorded twice")

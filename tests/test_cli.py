@@ -69,6 +69,13 @@ def write(tmp_path, text, name="scenario.cfg"):
     return p
 
 
+def assert_names_key(capsys, p, key, detail=""):
+    """stderr is one line, ``error: <p>[:<line>]: <key>: ...``, containing ``detail``."""
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(p))}(:\d+)?: {re.escape(key)}: .*\n", err), err
+    assert detail in err
+
+
 def sqrt_table(tmp_path, n_top):
     """A kernel CSV of alpha = sqrt(n+m) over the pairs of 1..n_top."""
     p = tmp_path / f"sqrt{n_top}.csv"
@@ -142,8 +149,30 @@ class TestParseConfig:
         s = parse_config(write(tmp_path, text))
         for line in filter(None, map(str.strip, text.splitlines())):
             key, _, value = (part.strip() for part in line.partition("="))
-            attr, parser = cli.SCHEMA[key]
-            assert getattr(s, attr) == parser(value), key
+            field = cli.SCHEMA[key]
+            assert getattr(s, field.name) == field.metadata["parse"](value), key
+
+
+# Every key whose values are numbers, lists of numbers included.
+NUMERIC_KEYS = sorted(key for key, field in cli.SCHEMA.items() if re.search(r"\b(int|float)\b", field.type))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_a_numeric_value_is_named_or_steps(tmp_path, capsys, key, value):
+    """Each numeric key at nan, +-inf, -1 and 0 on the pde scenario: either
+    one stderr line naming the key and no output directory, or a run that
+    takes at least one step and exits 0 or 2."""
+    text = "".join(line + "\n" for line in PDE.splitlines() if not line.startswith(f"{key} ="))
+    p = write(tmp_path, text + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    code = main(["run", str(p), "--workers", "1", "--out", str(out)])
+    if code == 1:
+        assert_names_key(capsys, p, key)
+        assert not out.exists()
+    else:
+        assert code in (0, 2)
+        assert float((out / "series.csv").read_text().splitlines()[-1].split(",")[0]) > 0
 
 
 class TestExecute:
@@ -197,9 +226,10 @@ class TestExecute:
     @pytest.mark.parametrize(
         "line,named",
         [("run.moments = 200", "a=200"), ("run.pair_moments = 150", "a=150"),
-         ("run.moments = 0,1,-1", "run.moments: every exponent must be >= 0, got a=-1"),
-         ("run.pair_moments = -2", "run.pair_moments: every exponent must be >= 0, got a=-2"),
-         ("run.moments = 1,nan", "run.moments: every exponent must be >= 0, got a=nan")],
+         ("run.moments = 0,1,-1", "run.moments: each value must be finite and >= 0, got -1"),
+         ("run.pair_moments = -2", "run.pair_moments: each value must be finite and >= 0, got -2"),
+         ("run.moments = 1,nan", "run.moments: each value must be finite and >= 0, got nan"),
+         ("run.moments = inf", "run.moments: each value must be finite and >= 0, got inf")],
     )
     def test_bad_moment_exponent_exits_one_before_the_run(self, tmp_path, capsys, line, named):
         """A weight n^a that overflows float64 at n_max = 1000, or an exponent
@@ -218,26 +248,26 @@ class TestExecute:
         text = TestDeterminism.TRACER.replace("run.t_final = 0.1", "run.t_final = 0.5").replace("tracer.slices = 8", "tracer.slices = 4")
         p = write(tmp_path, text + f"tracer.times = {times}\n")
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
-        assert f"error: {p}: tracer.times: " in capsys.readouterr().err
+        assert_names_key(capsys, p, "tracer.times")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key,value",
-        [("initial.width", v) for v in ("0", "-0.1", "nan")]
+        [("initial.width", v) for v in ("0", "-0.1", "nan", "inf")]
         + [(key, v) for key in ("conservation.tolerance", "heat_majorant.tolerance", "moment_plateau.tolerance",
-                                "tracer.tv_tolerance", "tracer.z_tolerance") for v in ("-1", "nan")]
+                                "tracer.tv_tolerance", "tracer.z_tolerance") for v in ("-1", "nan", "inf")]
         + [("gronwall.a_bound", v) for v in ("nan", "inf", "-1")],
     )
     def test_bad_width_or_tolerance_exits_one_before_any_file(self, tmp_path, capsys, key, value):
         """A zero width would run an empty field through every gate, a negative
         one would run as its absolute value, a gate with a negative or nan
-        tolerance can never pass, and a nan or infinite Gronwall bound passes
-        vacuously: each is an error naming its key."""
+        tolerance can never pass and one with an infinite tolerance can never
+        fail, and a nan or infinite Gronwall bound passes vacuously: each is
+        an error naming its key and line."""
         text = "".join(line + "\n" for line in PDE.splitlines() if not line.startswith(f"{key} ="))
         p = write(tmp_path, text + f"{key} = {value}\n")
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and f"error: {p}: {key}: must be " in err
+        assert_names_key(capsys, p, key, f"{p}:{len(text.splitlines()) + 1}: {key}: must be ")
         assert not (tmp_path / "out").exists()
 
     def test_tracer_times_on_the_slice_boundaries_are_accepted(self, tmp_path):
@@ -265,10 +295,12 @@ gelscan.n_list = 16,32
         assert table[1] == "n_max,mass_ratio,gel"
         assert len(table) == 4
 
-    def test_gelscan_zero_data_at_time_zero(self, tmp_path, capsys):
-        """No reaction and no time: the fallback step must still be positive."""
-        p = write(tmp_path, MINIMAL.replace("run.t_final = 0.2", "run.t_final = 0") + "initial.amplitude = 0\n")
-        assert main(["gelscan", str(p), "--out", str(tmp_path / "out")]) == 0
+    def test_gelscan_zero_data_takes_the_fallback_step(self, tmp_path, capsys):
+        """No reaction: no stability limit sets the step, so it is t_final / 100."""
+        p = write(tmp_path, MINIMAL + "initial.amplitude = 0\n")
+        s = dataclasses.replace(parse_config(p), mode="gelscan")
+        assert cli.build_run(s, cli.build_kernel(s))[2].dt == 0.2 / 100
+        assert main(["gelscan", str(p), "--workers", "1", "--out", str(tmp_path / "out")]) == 0
         assert "error" not in capsys.readouterr().err
         table = (tmp_path / "out" / "gelscan.csv").read_text().splitlines()
         assert table[2:] == ["64,1.0,0.0", "128,1.0,0.0", "256,1.0,0.0"]
@@ -288,7 +320,7 @@ gelscan.n_list = 16,32
         still checks the gelscan keys, and the error names file and key."""
         p = write(tmp_path, MINIMAL + line + "\n")
         assert main(["gelscan", str(p), "--out", str(tmp_path / "out")]) == 1
-        assert f"error: {p}: {key}: " in capsys.readouterr().err
+        assert_names_key(capsys, p, key)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["gelscan.t_final", "gelscan.initial"])
@@ -380,7 +412,7 @@ gelscan.n_list = 16,32
         text = PDE.replace("monitors = conservation, heat_majorant", f"monitors = moment_plateau\nmoment_plateau.a = {a}")
         p = write(tmp_path, text)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
-        assert f"error: {p}: moment_plateau.a: must be >= 1" in capsys.readouterr().err
+        assert_names_key(capsys, p, "moment_plateau.a", "must be finite and >= 1")
 
     def test_pde_mode_runs_heat_majorant_monitor(self, tmp_path):
         s = parse_config(write(tmp_path, PDE))
@@ -795,10 +827,10 @@ class TestShippedConfigs:
         assert s.name
 
     def test_readme_key_list_is_the_schema(self):
-        """The README's "Full key list" names every config key once, and no other."""
+        """The README's "Full key list" gives one line to every declared key, and no other."""
         readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("Full key list", 1)[1].split("```", 2)[1]
-        keys = re.sub(r"\([^)]*\)", "", block).replace(",", " ").split()
+        keys = [line.split()[0] for line in block.splitlines() if line.strip()]
         assert sorted(keys) == sorted(cli.SCHEMA)
 
     def test_smallest_config_executes(self, tmp_path):

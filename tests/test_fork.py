@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smolkit import _fork
 from smolkit._fork import fork_map, fork_sink, usable_cpus
 from smolkit.integrator import StepSizeError
 
@@ -20,10 +21,12 @@ def no_fork():
 
 
 def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter; the timeout turns a hang into a failure."""
+    """Run ``code`` in a fresh interpreter that sees eight usable CPUs, as
+    the tests here do; the timeout turns a hang into a failure."""
     env = dict(os.environ, PYTHONPATH=SRC)
+    pin = "import smolkit._fork\nsmolkit._fork.usable_cpus = lambda: 8\n"
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, "-c", pin + textwrap.dedent(code)],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
 
@@ -44,6 +47,22 @@ def test_results_come_back_in_item_order(workers):
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids and 1 <= len(pids) <= workers
+
+
+def test_map_starts_at_most_one_process_per_usable_cpu(monkeypatch):
+    """5,000 workers over 12,208 items, the tracer's chunks for 1e8 tracers,
+    ask for two processes on two CPUs; the fake pool starts none, so the
+    items run here."""
+    asked = []
+
+    def record(processes, fn):
+        asked.append(processes)
+        return None
+
+    monkeypatch.setattr(_fork, "_forked_pool", record)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    assert fork_map(lambda x: x + 1, range(12_208), 5_000) == list(range(1, 12_209))
+    assert asked == [2]
 
 
 @pytest.mark.parametrize("workers, items", [(1, range(5)), (4, [7])])

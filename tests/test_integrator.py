@@ -717,6 +717,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(t_final=1.0, dt=0.0, policy=TruncationPolicy.cutoff(4))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("t_final", np.inf), ("t_final", np.nan), ("dt", np.nan), ("dt", np.inf), ("output_stride", np.nan)],
+    )
+    def test_rejects_a_time_no_run_can_step_by(self, key, value):
+        """An infinite or nan t_final, or a nan dt, would return one row after
+        no step; a nan stride would fail only after the last step."""
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            RunConfig(**{"t_final": 1.0, "dt": 0.1, "policy": TruncationPolicy.cutoff(4), key: value})
+
     def test_rejects_unknown_splitting(self):
         with pytest.raises(ValueError):
             RunConfig(t_final=1.0, dt=0.1, policy=TruncationPolicy.cutoff(4), splitting="yolo")
