@@ -62,7 +62,7 @@ from .analysis import (
     scope,
 )
 from .coagulation import RateEvaluator, TruncationPolicy
-from .field import Grid, MassField
+from .field import Grid, MassField, moment_weights
 from .integrator import STABILITY_LIMIT, RunConfig, RunRecord, run
 from .integrator import homogeneous_run  # noqa: F401 (no caller; perfbench/spans.py patches cli.homogeneous_run)
 from .kernels import DiffusionProfile, Kernel, RangeProfile, kinetic_kernel_from_range
@@ -328,6 +328,12 @@ def _validate(s: Scenario, path) -> None:
     if "heat_majorant" in s.monitors and s.diffusion_kind == "power_law":
         _require(s.diffusion_b2 >= 0, "diffusion.b2", "must be >= 0 with heat_majorant, whose majorant needs a"
                  " non-increasing profile", path)
+    if "gronwall" in s.monitors and s.gronwall_a_bound is not None and s.mode != "gelscan":
+        # The bound must hold from t = 0 on, for the run from f(0) and the one from (1 + delta) f(0).
+        f0 = build_initial_field(s, Grid(s.grid_dim, s.grid_length, s.grid_cells)).flat()
+        a0 = (1.0 + s.gronwall_delta) * float((moment_weights(2.0, s.n_max) @ f0).max())
+        _require(s.gronwall_a_bound >= a0 * (1 - 1e-12), "gronwall.a_bound",
+                 f"must be >= {a0:g}, the sup of the second moment at t = 0", path)
 
 
 # -- building model objects from a scenario -----------------------------
@@ -624,8 +630,8 @@ def _snapshot_sink(s: Scenario, grid: Grid, out: Path) -> Iterator[Callable[[int
     recorded: through ``fork_sink`` to one writer process when
     ``s.workers > 1``, so formatting overlaps the steps, and here otherwise.
     Snapshot 0 is held until the first stride after t = 0, which
-    ``run.t_final > 0`` guarantees, so nothing is forked before the run's
-    first step: a process that stops at that step, as the benchmark's
+    ``run.t_final > 0`` guarantees (such a run takes a step and records its
+    last), so nothing is forked before the run's first step: a process that stops at that step, as the benchmark's
     set-up probe does, leaves no writer behind.
     A run or a writer that fails leaves no ``snapshots/``: partial
     snapshots next to an older ``series.csv`` would read as a finished run.

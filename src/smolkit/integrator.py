@@ -339,7 +339,8 @@ def run(
 
     record(t, dt)
     emitted = 1
-    t_end = cfg.t_final - _TIME_EPS * max(cfg.t_final, 1.0)
+    # Relative to t_final alone, so that any t_final > 0 takes a step.
+    t_end = cfg.t_final * (1.0 - _TIME_EPS)
     while t < t_end:
         # The last step ends on t_final; it is dt exactly when what is left
         # is dt up to roundoff.

@@ -156,20 +156,45 @@ class TestParseConfig:
 # Every key whose values are numbers, lists of numbers included.
 NUMERIC_KEYS = sorted(key for key, field in cli.SCHEMA.items() if re.search(r"\b(int|float)\b", field.type))
 
+# The command and the lines set over ``PDE`` that make a run read each key;
+# the keys absent here are read by the PDE run itself.
+FUZZ_CONTEXTS = {
+    "kernel.c": ("run", "kernel.kind = constant"),
+    "kernel.a": ("run", "kernel.kind = two_exponent\nkernel.a = 0.5\nkernel.b = 0.5"),
+    "kernel.b": ("run", "kernel.kind = two_exponent\nkernel.a = 0.5\nkernel.b = 0.5"),
+    "kernel.range_": ("run", "kernel.kind = range_derived"),
+    "diffusion.value": ("run", "diffusion.kind = constant"),
+    "seed": ("run", "mode = tracer\ntracer.count = 2000\ntracer.slices = 4"),
+    "tracer.": ("run", "mode = tracer\ntracer.count = 2000\ntracer.slices = 4"),
+    "gronwall.": ("run", "monitors = gronwall\ngronwall.a_bound = 1e4"),
+    "moment_plateau.": ("run", "monitors = moment_plateau"),
+    "gelscan.": ("gelscan", "kernel.kind = product\nkernel.a = 1.0\ngelscan.n_list = 6,12"),
+}
+
+
+def set_over(text, lines):
+    """``text`` with each ``key = value`` of ``lines`` replacing that key's line, or added."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + lines.splitlines()) + "\n"
+
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
 def test_a_numeric_value_is_named_or_steps(tmp_path, capsys, key, value):
-    """Each numeric key at nan, +-inf, -1 and 0 on the pde scenario: either
-    one stderr line naming the key and no output directory, or a run that
-    takes at least one step and exits 0 or 2."""
-    text = "".join(line + "\n" for line in PDE.splitlines() if not line.startswith(f"{key} ="))
-    p = write(tmp_path, text + f"{key} = {value}\n")
+    """Each numeric key at nan, +-inf, -1 and 0, on the pde scenario set up
+    to read it: either one stderr line naming the key and no output
+    directory, or a run that takes at least one step and exits 0 or 2."""
+    command, lines = next((v for k, v in FUZZ_CONTEXTS.items() if key.startswith(k)), ("run", ""))
+    p = write(tmp_path, set_over(set_over(PDE, lines), f"{key} = {value}"))
     out = tmp_path / "out"
-    code = main(["run", str(p), "--workers", "1", "--out", str(out)])
+    code = main([command, str(p), "--workers", "1", "--out", str(out)])
     if code == 1:
         assert_names_key(capsys, p, key)
         assert not out.exists()
+    elif command == "gelscan":
+        assert code in (0, 2)
+        assert all(float(row.split(",")[1]) > 0 for row in (out / "gelscan.csv").read_text().splitlines()[2:])
     else:
         assert code in (0, 2)
         assert float((out / "series.csv").read_text().splitlines()[-1].split(",")[0]) > 0
@@ -300,7 +325,7 @@ gelscan.n_list = 16,32
         p = write(tmp_path, MINIMAL + "initial.amplitude = 0\n")
         s = dataclasses.replace(parse_config(p), mode="gelscan")
         assert cli.build_run(s, cli.build_kernel(s))[2].dt == 0.2 / 100
-        assert main(["gelscan", str(p), "--workers", "1", "--out", str(tmp_path / "out")]) == 0
+        assert main(["gelscan", str(p), "--out", str(tmp_path / "out")]) == 0
         assert "error" not in capsys.readouterr().err
         table = (tmp_path / "out" / "gelscan.csv").read_text().splitlines()
         assert table[2:] == ["64,1.0,0.0", "128,1.0,0.0", "256,1.0,0.0"]
@@ -673,6 +698,17 @@ class TestSnapshotWriter:
         assert main(["run", str(write(tmp_path, PDE)), "--workers", str(workers), "--out", str(out)]) == 0
         assert len(calls) == here
         assert [p.name for p in sorted((out / "snapshots").iterdir())] == [f"snapshot_{i:04d}.csv" for i in range(3)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_horizon_below_the_step_slack_writes_every_snapshot(self, tmp_path, workers):
+        """``run.t_final = 1e-10`` takes its one step, so snapshot 0, held
+        until then, is written with snapshot 1."""
+        out = tmp_path / "out"
+        p = write(tmp_path, PDE.replace("run.t_final = 0.1", "run.t_final = 1e-10"))
+        assert main(["run", str(p), "--workers", workers, "--out", str(out)]) == 0
+        rows = (out / "series.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 1e-10]
+        assert [p.name for p in sorted((out / "snapshots").iterdir())] == ["snapshot_0000.csv", "snapshot_0001.csv"]
 
     def test_nothing_is_forked_before_the_first_step(self, tmp_path, monkeypatch):
         """A caller that stops the run at its first loss_coefficients call,

@@ -258,6 +258,13 @@ class TestRun:
         assert rec.times == [0.0]
         assert rec.mass[0] > 0
 
+    @pytest.mark.parametrize("t_final", [1e-10, 5e-324])
+    def test_any_positive_horizon_takes_a_step(self, small_setup, t_final):
+        """A horizon below the end-of-run slack still ends on t_final, after one step."""
+        grid, k, dp, F = small_setup
+        cfg = RunConfig(t_final=t_final, dt=0.01, policy=TruncationPolicy.cutoff(F.n_max))
+        assert run(F, k, dp, cfg).times == [0.0, t_final]
+
     def test_pure_diffusion_conserves_mass(self, small_setup):
         grid, _, dp, F = small_setup
         k0 = Kernel.constant(0.0, F.n_max)
