@@ -1,25 +1,22 @@
-"""Forked worker processes: a map over independent items, and one sink.
+"""Forked worker processes: a map over independent items.
 
 This module is the one place smolkit starts processes, all of them in a
 ``ProcessPoolExecutor`` made by :func:`_forked_pool`.  :func:`fork_map`
 maps a function over independent items in forked workers: the tracer maps
-its chunks through it and the CLI's refinement ladder its levels.
-:func:`fork_sink` hands a stream of items to one forked worker while the
-caller goes on: the CLI writes a run's snapshots through it.
+its chunks through it, the CLI's refinement ladder its levels and the CLI's
+snapshot writer a finished run's recorded fields.
 
 The function reaches the processes through the fork, never through pickle,
-so closures over large read-only arrays cost nothing to hand over.  A map
-sends out only each item's index and gets back its result; a sink sends
-each item.  ``multiprocessing`` and ``concurrent`` are imported only when a
-process is about to start, so runs that never fork never load them.
+so closures over large read-only arrays cost nothing to hand over: a map
+sends out only each item's index and gets back its result.
+``multiprocessing`` and ``concurrent`` are imported only when a process is
+about to start, so runs that never fork never load them.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Sequence
 
 
 def usable_cpus() -> int:
@@ -82,44 +79,3 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     with pool:
         return list(pool.map(_call_installed, range(len(items))))
 
-
-@contextmanager
-def fork_sink(fn: Callable, workers: int) -> Iterator[Callable[[object], None]]:
-    """Yield ``put(item)``, which has ``fn(item)`` called on each item, in order.
-
-    With ``workers > 1`` and ``fork`` available, each item is submitted to
-    one worker process, forked at the first ``put``, which calls ``fn`` on
-    the items in turn while this process goes on; a sink that is fed
-    nothing starts nothing and loads nothing.  Otherwise ``put`` calls
-    ``fn`` here.
-
-    An exception ``fn`` raised in the worker is re-raised here, by a
-    later ``put`` or on leaving the block; a worker that dies
-    raises ``BrokenProcessPool``, as in :func:`fork_map`.  Leaving the
-    block normally waits for the items in order and re-raises the first
-    failure.  Leaving it by an exception, that one included, cancels the
-    items not yet handed to the worker and waits for those that were.
-    """
-    if workers <= 1:
-        yield fn
-        return
-    pool = futures = None
-
-    def put(item) -> None:
-        nonlocal pool, futures
-        if futures is None:  # the first item
-            pool, futures = _forked_pool(1, fn), deque()
-        if pool is None:
-            fn(item)
-            return
-        while futures and futures[0].done():
-            futures.popleft().result()  # re-raises a failure
-        futures.append(pool.submit(_call_installed, item))
-
-    try:
-        yield put
-        for future in futures or ():
-            future.result()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)

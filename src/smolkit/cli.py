@@ -27,8 +27,9 @@ the gronwall rerun on perturbed data, and every level of ``_levels``, which
 same dt and stride, built before the main run) and gelscan's (each N of
 ``gelscan.n_list``, on ``Grid.point()`` under the gel reservoir).
 Homogeneous mode is the same run on ``Grid.point()``.  The main run's
-``on_stride`` keeps its fields for the tracer and gronwall, and feeds
-``_snapshot_sink``, which writes them with ``run.record_fields``.
+``on_stride`` keeps its fields for the tracer, gronwall and, with
+``run.record_fields``, ``_write_snapshots``, which writes them after the run
+through ``fork_map``.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ import math
 import os
 import shutil
 import sys
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ._fork import fork_map, fork_sink, usable_cpus
+from ._fork import fork_map, usable_cpus
 from .analysis import (
     BoundReport,
     HypothesisError,
@@ -569,24 +568,29 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     """One solver run (pde, homogeneous or tracer mode), its files and its monitors.
 
     ``snapshots/`` holds one field per series row when ``run.record_fields``
-    is set, and is not written otherwise (see :func:`_snapshot_sink`).
+    is set, and is not written otherwise (see :func:`_write_snapshots`).
 
-    The plateau's levels and the scope are built before the main run, so a
-    scenario they reject writes no file."""
+    The plateau's levels and the scope are built before the main run, and
+    the gronwall rerun checks ``gronwall.a_bound`` before any file is
+    written, so a scenario they reject writes no file."""
     field0, dp, cfg = build_run(s, kernel)
     refinements = range(1, s.plateau_refinements + 1) if "moment_plateau" in s.monitors else []
     plateau = _levels(s, [s.n_max * 2**k for k in refinements], kernel)
     # The mass, a = 1, when no moment is recorded.
     hypotheses = scope(kernel, dp, field0, max(cfg.moment_exponents, default=1.0)) if dp is not None else None
-    fields = [] if s.mode == "tracer" or "gronwall" in s.monitors else None
-    with _snapshot_sink(s, field0.grid, out) as snapshot:
-
-        def on_stride(i: int, t: float, flat: np.ndarray, gel: float) -> None:
-            snapshot(i, t, flat, gel)
-            if fields is not None:
-                fields.append(flat)
-
-        rec = run(field0, kernel, dp, cfg, on_stride=on_stride)
+    fields = [] if s.record_fields or s.mode == "tracer" or "gronwall" in s.monitors else None
+    keep = None if fields is None else lambda i, t, flat, gel: fields.append(flat)
+    rec = run(field0, kernel, dp, cfg, on_stride=keep)
+    if "gronwall" in s.monitors:
+        perturbed = MassField(field0.grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
+        g_fields = []
+        g_rec = run(perturbed, kernel, dp, cfg, on_stride=lambda i, t, flat, gel: g_fields.append(flat))
+        try:
+            gronwall = check_gronwall(rec, fields, g_rec, g_fields, hypotheses, s.gronwall_a_bound)
+        except HypothesisError as err:  # the runs' second moment exceeds the supplied bound
+            raise HypothesisError(f"gronwall.a_bound: {err}") from err
+    if s.record_fields:
+        _write_snapshots(s, rec, fields, out)
     extra = {"cons_drift": conservation_drift(rec)}
     if rec.majorant is not None:
         extra["majorant_ratio"] = majorant_ratios(rec, dp).max(axis=1)
@@ -598,10 +602,7 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     if rec.majorant is not None:
         reports.append(check_heat_majorant(rec, dp, s.heat_majorant_tolerance))
     if "gronwall" in s.monitors:
-        perturbed = MassField(field0.grid, field0.data * (1.0 + s.gronwall_delta), field0.gel_reservoir)
-        g_fields = []
-        g_rec = run(perturbed, kernel, dp, cfg, on_stride=lambda i, t, flat, gel: g_fields.append(flat))
-        reports.append(check_gronwall(rec, fields, g_rec, g_fields, hypotheses, s.gronwall_a_bound))
+        reports.append(gronwall)
     if plateau:
         records = [rec] + _ladder(s, plateau, kernel)
         reports.append(check_moment_bound(records, s.plateau_a, hypotheses, field0, tolerance=s.plateau_tolerance))
@@ -613,8 +614,8 @@ def _solve(s: Scenario, kernel: Kernel, out: Path) -> tuple[list[str], list[Boun
     return lines + [str(r) for r in reports] + [f"note: {event}" for event in rec.events], reports
 
 
-def _write_snapshot(snapdir: Path, grid: Grid, item: tuple[int, np.ndarray, float, float]) -> None:
-    i, flat, t, gel = item
+def _write_snapshot(snapdir: Path, grid: Grid, item: tuple[int, tuple[np.ndarray, float, float]]) -> None:
+    i, (flat, t, gel) = item
     try:
         write_field_csv(snapdir / f"snapshot_{i:04d}.csv", flat, grid, t, gel)
     except OSError as err:
@@ -622,35 +623,18 @@ def _write_snapshot(snapdir: Path, grid: Grid, item: tuple[int, np.ndarray, floa
         raise OSError(f"snapshot writer: {err}") from err
 
 
-@contextmanager
-def _snapshot_sink(s: Scenario, grid: Grid, out: Path) -> Iterator[Callable[[int, float, np.ndarray, float], None]]:
-    """The main run's ``on_stride`` into ``snapshots/``; a no-op without ``run.record_fields``.
+def _write_snapshots(s: Scenario, rec: RunRecord, flats: list[np.ndarray], out: Path) -> None:
+    """The finished run's recorded fields into ``snapshots/``, one file per
+    series row, through ``fork_map`` in up to ``s.workers`` processes.
 
-    Each recorded field goes to :func:`write_field_csv` as soon as it is
-    recorded: through ``fork_sink`` to one writer process when
-    ``s.workers > 1``, so formatting overlaps the steps, and here otherwise.
-    Snapshot 0 is held until the first stride after t = 0, which
-    ``run.t_final > 0`` guarantees (such a run takes a step and records its
-    last), so nothing is forked before the run's first step: a process that stops at that step, as the benchmark's
-    set-up probe does, leaves no writer behind.
-    A run or a writer that fails leaves no ``snapshots/``: partial
-    snapshots next to an older ``series.csv`` would read as a finished run.
+    A writer that fails leaves no ``snapshots/``: partial snapshots next to
+    an older ``series.csv`` would read as a finished run.
     """
-    if not s.record_fields:
-        yield lambda i, t, flat, gel: None
-        return
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    held = []
     try:
-        with fork_sink(partial(_write_snapshot, snapdir, grid), s.workers) as put:
-
-            def on_stride(i: int, t: float, flat: np.ndarray, gel: float) -> None:
-                held.append((i, flat, t, gel))
-                while i > 0 and held:
-                    put(held.pop(0))
-
-            yield on_stride
+        items = list(enumerate(zip(flats, rec.times, rec.gel)))
+        fork_map(partial(_write_snapshot, snapdir, rec.grid), items, s.workers)
     except BaseException:
         shutil.rmtree(snapdir, ignore_errors=True)
         raise
@@ -719,7 +703,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--workers", type=int, default=None,
             help="worker processes for the tracer's chunks or the gelscan and moment-plateau levels,"
-            " at most one per chunk or level and one per usable CPU, and with N > 1 one snapshot writer beside the run"
+            " and the snapshot writers after the run, at most one per chunk, level or snapshot and one per usable CPU"
             " (default: the usable CPUs; outputs bit-identical for any N)",
         )
         p.add_argument("--out", default=None, help="output directory")
@@ -734,7 +718,11 @@ def main(argv: list[str] | None = None) -> int:
         scenario = dataclasses.replace(scenario, **overrides)
         _validate(scenario, args.config)
         return execute(scenario, out_override=args.out)
-    except (ConfigError, HypothesisError, ValueError) as err:
+    except HypothesisError as err:
+        # Raised by a run that refutes a hypothesis the file supplied.
+        print(f"error: {args.config}: {err}", file=sys.stderr)
+        return 1
+    except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (FloatingPointError, OverflowError, RuntimeError, OSError) as err:

@@ -230,6 +230,21 @@ class TestExecute:
         p = write(tmp_path, text)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
 
+    def test_gronwall_bound_below_a_later_sup_exits_one_before_any_file(self, tmp_path, capsys):
+        """A bound above the second moment at t = 0 passes ``_validate``, but
+        the sum kernel grows it to 2.23 by t = 0.2: the error names the file,
+        the key and the observed sup, and no series or snapshot is written."""
+        text = (
+            "name = late-sup\nmode = pde\nkernel.kind = sum\ngrid.cells = 16\ninitial.kind = monodisperse\n"
+            "initial.amplitude = 1\nrun.n_max = 16\nrun.t_final = 0.2\nrun.record_fields = true\n"
+            "monitors = gronwall\ngronwall.a_bound = 1.01\n"
+        )
+        p = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--workers", "1", "--out", str(out)]) == 1
+        assert_names_key(capsys, p, "gronwall.a_bound", "observed sup 2.22768")
+        assert list(out.iterdir()) == []
+
     def test_large_gronwall_bound_passes(self, tmp_path):
         """A second-moment bound far above the observed sup is valid: the
         envelope exp(4 c0 A T) = e^8000 passes vacuously and the run exits 0."""
@@ -659,10 +674,12 @@ class TestSnapshotFiles:
         assert execute(parse_config(write(tmp_path, TestDeterminism.TRACER)), out_override=str(out)) == 0
         assert (out / "histogram.csv").exists() and not (out / "snapshots").exists()
 
-    def test_tracer_with_record_fields_writes_one_per_series_row(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tracer_with_record_fields_writes_one_per_series_row(self, tmp_path, workers):
+        """The same bytes whether the snapshots are written here or in writer processes."""
         out = tmp_path / "out"
-        text = TestDeterminism.TRACER + "run.record_fields = true\n"
-        assert execute(parse_config(write(tmp_path, text)), out_override=str(out)) == 0
+        s = parse_config(write(tmp_path, TestDeterminism.TRACER + "run.record_fields = true\n"))
+        assert execute(dataclasses.replace(s, workers=workers), out_override=str(out)) == 0
         rows = (out / "series.csv").read_text().splitlines()[2:]
         assert [p.name for p in sorted((out / "snapshots").iterdir())] == [
             f"snapshot_{i:04d}.csv" for i in range(len(rows))
@@ -680,9 +697,10 @@ class TestSnapshotFiles:
 
 
 class TestSnapshotWriter:
-    """With ``workers > 1`` the main run's snapshots go to one forked writer
-    process as they are recorded; with one worker they are written here.
-    Either way a failed run leaves no ``snapshots/`` and no process."""
+    """The main run's snapshots are written after the run, through
+    ``fork_map`` in forked writer processes when ``workers > 1`` and here
+    otherwise.  Either way a failed run leaves no ``snapshots/`` and no
+    process."""
 
     @pytest.mark.parametrize("workers, here", [(1, 3), (2, 0)])
     def test_who_writes(self, tmp_path, monkeypatch, workers, here):
@@ -701,8 +719,7 @@ class TestSnapshotWriter:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_a_horizon_below_the_step_slack_writes_every_snapshot(self, tmp_path, workers):
-        """``run.t_final = 1e-10`` takes its one step, so snapshot 0, held
-        until then, is written with snapshot 1."""
+        """``run.t_final = 1e-10`` takes its one step and records both ends."""
         out = tmp_path / "out"
         p = write(tmp_path, PDE.replace("run.t_final = 0.1", "run.t_final = 1e-10"))
         assert main(["run", str(p), "--workers", workers, "--out", str(out)]) == 0
@@ -710,25 +727,31 @@ class TestSnapshotWriter:
         assert [float(row.split(",")[0]) for row in rows] == [0.0, 1e-10]
         assert [p.name for p in sorted((out / "snapshots").iterdir())] == ["snapshot_0000.csv", "snapshot_0001.csv"]
 
-    def test_nothing_is_forked_before_the_first_step(self, tmp_path, monkeypatch):
-        """A caller that stops the run at its first loss_coefficients call,
-        as the benchmark's set-up probe does, would leave no process behind."""
+    def test_nothing_is_forked_while_the_run_steps(self, tmp_path, monkeypatch):
+        """At a step after snapshot 1 is recorded, the run has no thread
+        beside its own and no child: nothing takes the GIL from the solver."""
+        import threading
+
         from smolkit.coagulation import RateEvaluator
 
-        seen = []
+        seen, calls = [], [0]
         real = RateEvaluator.loss_coefficients
 
         def spy(self, *args, **kwargs):
-            if not seen:
+            calls[0] += 1
+            if calls[0] == 60:  # the 12th of 20 steps; snapshot 1 is recorded at the 10th
                 try:
-                    seen.append(os.waitpid(-1, os.WNOHANG))
+                    os.waitpid(-1, os.WNOHANG)
+                    seen.append((threading.active_count(), "a child"))
                 except ChildProcessError:
-                    seen.append("no child")
+                    seen.append((threading.active_count(), "no child"))
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(RateEvaluator, "loss_coefficients", spy)
-        assert main(["run", str(write(tmp_path, PDE)), "--workers", "2", "--out", str(tmp_path / "out")]) == 0
-        assert seen == ["no child"]
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, PDE)), "--workers", "2", "--out", str(out)]) == 0
+        assert seen == [(1, "no child")]
+        assert len(list((out / "snapshots").iterdir())) == 3
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_run_failing_partway_leaves_no_snapshots(self, tmp_path, monkeypatch, capsys, workers):

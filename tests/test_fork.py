@@ -1,4 +1,4 @@
-"""fork_map and fork_sink: item order, in-process fallbacks, worker errors and dead workers."""
+"""fork_map: item order, in-process fallbacks, worker errors and dead workers."""
 
 import os
 import subprocess
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from smolkit import _fork
-from smolkit._fork import fork_map, fork_sink, usable_cpus
+from smolkit._fork import fork_map, usable_cpus
 from smolkit.integrator import StepSizeError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,8 +65,12 @@ def test_map_starts_at_most_one_process_per_usable_cpu(monkeypatch):
     assert asked == [2]
 
 
-@pytest.mark.parametrize("workers, items", [(1, range(5)), (4, [7])])
-def test_one_worker_or_one_item_runs_here(monkeypatch, workers, items):
+@pytest.mark.parametrize("workers, items, methods", [(1, range(5), None), (4, [7], None), (2, range(3), ["spawn"])])
+def test_one_worker_one_item_or_no_fork_runs_here(monkeypatch, workers, items, methods):
+    import multiprocessing
+
+    if methods is not None:  # a platform without fork
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
     monkeypatch.setattr(os, "fork", no_fork)
     assert fork_map(lambda x: x + 1, items, workers) == [x + 1 for x in items]
 
@@ -152,78 +156,6 @@ def test_cli_names_a_dead_snapshot_writer(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "runtime error: BrokenProcessPool" in proc.stderr
     assert not (out / "snapshots").exists()
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_sink_handles_items_in_order_in_one_other_process(tmp_path):
-    log = tmp_path / "log"
-
-    def append(item):
-        with open(log, "a") as fh:
-            fh.write(f"{item} {os.getpid()}\n")
-
-    with fork_sink(append, 2) as put:
-        for i in range(20):
-            put(i)
-    lines = [line.split() for line in log.read_text().splitlines()]
-    assert [int(i) for i, _ in lines] == list(range(20))
-    assert len({pid for _, pid in lines}) == 1 and lines[0][1] != str(os.getpid())
-    assert_no_child()
-
-
-@pytest.mark.parametrize("workers, items, methods", [(1, range(3), None), (2, [], None), (2, range(3), ["spawn"])])
-def test_sink_with_one_worker_no_item_or_no_fork_forks_nothing(monkeypatch, workers, items, methods):
-    import multiprocessing
-
-    if methods is not None:  # a platform without fork
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    monkeypatch.setattr(os, "fork", no_fork)
-    seen = []
-    with fork_sink(seen.append, workers) as put:
-        for item in items:
-            put(item)
-    assert seen == list(items)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sink_reraises_what_fn_raised(workers):
-    def fail_on_two(i):
-        if i == 2:
-            raise StepSizeError(0.5, 3.0, 7, 1)
-
-    with pytest.raises(StepSizeError) as info:
-        with fork_sink(fail_on_two, workers) as put:
-            for i in range(4):
-                put(i)
-    assert (info.value.dt, info.value.lam, info.value.species, info.value.cell) == (0.5, 3.0, 7, 1)
-    assert_no_child()
-
-
-def test_sink_left_by_an_exception_reaps_its_process():
-    with pytest.raises(KeyError):
-        with fork_sink(lambda item: None, 2) as put:
-            put(1)
-            raise KeyError("caller failed")
-    assert_no_child()
-
-
-def test_dead_sink_process_raises_instead_of_hanging():
-    proc = run_python(
-        """
-        import os
-        from smolkit._fork import fork_sink
-
-        with fork_sink(lambda i: os._exit(3) if i == 1 else None, 2) as put:
-            for i in range(4):
-                put(i)
-        """
-    )
-    assert proc.returncode != 0
-    assert "BrokenProcessPool" in proc.stderr
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
