@@ -717,6 +717,49 @@ class TestSnapshotWriter:
         assert len(calls) == here
         assert [p.name for p in sorted((out / "snapshots").iterdir())] == [f"snapshot_{i:04d}.csv" for i in range(3)]
 
+    def test_without_fork_the_snapshots_are_written_here(self, tmp_path, monkeypatch):
+        """``--workers 2`` on a platform without fork writes every snapshot
+        in this process, with the bytes of ``--workers 1``."""
+        import multiprocessing
+
+        p = write(tmp_path, PDE)
+        assert main(["run", str(p), "--workers", "1", "--out", str(tmp_path / "one")]) == 0
+        calls = []
+        real = cli.write_field_csv
+
+        def spy(path, *args):
+            calls.append(path.name)
+            return real(path, *args)
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(cli, "write_field_csv", spy)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["run", str(p), "--workers", "2", "--out", str(tmp_path / "two")]) == 0
+        assert calls == [f"snapshot_{i:04d}.csv" for i in range(3)]
+        digest = TestSnapshotFiles.snapshot_digest
+        assert digest(tmp_path / "two" / "snapshots") == digest(tmp_path / "one" / "snapshots")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_snapshot_holds_its_series_row(self, tmp_path, workers):
+        """Snapshot i carries series row i's t and gel, and its field's
+        zeroth moment is that row's X0; the gel reservoir fills, so no two
+        rows share a gel value."""
+        text = MINIMAL.replace("run.t_final = 0.2", "run.t_final = 1.0") + (
+            "run.output_stride = 0.25\nrun.record_fields = true\nrun.policy = gel_reservoir\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, text)), "--workers", workers, "--out", str(out)]) == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        rows = [dict(zip(lines[1].split(","), row.split(","))) for row in lines[2:]]
+        assert len(rows) == 5 and len({row["gel"] for row in rows}) == 5
+        for i, row in enumerate(rows):
+            path = out / "snapshots" / f"snapshot_{i:04d}.csv"
+            assert f" t={row['t']} gel={row['gel']} " in path.read_text().splitlines()[0]
+            assert read_field_csv(path, Grid.point(), 16).data.sum() == pytest.approx(float(row["X0"]), rel=1e-12)
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_a_horizon_below_the_step_slack_writes_every_snapshot(self, tmp_path, workers):
         """``run.t_final = 1e-10`` takes its one step and records both ends."""

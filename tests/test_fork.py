@@ -65,7 +65,9 @@ def test_map_starts_at_most_one_process_per_usable_cpu(monkeypatch):
     assert asked == [2]
 
 
-@pytest.mark.parametrize("workers, items, methods", [(1, range(5), None), (4, [7], None), (2, range(3), ["spawn"])])
+@pytest.mark.parametrize(
+    "workers, items, methods", [(1, range(5), None), (4, [7], None), (2, range(3), ["spawn"]), (2, [], None)]
+)
 def test_one_worker_one_item_or_no_fork_runs_here(monkeypatch, workers, items, methods):
     import multiprocessing
 
@@ -84,6 +86,24 @@ def test_worker_exception_is_reraised_with_its_type():
     with pytest.raises(StepSizeError) as info:
         fork_map(fail_on_two, range(4), 2)
     assert (info.value.dt, info.value.lam, info.value.species, info.value.cell) == (0.5, 3.0, 7, 1)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_map_reaps_its_processes(fails):
+    """A map that returns, or re-raises what a worker raised, leaves no child."""
+
+    def item(i):
+        if fails and i == 2:
+            raise KeyError(i)
+        return i
+
+    if fails:
+        with pytest.raises(KeyError):
+            fork_map(item, range(4), 2)
+    else:
+        assert fork_map(item, range(4), 2) == list(range(4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_dead_worker_raises_instead_of_hanging():
